@@ -8,10 +8,10 @@ Subcommands:
 * ``chaos`` — run the fault-injection matrix and report detection
   coverage (exit 1 on any silent failure); see
   :mod:`repro.resilience.chaos` and ``docs/ROBUSTNESS.md``.
-* ``chaos-serve`` — inject faults (persistent backend exceptions,
-  worker-thread crashes, bit-flipped accumulators, corrupted request
-  matrices, expired deadlines) into a live serving stack under Poisson
-  load and verify the failure-domain guards catch every one; see
+* ``chaos-serve`` — inject faults (worker-thread crashes, bit-flipping
+  kernels, corrupted request matrices, expired deadlines, a slowed
+  kernel) into a live serving stack under Poisson load and verify the
+  failure-domain guards catch every one; see
   :mod:`repro.resilience.chaos_serve`.
 * ``chaos-proc`` — attack the process-isolated execution tier (worker
   SIGKILLs mid-batch, busy-loop hangs, heartbeat loss, memory hogs,
@@ -19,27 +19,17 @@ Subcommands:
   failure is contained with a terminal status, an explanatory health
   cause, and zero oracle disagreements; see
   :mod:`repro.resilience.chaos_proc`.
-* ``chaos-update`` — race live graph updates against the serving stack
-  (mid-batch, mid-compile, mid-eviction), verifying every response
-  against a reference pinned to its admitted epoch and that caches
-  invalidate exactly the retired epochs' keys; see
+* ``chaos-update`` — race live graph updates against the serving stack,
+  verifying every response against a reference pinned to its admitted
+  epoch and that caches invalidate exactly the retired epochs' keys; see
   :mod:`repro.resilience.chaos_update`.
 * ``serve-bench`` — drive synthetic Zipf/Poisson traffic through the
   serving layer and record throughput, latency percentiles, per-stage
-  latency attribution, SLO attainment, plan-cache and load-shedding
-  statistics; see :mod:`repro.serve.loadgen` and ``docs/SERVING.md``.
-* ``sample-bench`` — drive a Zipf-seeded ego-sampling minibatch
-  workload: demonstrate the fingerprint plan-cache collapse on one-shot
-  subgraphs, measure the structure-class tier's reuse and rows/s, and
-  verify every output (including under live updates) against a SciPy
-  oracle pinned to its admitted epoch; see :mod:`repro.sample.bench`.
+  latency attribution, SLO attainment and load-shedding statistics; see
+  :mod:`repro.serve.loadgen` and ``docs/SERVING.md``.
 * ``slo-report`` — render per-route SLO attainment (observed
   percentiles vs. objectives, error-budget burn) from the latest
   ``serve-bench`` run record; see :mod:`repro.obs.slo`.
-* ``kernel-bench`` — measure every SpMM executor (reference, vectorized,
-  thread pool, engine fast path) on synthetic power-law datasets and
-  record rows/s + GFLOP-equivalents in ``BENCH_kernel.json``; see
-  :mod:`repro.engine.bench` and ``docs/PERFORMANCE.md``.
 * ``shard-bench`` — measure N-shard multi-process SpMM (scatter ->
   per-shard SpMM -> halo gather) against the single-process kernel,
   record rows/s, speedup, halo bytes and partition imbalance in
@@ -84,18 +74,10 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.serve.loadgen import main as serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "sample-bench":
-        from repro.sample.bench import main as sample_main
-
-        return sample_main(argv[1:])
     if argv and argv[0] == "slo-report":
         from repro.obs.slo import main as slo_main
 
         return slo_main(argv[1:])
-    if argv and argv[0] == "kernel-bench":
-        from repro.engine.bench import main as kernel_main
-
-        return kernel_main(argv[1:])
     if argv and argv[0] == "shard-bench":
         from repro.shard.bench import main as shard_main
 

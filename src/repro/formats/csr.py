@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.formats.validation import validate_csr
 
@@ -73,8 +74,8 @@ class CSRMatrix:
             self.n_rows,
             self.n_cols,
         )
-        # Freeze the arrays: cached fingerprints (and every schedule/plan
-        # cache keyed on them) assume the content never changes in place.
+        # Freeze the arrays: cached fingerprints (and every cache keyed on
+        # them) assume the content never changes in place.
         for name in ("row_pointers", "column_indices", "values"):
             array = getattr(self, name)
             if array.flags.writeable:
@@ -167,7 +168,7 @@ class CSRMatrix:
         aliases after garbage collection reuses an address and never
         matches across separate loads of the same graph.  Merge-path
         schedules depend only on structure, so this is the key every
-        schedule/plan cache uses.
+        structural cache uses.
 
         When :attr:`version` is set, it is hashed too: epoch-stamped
         snapshots of a live graph (see
@@ -341,6 +342,22 @@ class CSRMatrix:
             column_indices=csc.row_indices,
             values=csc.values,
             version=self.version,
+        )
+
+    def to_scipy(self) -> "sp.csr_matrix":
+        """A ``scipy.sparse`` CSR view of this matrix.
+
+        The view shares this matrix's (read-only) values buffer; scipy
+        may narrow the index arrays to ``int32``.  Duplicate entries are
+        kept as stored and summed by ``@``, like :meth:`multiply_dense`.
+        ``to_scipy() @ dense`` is the one SpMM every serving and
+        inference path runs.  Not memoised: callers that reuse a view
+        keep it themselves.
+        """
+        return sp.csr_matrix(
+            (self.values, self.column_indices, self.row_pointers),
+            shape=self.shape,
+            copy=False,
         )
 
     def multiply_dense(self, dense: np.ndarray) -> np.ndarray:

@@ -7,12 +7,10 @@ inferences; in *online* mode every inference recomputes it.  The engine
 reports both wall-clock scheduling time and the modeled GPU scheduling
 overhead — the quantity Figure 8 plots.
 
-Execution goes through the fused :mod:`repro.engine` path by default:
-one merge-path cost per graph (so one schedule serves every layer), one
-compiled engine plan reused across layers and inferences, and each
-layer's ``(A·X)·W`` vs ``A·(X·W)`` ordering chosen by FLOP count (see
-:mod:`repro.engine.pipeline`).  Pass ``fused=False`` to fall back to the
-per-layer vectorized executor.
+Each layer aggregates with scipy's CSR product over one view of the
+normalized adjacency (:meth:`~repro.formats.csr.CSRMatrix.to_scipy`),
+kept beside it while the engine serves that graph, and runs the cheaper
+of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count (:func:`choose_ordering`).
 """
 
 from __future__ import annotations
@@ -23,16 +21,66 @@ import numpy as np
 
 from repro.core.schedule import MergePathSchedule
 from repro.core.scheduler import ScheduleCache, SchedulingMode
-from repro.core.spmm import execute_vectorized
 from repro.core.thread_mapping import default_merge_path_cost
-from repro.engine.kernels import get_engine_plan_cache
 from repro.obs import rtrace
-from repro.engine.pipeline import TRANSFORM_FIRST, choose_ordering
 from repro.gpu.device import GPUDevice, quadro_rtx_6000
 from repro.gpu.kernels import mergepath_workload
 from repro.gpu.timing import scheduling_time, simulate
 from repro.gnn.models import GCN
 from repro.graphs import Graph
+
+TRANSFORM_FIRST = "transform-first"  # A @ (X W): SpMM at width f_out
+AGGREGATE_FIRST = "aggregate-first"  # (A X) @ W: SpMM at width f_in
+
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """The chosen ordering for one GCN layer on one graph.
+
+    Attributes:
+        ordering: :data:`TRANSFORM_FIRST` or :data:`AGGREGATE_FIRST`.
+        spmm_width: Dense width the layer's SpMM runs at.
+        flops_transform_first: Modeled FLOPs of ``A @ (X W)``.
+        flops_aggregate_first: Modeled FLOPs of ``(A X) @ W``.
+    """
+
+    ordering: str
+    spmm_width: int
+    flops_transform_first: float
+    flops_aggregate_first: float
+
+    @property
+    def flops(self) -> float:
+        """FLOPs of the chosen ordering."""
+        if self.ordering == TRANSFORM_FIRST:
+            return self.flops_transform_first
+        return self.flops_aggregate_first
+
+
+def choose_ordering(
+    n_rows: int, nnz: int, f_in: int, f_out: int
+) -> LayerPlan:
+    """FLOP-count the two orderings of ``act(A X W)`` and pick the cheaper.
+
+    Both orderings share the ``2·n·f_in·f_out`` dense multiply; they
+    differ only in the SpMM width (``2·nnz·width`` FLOPs), so the choice
+    reduces to ``min(f_in, f_out)`` — but the full counts are kept for
+    reporting.  Ties go to transform-first, the ordering the paper's
+    accelerators use.
+    """
+    dense_flops = 2.0 * n_rows * f_in * f_out
+    transform_first = dense_flops + 2.0 * nnz * f_out
+    aggregate_first = dense_flops + 2.0 * nnz * f_in
+    if transform_first <= aggregate_first:
+        ordering, width = TRANSFORM_FIRST, f_out
+    else:
+        ordering, width = AGGREGATE_FIRST, f_in
+    return LayerPlan(
+        ordering=ordering,
+        spmm_width=width,
+        flops_transform_first=transform_first,
+        flops_aggregate_first=aggregate_first,
+    )
 
 
 @dataclass(frozen=True)
@@ -63,16 +111,15 @@ class InferenceReport:
 
 
 class InferenceEngine:
-    """Runs GCN inference with MergePath-SpMM aggregation.
+    """Runs GCN inference with MergePath-SpMM scheduling accounting.
 
     Args:
         mode: ``SchedulingMode.OFFLINE`` reuses schedules across
             inferences (the paper's default, matching GNNAdvisor's
             pre-processed partitions); ``ONLINE`` recomputes per inference.
         device: GPU model used for the timing estimates.
-        fused: Execute through the fused engine path (shared schedule +
-            engine plan across layers, FLOP-counted ordering).  ``False``
-            restores the per-layer vectorized executor.
+        fused: Accepted for compatibility; every layer already shares
+            one adjacency view, so it selects nothing.
     """
 
     def __init__(
@@ -84,9 +131,11 @@ class InferenceEngine:
         self.cache = ScheduleCache(mode=mode)
         self.device = device or quadro_rtx_6000()
         self.fused = fused
-        # Normalized adjacencies cached per graph identity so the offline
-        # mode's schedule reuse keys on a stable matrix object.
-        self._normalized: dict[int, object] = {}
+        # (graph, normalized adjacency, its scipy view) of the last graph
+        # served.  Matched with ``is``: an ``id()`` key would hand a new
+        # graph allocated at a collected graph's address the stale
+        # adjacency.
+        self._entry: "tuple[Graph, object, object] | None" = None
 
     def infer(self, model: GCN, graph: Graph, features: np.ndarray | None = None,
               *, ctx: "rtrace.RequestContext | None" = None
@@ -96,17 +145,22 @@ class InferenceEngine:
         Args:
             ctx: Optional request-trace context
                 (:mod:`repro.obs.rtrace`); when passed, per-layer kernel
-                execution and plan compilation are attributed to its
-                ledger.
+                execution is attributed to its ledger.
         """
         with rtrace.activate(ctx):
             return self._infer(model, graph, features)
 
+    def _adjacency(self, graph: Graph):
+        """The graph's normalized adjacency and its scipy view."""
+        entry = self._entry
+        if entry is None or entry[0] is not graph:
+            adjacency = graph.normalized_adjacency()
+            entry = self._entry = (graph, adjacency, adjacency.to_scipy())
+        return entry[1], entry[2]
+
     def _infer(self, model: GCN, graph: Graph,
                features: np.ndarray | None) -> InferenceReport:
-        if id(graph) not in self._normalized:
-            self._normalized[id(graph)] = graph.normalized_adjacency()
-        adjacency = self._normalized[id(graph)]
+        adjacency, view = self._adjacency(graph)
         if features is None:
             if graph.features is None:
                 raise ValueError("graph carries no features; pass them explicitly")
@@ -130,8 +184,7 @@ class InferenceEngine:
             for layer in model.layers
         ]
         # One cost per graph (sized for the widest SpMM any layer runs)
-        # so a single schedule — and, fused, a single engine plan —
-        # serves the whole pass.
+        # so a single schedule serves the whole pass.
         graph_cost = default_merge_path_cost(
             max(plan.spmm_width for plan in layer_plans)
         )
@@ -144,24 +197,15 @@ class InferenceEngine:
                     adjacency.n_rows + adjacency.nnz,
                     self.device,
                 )
-            if self.fused:
-                plan = get_engine_plan_cache().get(
-                    adjacency, graph_cost, schedule=schedule
-                )
-                with rtrace.stage("kernel", layer=layer_plan.ordering):
-                    if layer_plan.ordering == TRANSFORM_FIRST:
-                        output = plan.execute(hidden @ layer.weight)
-                    else:
-                        output = plan.execute(hidden) @ layer.weight
-                spmm_width = layer_plan.spmm_width
-            else:
-                xw = hidden @ layer.weight
-                with rtrace.stage("kernel", layer=layer_plan.ordering):
-                    output, _ = execute_vectorized(schedule, xw)
-                spmm_width = xw.shape[1]
+            with rtrace.stage("kernel", layer=layer_plan.ordering):
+                if layer_plan.ordering == TRANSFORM_FIRST:
+                    output = view @ (hidden @ layer.weight)
+                else:
+                    output = (view @ hidden) @ layer.weight
             kernel_cycles += simulate(
                 mergepath_workload(
-                    adjacency, spmm_width, self.device, schedule=schedule
+                    adjacency, layer_plan.spmm_width, self.device,
+                    schedule=schedule,
                 ),
                 self.device,
             ).cycles

@@ -1,9 +1,8 @@
 """Delta-CSR overlay: versioned live-graph mutation over a frozen base.
 
-The ROADMAP's "Dynamic graphs" item needs edges and nodes to change
-*under traffic*, but every tier built so far — merge-path schedules,
-:class:`~repro.serve.plancache.PlanCache`, the engine plan cache, the
-autotuner — keys its work on an immutable CSR structure.  The paper's
+Serving needs edges and nodes to change *under traffic*, but every
+cache in the stack — merge-path schedules, neighbor indexes, shard
+partitions — keys its work on an immutable CSR structure.  The paper's
 schedule is a pure function of that structure, which makes
 stale-structure execution a silent-wrong-answer bug class, not a crash.
 
@@ -20,11 +19,10 @@ stale-structure execution a silent-wrong-answer bug class, not a crash.
 * once the log exceeds ``compact_threshold`` the snapshot **compacts**:
   the materialized matrix becomes the new base and the log resets.
 
-Snapshots carry their base's fingerprint and the sorted dirty-row set,
-which is what lets :class:`repro.serve.plancache.PlanCache` *repair* a
-cached base plan in ``O(|delta| * dim)`` instead of recompiling the full
-merge path, and lets :class:`repro.serve.epoch.GraphEpochManager`
-invalidate exactly the retired epoch's cache keys.
+Snapshots carry their base's fingerprint and the sorted dirty-row set;
+their version-precise fingerprints let
+:class:`repro.serve.epoch.GraphEpochManager` invalidate exactly the
+retired epoch's cache keys.
 """
 
 from __future__ import annotations
@@ -96,8 +94,7 @@ class GraphSnapshot:
     Attributes:
         matrix: Materialized CSR with ``version == epoch``; safe to
             schedule, cache, and execute against indefinitely.
-        base: The overlay's base matrix at snapshot time (what a cached
-            *base plan* was compiled for).
+        base: The overlay's base matrix at snapshot time.
         epoch: The delta's monotonic version this snapshot captures.
         dirty_rows: Sorted rows that differ from ``base`` (empty when
             the snapshot *is* the base).
@@ -123,12 +120,12 @@ class GraphSnapshot:
 
     @property
     def base_fingerprint(self) -> str:
-        """Structural fingerprint of the repair base."""
+        """Structural fingerprint of the overlay's base."""
         return self.base.fingerprint()
 
     @property
     def dirty_fraction(self) -> float:
-        """Dirty rows over total rows (repair-feasibility signal)."""
+        """Dirty rows over total rows."""
         rows = self.matrix.n_rows
         return len(self.dirty_rows) / rows if rows else 0.0
 
@@ -195,9 +192,8 @@ class DeltaCSR:
         base: The starting adjacency matrix.  Stamped with
             ``version=0`` if it carries no version.
         compact_threshold: Log size at which :meth:`snapshot` folds the
-            overlay into a new base.  Small thresholds trade snapshot
-            cost for repairability (cached base plans survive longer
-            between rebases).
+            overlay into a new base.  Larger thresholds rebase less
+            often but merge more dirty rows per snapshot.
     """
 
     def __init__(self, base: CSRMatrix, *, compact_threshold: int = 1024) -> None:

@@ -4,9 +4,8 @@ The PR-1 span layer (:mod:`repro.obs.trace`) answers "where does *the
 process* spend time"; it cannot answer "where did *this request* spend
 time", because a serving request crosses thread and queue boundaries —
 admission on the client thread, a wait in the batch queue, execution on
-a worker thread, dispatch into a backend, plan caches, the engine
-kernel — and thread-local span nesting loses the request identity at
-every hop.
+a worker thread, the kernel, possibly a worker subprocess — and
+thread-local span nesting loses the request identity at every hop.
 
 This module adds **explicit context propagation**: a
 :class:`RequestContext` (trace id + per-stage timing :class:`Ledger`) is
@@ -17,17 +16,15 @@ attribute their *self time* (wall time minus nested stage time) to every
 active context, so the stage taxonomy forms non-overlapping leaves whose
 sum reconciles with end-to-end latency:
 
-``queue`` → ``batch_form`` → ``dispatch`` (selection overhead) →
-``kernel`` (backend execution, excluding nested ``plan_compile``) →
-``verify`` / ``fallback`` → ``scatter`` (copy-out), plus ``other`` for
-the residual the service stamps at finalization.
+``queue`` → ``batch_form`` → ``kernel`` → ``verify`` / ``fallback`` →
+``scatter`` (copy-out), plus ``other`` for the residual the service
+stamps at finalization.
 
 A batch executes once for many requests, so activation takes a *set* of
 contexts and shared stages are attributed at full wall value to each
 member — the per-request view of shared wall time, which is what tail
-latency attribution needs.  Cache events that are counts rather than
-durations (``plan_cache_hit`` / ``plan_compile``) land in the ledger's
-event counters.
+latency attribution needs.  Events that are counts rather than
+durations land in the ledger's event counters (:func:`count`).
 
 When a Chrome-trace recorder is active, each attributed stage also emits
 a span stamped with the request's ``trace_id``, so one slow request can
@@ -60,9 +57,7 @@ STAGES = (
     "sample",       # ego-graph sampling + extraction (pre-admission)
     "queue",        # admission -> pulled into a forming batch
     "batch_form",   # pulled -> batch execution start
-    "dispatch",     # backend selection + bandit accounting overhead
-    "plan_compile", # schedule build + plan compilation (cache miss)
-    "kernel",       # backend execution, excluding nested plan_compile
+    "kernel",       # the SpMM itself
     "verify",       # output-oracle cross-check
     "fallback",     # verified_spmm recovery path
     "ipc",          # process-pool transport: pickle, pipe, wakeups
@@ -102,7 +97,7 @@ class Ledger:
             self._stages[stage] = self._stages.get(stage, 0.0) + seconds
 
     def count(self, event: str, n: int = 1) -> None:
-        """Bump a countable event (e.g. ``plan_cache_hit``)."""
+        """Bump a countable event."""
         with self._lock:
             self._events[event] = self._events.get(event, 0) + n
 
@@ -228,8 +223,8 @@ class _Frame:
 def stage(name: str, **span_args) -> Iterator[None]:
     """Attribute the block's *self time* to every active context.
 
-    Nested stages subtract: a ``plan_compile`` inside ``kernel`` charges
-    the compile seconds to ``plan_compile`` only, so stage sums never
+    Nested stages subtract: a ``verify`` inside ``kernel`` charges the
+    check's seconds to ``verify`` only, so stage sums never
     double-count.  A no-op (bare yield) when no context is active.
     Emits a ``trace_id``-stamped Chrome span when a recorder is active.
     """

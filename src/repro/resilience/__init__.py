@@ -20,8 +20,8 @@ The safety net the reproduction's correctness claims rest on:
 * :mod:`repro.resilience.chaos_serve` — the *serving* chaos matrix
   behind ``python -m repro chaos-serve``: faults injected into a live
   :class:`~repro.serve.service.InferenceService` under Poisson load,
-  exercising circuit breakers, worker supervision, deadlines and the
-  health surface.
+  exercising worker supervision, the verified fallback, deadlines and
+  the health surface.
 
 Submodules are imported lazily so that hot paths (the executors consult
 :func:`faults.active_plan` on every run) pull in only the fault-hook

@@ -6,7 +6,7 @@
 contain, and demands **100% containment**: every scenario must end with
 the service ``HEALTHY`` or ``DEGRADED`` with an explanatory cause,
 every affected request must resolve to a terminal status, and every
-accepted output must match the scipy oracle — zero silent wrong
+accepted output must match the independent oracle — zero silent wrong
 answers:
 
 * **SIGKILL mid-batch** — a worker killed from outside while computing
@@ -227,7 +227,7 @@ def _verify_ok(
     problems: "list[str]",
     label: str,
 ) -> None:
-    """Every accepted output must match the scipy reference — always."""
+    """Every accepted output must match the independent reference — always."""
     if not response.ok:
         return
     report.verified_responses += 1

@@ -5,24 +5,20 @@ executor boundary; this one injects faults into a **live**
 :class:`~repro.serve.service.InferenceService` under Poisson load and
 checks the failure-domain guards end to end:
 
-* **persistent backend exceptions** must trip the backend's circuit
-  breaker; while the breaker is open the faulty backend must serve
-  *zero* requests (the verified floor takes over), and once the fault
-  stops the half-open probe path must close the breaker and return the
-  service to ``HEALTHY``;
 * **worker-thread crashes** (injected through
   :class:`~repro.resilience.faults.FaultPlan` ``crash_worker``, outside
   the per-batch error handler) must fail the in-flight batch cleanly —
   an ``error`` response, never a hung future — and the supervisor must
   restart the worker so traffic keeps flowing;
-* **executor faults** (bit-flipped accumulators) must degrade to the
+* **a corrupting kernel** (one mantissa bit flipped per output, injected
+  through ``InferenceService(dispatcher=...)``) must degrade to the
   verified fallback with every accepted output still matching the
   independent reference;
 * **corrupted request matrices** (NaN values) must produce a detected
   ``error`` response, never an accepted wrong product;
 * **expired deadlines** must be shed with ``deadline_exceeded`` *before*
-  execution — a shed request never reaches a backend;
-* a **deliberately slowed backend** must be localized by the request
+  execution — a shed request never reaches the kernel;
+* a **deliberately slowed kernel** must be localized by the request
   traces (:mod:`repro.obs.rtrace`): the flight recorder's slowest trace
   must attribute the delay to the ``kernel`` stage, not the queue.
 
@@ -30,8 +26,8 @@ Every accepted response in every scenario is cross-checked against
 :func:`~repro.resilience.oracles.reference_spmm`; any mismatch or
 missed guard is a ``SILENT`` case.  Exit status 0 requires zero silent
 cases *and* the demonstrations the guards exist for: at least one
-breaker trip, one half-open recovery, one worker restart, and one
-deadline shed.  The run writes a ``BENCH_chaos_serve.json`` run record.
+worker restart and one deadline shed.  The run writes a
+``BENCH_chaos_serve.json`` run record.
 """
 
 from __future__ import annotations
@@ -52,16 +48,13 @@ from repro.graphs.generators import power_law_graph
 from repro.resilience import corruption, faults
 from repro.resilience.chaos import (
     DETECTED,
-    OK,
     RECOVERED,
     SILENT,
     ChaosCase,
 )
 from repro.resilience.oracles import reference_spmm
-from repro.serve.dispatch import FLOOR_BACKEND, AdaptiveDispatcher, Backend
-from repro.serve.guard import BreakerConfig
-from repro.serve.health import HEALTHY, UNHEALTHY, HealthPolicy
-from repro.serve.plancache import PlanCache
+from repro.serve.dispatch import Dispatcher
+from repro.serve.health import HEALTHY, HealthPolicy
 from repro.serve.service import InferenceService, ServeConfig
 
 _DIM = 8
@@ -74,11 +67,8 @@ class ServeChaosReport:
 
     seed: int
     cases: "list[ChaosCase]" = field(default_factory=list)
-    breaker_trips: int = 0
-    breaker_recoveries: int = 0
     worker_restarts: int = 0
     deadline_shed: int = 0
-    floor_requests: int = 0
     verified_responses: int = 0
     slow_kernel_traces: int = 0
 
@@ -97,8 +87,6 @@ class ServeChaosReport:
         """Zero silent cases *and* every guard demonstrably exercised."""
         return (
             not self.silent
-            and self.breaker_trips >= 1
-            and self.breaker_recoveries >= 1
             and self.worker_restarts >= 1
             and self.deadline_shed >= 1
         )
@@ -114,11 +102,8 @@ class ServeChaosReport:
             "passed": self.passed,
             "outcomes": outcomes,
             "demonstrations": {
-                "breaker_trips": self.breaker_trips,
-                "breaker_recoveries": self.breaker_recoveries,
                 "worker_restarts": self.worker_restarts,
                 "deadline_shed": self.deadline_shed,
-                "floor_requests": self.floor_requests,
                 "verified_responses": self.verified_responses,
                 "slow_kernel_traces": self.slow_kernel_traces,
             },
@@ -142,9 +127,7 @@ class ServeChaosReport:
             f"({len(self.cases) - len(self.silent)}/{len(self.cases)} caught)"
         )
         lines.append(
-            f"demonstrated: {self.breaker_trips} breaker trip(s), "
-            f"{self.breaker_recoveries} half-open recover(ies), "
-            f"{self.worker_restarts} worker restart(s), "
+            f"demonstrated: {self.worker_restarts} worker restart(s), "
             f"{self.deadline_shed} deadline shed(s), "
             f"{self.verified_responses} responses verified"
         )
@@ -155,24 +138,40 @@ class ServeChaosReport:
         return "\n".join(lines)
 
 
-class _CountingBackend:
-    """A controllable backend: countable calls, switchable failure."""
+class _CountingDispatcher(Dispatcher):
+    """A dispatcher whose kernel counts its calls and can be slowed."""
+
+    backend = "counting"
 
     def __init__(self, delay: float = 0.0) -> None:
         self.delay = delay
-        self.failing = False
         self._lock = threading.Lock()
         self.calls = 0
 
-    def run(self, matrix, dense, plans, plan_dim):
+    def kernel(self, matrix, dense):
         with self._lock:
             self.calls += 1
-            failing = self.failing
-        if failing:
-            raise RuntimeError("injected persistent backend fault")
         if self.delay:
             time.sleep(self.delay)
-        return matrix.multiply_dense(dense)
+        return super().kernel(matrix, dense)
+
+
+class _BitFlipDispatcher(Dispatcher):
+    """A dispatcher whose kernel flips one mantissa bit of every output."""
+
+    backend = "bitflip"
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.flips = 0
+
+    def kernel(self, matrix, dense):
+        output = super().kernel(matrix, dense)
+        if output.size:
+            faults.flip_mantissa_bit(output, int(np.argmax(np.abs(output))))
+            with self._lock:
+                self.flips += 1
+        return output
 
 
 def _base_matrix(seed: int) -> CSRMatrix:
@@ -204,7 +203,7 @@ def _check_ok_outputs(
     entries,
     name: str,
 ) -> "list[str]":
-    """Verify every accepted response against the scipy reference."""
+    """Verify every accepted response against the independent reference."""
     problems = []
     for dense, future in entries:
         response = future.result(timeout=30.0)
@@ -230,149 +229,12 @@ def _wait_for(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
     return predicate()
 
 
-def _run_breaker_scenario(
-    report: ServeChaosReport, seed: int, rng: np.random.Generator, rate: float
-) -> None:
-    """Persistent backend fault -> trip -> isolation -> half-open recovery."""
-    matrix = _base_matrix(seed)
-    flaky = _CountingBackend()
-    breaker_config = BreakerConfig(
-        consecutive_failures=3,
-        cooldown_seconds=1.0,
-        half_open_probes=2,
-        half_open_successes=1,
-    )
-    dispatcher = AdaptiveDispatcher(
-        [Backend("flaky", flaky.run)],
-        plan_cache=PlanCache(),
-        epsilon=0.0,
-        breaker_config=breaker_config,
-    )
-    config = ServeConfig(max_queue=64, max_batch=1, max_wait_ms=0.0, n_workers=1)
-    problems: "list[str]" = []
-    with InferenceService(dispatcher, config) as service:
-        breaker = dispatcher.breaker("flaky")
-
-        # Phase A: the backend fails persistently; the breaker must trip.
-        flaky.failing = True
-        entries = _poisson_submit(service, matrix, rng, 8, rate)
-        problems += _check_ok_outputs(report, matrix, entries, "breaker-trip")
-        tripped = _wait_for(lambda: breaker.state == "open", timeout=5.0)
-        if tripped:
-            report.breaker_trips += breaker.opened_total
-            report.cases.append(
-                ChaosCase(
-                    "persistent-fault/breaker-trips", _KIND, "breaker",
-                    DETECTED,
-                    f"opened after {flaky.calls} backend calls",
-                )
-            )
-        else:
-            report.cases.append(
-                ChaosCase(
-                    "persistent-fault/breaker-trips", _KIND, "breaker",
-                    SILENT,
-                    f"breaker state {breaker.state!r} after 8 failing "
-                    "requests — never tripped",
-                )
-            )
-
-        # Phase B: while open, the faulty backend must serve nothing —
-        # the verified floor carries the traffic.
-        calls_at_open = flaky.calls
-        entries = _poisson_submit(service, matrix, rng, 5, rate)
-        floor_served = 0
-        for dense, future in entries:
-            response = future.result(timeout=30.0)
-            if response.ok and response.backend == FLOOR_BACKEND:
-                floor_served += 1
-                report.verified_responses += 1
-                if not np.allclose(
-                    response.output, reference_spmm(matrix, dense),
-                    rtol=1e-9, atol=1e-9,
-                ):
-                    problems.append(
-                        "open-breaker: floor output disagrees with reference"
-                    )
-        report.floor_requests += floor_served
-        leaked = flaky.calls - calls_at_open
-        if tripped and leaked == 0 and floor_served == 5:
-            health = service.health()
-            report.cases.append(
-                ChaosCase(
-                    "open-breaker/isolates-backend", _KIND, "breaker",
-                    OK,
-                    f"floor served {floor_served}/5, health={health.status}",
-                )
-            )
-            if health.status != UNHEALTHY or not any(
-                c.kind == "all-breakers-open" for c in health.causes
-            ):
-                problems.append(
-                    "open-breaker: health did not report all-breakers-open "
-                    f"(got {health.status}: "
-                    f"{[c.kind for c in health.causes]})"
-                )
-        else:
-            report.cases.append(
-                ChaosCase(
-                    "open-breaker/isolates-backend", _KIND, "breaker",
-                    SILENT,
-                    f"{leaked} request(s) leaked to the tripped backend, "
-                    f"{floor_served}/5 served by the floor",
-                )
-            )
-
-        # Phase C: fault stops; after the cooldown a half-open probe must
-        # close the breaker and the service must return to HEALTHY.
-        flaky.failing = False
-        recovered = _wait_for(
-            lambda: breaker.available(), timeout=5.0, interval=0.05
-        )
-        closed = False
-        if recovered:
-            entries = _poisson_submit(service, matrix, rng, 4, rate)
-            problems += _check_ok_outputs(
-                report, matrix, entries, "half-open-recovery"
-            )
-            closed = _wait_for(lambda: breaker.state == "closed", timeout=5.0)
-        health = service.health()
-        if closed and health.status == HEALTHY:
-            report.breaker_recoveries += breaker.closed_total
-            report.cases.append(
-                ChaosCase(
-                    "half-open/recovers-to-healthy", _KIND, "breaker",
-                    RECOVERED,
-                    f"closed after probe; health={health.status}",
-                )
-            )
-        else:
-            report.cases.append(
-                ChaosCase(
-                    "half-open/recovers-to-healthy", _KIND, "breaker",
-                    SILENT,
-                    f"breaker={breaker.state!r} health={health.status} "
-                    f"({[c.kind for c in health.causes]})",
-                )
-            )
-    if problems:
-        report.cases.append(
-            ChaosCase(
-                "breaker-scenario/outputs", _KIND, "oracle", SILENT,
-                "; ".join(problems),
-            )
-        )
-
-
 def _run_worker_crash_scenario(
     report: ServeChaosReport, seed: int, rng: np.random.Generator, rate: float
 ) -> None:
     """An injected worker-thread crash: clean batch failure + restart."""
     matrix = _base_matrix(seed + 1)
-    backend = _CountingBackend()
-    dispatcher = AdaptiveDispatcher(
-        [Backend("stable", backend.run)], plan_cache=PlanCache(), epsilon=0.0
-    )
+    dispatcher = _CountingDispatcher()
     config = ServeConfig(
         max_queue=64, max_batch=1, max_wait_ms=0.0, n_workers=1,
         restart_budget=3,
@@ -454,21 +316,15 @@ def _run_worker_crash_scenario(
 def _run_executor_fault_scenario(
     report: ServeChaosReport, seed: int, rng: np.random.Generator, rate: float
 ) -> None:
-    """Bit-flipped accumulators under live load: verified fallback only."""
-    from repro.serve.dispatch import default_backends
-
+    """A bit-flipping kernel under live load: verified fallback only."""
     matrix = _base_matrix(seed + 2)
-    vectorized = default_backends()[0]
-    dispatcher = AdaptiveDispatcher(
-        [vectorized], plan_cache=PlanCache(), epsilon=0.0
-    )
+    dispatcher = _BitFlipDispatcher()
     config = ServeConfig(
         max_queue=64, max_batch=2, max_wait_ms=1.0, n_workers=1, verify=True
     )
     with InferenceService(dispatcher, config) as service:
-        with faults.inject(seed=seed, bitflip=1.0) as plan:
-            entries = _poisson_submit(service, matrix, rng, 6, rate)
-            responses = [f.result(timeout=30.0) for _, f in entries]
+        entries = _poisson_submit(service, matrix, rng, 6, rate)
+        responses = [f.result(timeout=30.0) for _, f in entries]
     fallbacks = sum(1 for r in responses if r.ok and r.fallback_used)
     mismatches = []
     for (dense, _), response in zip(entries, responses):
@@ -479,19 +335,19 @@ def _run_executor_fault_scenario(
                 rtol=1e-9, atol=1e-9,
             ):
                 mismatches.append(response.request_id)
-    if plan.total_injected == 0:
-        outcome, detail = SILENT, "fault plan injected nothing"
+    if dispatcher.flips == 0:
+        outcome, detail = SILENT, "the kernel flipped nothing"
     elif mismatches:
         outcome, detail = SILENT, f"wrong outputs accepted: {mismatches}"
     elif fallbacks == 0:
         outcome, detail = (
             SILENT,
-            f"{plan.total_injected} faults injected, no fallback engaged",
+            f"{dispatcher.flips} bit flips injected, no fallback engaged",
         )
     else:
         outcome = RECOVERED
         detail = (
-            f"{plan.total_injected} faults injected, {fallbacks}/"
+            f"{dispatcher.flips} bit flips injected, {fallbacks}/"
             f"{len(responses)} responses degraded to the verified fallback"
         )
     report.cases.append(
@@ -505,10 +361,9 @@ def _run_corrupt_matrix_scenario(
     """A NaN-valued request matrix must come back as a detected error."""
     corrupted = corruption.nan_values(_base_matrix(seed + 3), rng)
     matrix = corrupted.as_matrix()
-    dispatcher = AdaptiveDispatcher(plan_cache=PlanCache(), epsilon=0.0)
     config = ServeConfig(max_queue=8, max_batch=1, max_wait_ms=0.0,
                          n_workers=1, verify=True)
-    with InferenceService(dispatcher, config) as service:
+    with InferenceService(config=config) as service:
         dense = rng.random((matrix.n_cols, _DIM))
         response = service.submit(matrix, dense).result(timeout=30.0)
     if response.ok:
@@ -530,15 +385,12 @@ def _run_corrupt_matrix_scenario(
 def _run_deadline_scenario(
     report: ServeChaosReport, seed: int, rng: np.random.Generator
 ) -> None:
-    """Expired deadlines are shed pre-execution, never reach a backend."""
+    """Expired deadlines are shed pre-execution, never reach the kernel."""
     matrix = _base_matrix(seed + 4)
-    slow = _CountingBackend(delay=0.08)
-    dispatcher = AdaptiveDispatcher(
-        [Backend("slow", slow.run)], plan_cache=PlanCache(), epsilon=0.0
-    )
+    slow = _CountingDispatcher(delay=0.08)
     config = ServeConfig(max_queue=64, max_batch=1, max_wait_ms=0.0,
                          n_workers=1)
-    with InferenceService(dispatcher, config) as service:
+    with InferenceService(slow, config) as service:
         # One undeadlined request pins the single worker ...
         blocker = service.submit(matrix, rng.random((matrix.n_cols, _DIM)))
         # ... while tightly-deadlined requests expire in the queue.
@@ -558,10 +410,10 @@ def _run_deadline_scenario(
     if any(r.output is not None for r in shed):
         problems.append("a shed response carried an output")
     # Only the blocker and any requests served before expiry may have
-    # reached the backend; shed requests must not appear in the call count.
+    # reached the kernel; shed requests must not appear in the call count.
     if executed > 1 + (len(responses) - len(shed)):
         problems.append(
-            f"backend executed {executed} call(s) for "
+            f"kernel executed {executed} call(s) for "
             f"{1 + len(responses) - len(shed)} non-shed request(s)"
         )
     report.deadline_shed += len(shed)
@@ -578,35 +430,32 @@ def _run_deadline_scenario(
                 "expired-deadline/shed-before-execution", _KIND, "deadline",
                 DETECTED,
                 f"{len(shed)}/4 shed unexecuted "
-                f"({executed} backend call(s) total)",
+                f"({executed} kernel call(s) total)",
             )
         )
 
 
-def _run_slow_backend_scenario(
+def _run_slow_kernel_scenario(
     report: ServeChaosReport, seed: int, rng: np.random.Generator
 ) -> None:
-    """A slowed backend must surface as *kernel*-stage time, not queue.
+    """A slowed kernel must surface as *kernel*-stage time, not queue.
 
     Submits closed-loop (one in flight at a time) so queue wait is
     negligible, then checks the flight recorder's slowest retained
-    trace: the injected backend delay must land in the ``kernel`` stage
+    trace: the injected kernel delay must land in the ``kernel`` stage
     of the attribution ledger.  This is the regression the latency
     attribution exists to localize — without per-stage ledgers a slow
     kernel and a saturated queue are indistinguishable in p95.
     """
     matrix = _base_matrix(seed + 5)
     delay = 0.05
-    slow = _CountingBackend(delay=delay)
-    dispatcher = AdaptiveDispatcher(
-        [Backend("molasses", slow.run)], plan_cache=PlanCache(), epsilon=0.0
-    )
+    slow = _CountingDispatcher(delay=delay)
     config = ServeConfig(max_queue=16, max_batch=1, max_wait_ms=0.0,
                          n_workers=1)
     recorder = rtrace.FlightRecorder(capacity=8)
     problems: "list[str]" = []
     with InferenceService(
-        dispatcher, config, flight_recorder=recorder
+        slow, config, flight_recorder=recorder
     ) as service:
         for _ in range(4):
             dense = rng.random((matrix.n_cols, _DIM))
@@ -641,7 +490,7 @@ def _run_slow_backend_scenario(
         if kernel < delay * 0.5:
             problems.append(
                 f"slowest trace attributes only {kernel * 1e3:.1f} ms to "
-                f"the kernel stage despite a {delay * 1e3:.0f} ms backend "
+                f"the kernel stage despite a {delay * 1e3:.0f} ms kernel "
                 "delay"
             )
         elif kernel <= queue:
@@ -652,7 +501,7 @@ def _run_slow_backend_scenario(
     if problems:
         report.cases.append(
             ChaosCase(
-                "slow-backend/kernel-stage-attribution", _KIND, "rtrace",
+                "slow-kernel/kernel-stage-attribution", _KIND, "rtrace",
                 SILENT, "; ".join(problems),
             )
         )
@@ -660,7 +509,7 @@ def _run_slow_backend_scenario(
         stages = slowest[0]["stages"]
         report.cases.append(
             ChaosCase(
-                "slow-backend/kernel-stage-attribution", _KIND, "rtrace",
+                "slow-kernel/kernel-stage-attribution", _KIND, "rtrace",
                 DETECTED,
                 f"kernel={stages.get('kernel', 0.0) * 1e3:.1f} ms > "
                 f"queue={stages.get('queue', 0.0) * 1e3:.1f} ms in the "
@@ -674,12 +523,11 @@ def run_serve_chaos(seed: int = 0, rate: float = 200.0) -> ServeChaosReport:
     report = ServeChaosReport(seed=seed)
     rng = np.random.default_rng(seed)
     with obs.span("resilience.chaos_serve.run", seed=seed):
-        _run_breaker_scenario(report, seed, rng, rate)
         _run_worker_crash_scenario(report, seed, rng, rate)
         _run_executor_fault_scenario(report, seed, rng, rate)
         _run_corrupt_matrix_scenario(report, seed, rng)
         _run_deadline_scenario(report, seed, rng)
-        _run_slow_backend_scenario(report, seed, rng)
+        _run_slow_kernel_scenario(report, seed, rng)
     obs.counter("resilience.chaos_serve.runs").inc()
     obs.gauge("resilience.chaos_serve.coverage").set(report.coverage)
     obs.counter("resilience.chaos_serve.silent_cases").inc(len(report.silent))
@@ -692,8 +540,8 @@ def main(argv: "list[str] | None" = None) -> int:
         prog="repro chaos-serve",
         description=(
             "Inject faults into a live serving stack under Poisson load "
-            "and verify the failure-domain guards (breakers, supervisor, "
-            "deadlines, oracles) catch every one."
+            "and verify the failure-domain guards (supervisor, verified "
+            "fallback, deadlines, oracles) catch every one."
         ),
     )
     parser.add_argument(

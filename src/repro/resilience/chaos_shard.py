@@ -17,11 +17,11 @@ sharded execution tier (:mod:`repro.shard.router` over per-shard
   supervisors show zero restarts;
 * **epoch re-partition** — a compacted (new-fingerprint) graph must be
   re-partitioned rather than served from the stale plan: both epochs'
-  outputs verify against the scipy oracle, and invalidating the retired
+  outputs verify against the independent oracle, and invalidating the retired
   fingerprint drops exactly the retired partition.
 
-Throughout, every accepted output is verified against the scipy
-reference, and the zero-copy invariant must hold (no worker ever copies
+Throughout, every accepted output is verified against the independent
+reference (:func:`~repro.resilience.oracles.reference_spmm`), and the zero-copy invariant must hold (no worker ever copies
 graph bytes to serve a request).  The run writes a
 ``BENCH_chaos_shard.json`` run record; exit status 0 requires zero
 silent cases and every containment mechanism demonstrably exercised.
@@ -194,7 +194,7 @@ def _absorb_router_stats(report: ShardChaosReport, router: ShardRouter) -> None:
 def _verify(
     report: ShardChaosReport, matrix, dense, output, problems, label
 ) -> None:
-    """Every accepted output must match the scipy reference — always."""
+    """Every accepted output must match the independent reference — always."""
     if output is None:
         return
     report.verified_responses += 1

@@ -6,9 +6,9 @@ Two oracles back every resilience claim:
   non-zero exactly once and that its partial-row atomic accounting
   balances (the paper's bit-identical-aggregation precondition).
 * :func:`check_output` — cross-checks an executor's output against an
-  independent reference (SciPy's CSR SpMM when available, otherwise the
-  chunked dense reference) within tolerance, and rejects non-finite
-  outputs outright.
+  independent reference (the chunked scatter-add
+  :meth:`CSRMatrix.multiply_dense`) within tolerance, and rejects
+  non-finite outputs outright.
 
 :func:`verified_spmm` composes them into a self-checking executor with
 graceful degradation: it runs MergePath-SpMM, applies both oracles, and
@@ -43,23 +43,12 @@ class OutputOracleError(OracleError):
 def reference_spmm(matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     """Independent reference product for the output oracle.
 
-    Uses SciPy's CSR multiply when installed (an implementation sharing
-    no code with this repository); falls back to the chunked dense
-    reference otherwise.  Both sum duplicate indices, matching the
-    executors' semantics.
+    The chunked scatter-add :meth:`CSRMatrix.multiply_dense`, which
+    shares no code with the serving kernel (``to_scipy() @ dense``), so
+    the oracle never compares scipy with itself.  Duplicate indices are
+    summed, matching the executors' semantics.
     """
-    dense = np.asarray(dense, dtype=np.float64)
-    try:
-        import scipy.sparse as sp
-    except ImportError:  # pragma: no cover - scipy is in the dev extras
-        return matrix.multiply_dense(dense)
-    csr = sp.csr_matrix(
-        (matrix.values, matrix.column_indices, matrix.row_pointers),
-        shape=matrix.shape,
-    )
-    return np.asarray(csr @ dense, dtype=np.float64).reshape(
-        matrix.n_rows, dense.shape[1]
-    )
+    return matrix.multiply_dense(np.asarray(dense, dtype=np.float64))
 
 
 def check_schedule(schedule) -> None:

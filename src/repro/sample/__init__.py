@@ -9,24 +9,12 @@ into a GraphBolt-style minibatch one:
   Zipf seed popularity;
 * :mod:`~repro.sample.extract` — compact relabeled subgraph extraction
   (small version-stamped :class:`~repro.formats.csr.CSRMatrix`,
-  node mapping, gathered features);
-* :mod:`~repro.sample.classtier` — the structure-class plan tier that
-  restores cache reuse over one-shot subgraph fingerprints;
-* :mod:`~repro.sample.bench` — ``python -m repro sample-bench``.
+  node mapping, gathered features).
 
 Entry points: :func:`~repro.sample.sampler.sample_ego` for one-shot
 sampling, :meth:`repro.serve.InferenceService.submit_ego` for serving.
 """
 
-from repro.sample.classtier import (
-    ClassPlan,
-    ClassTier,
-    ClassTierStats,
-    StructureClass,
-    classify,
-    get_class_tier,
-    set_class_tier,
-)
 from repro.sample.extract import (
     EgoSubgraph,
     extract_subgraph,
@@ -50,22 +38,15 @@ from repro.sample.sampler import (
 __all__ = [
     "PULL",
     "PUSH",
-    "ClassPlan",
-    "ClassTier",
-    "ClassTierStats",
     "EgoSubgraph",
     "FanoutSampler",
     "NeighborIndex",
     "NeighborIndexCache",
     "SampleResult",
-    "StructureClass",
     "ZipfSeedGenerator",
-    "classify",
     "extract_subgraph",
     "gather_features",
-    "get_class_tier",
     "get_neighbor_index_cache",
     "sample_ego",
-    "set_class_tier",
     "set_neighbor_index_cache",
 ]

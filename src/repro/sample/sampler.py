@@ -12,9 +12,7 @@ SciPy oracle after the fact.
 
 :class:`ZipfSeedGenerator` models the serving-side request skew: seed
 popularity follows a Zipf law over nodes ranked by degree, so hubs are
-requested far more often than the long tail — the access pattern that
-collapses a naive per-fingerprint plan cache and motivates the
-structure-class tier (:mod:`repro.sample.classtier`).
+requested far more often than the long tail.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""``repro.serve`` — the batching, plan-caching GNN inference serving layer.
+"""``repro.serve`` — the batching GNN inference serving layer.
 
 The ROADMAP's request path on top of the one-shot experiment harness:
 
@@ -7,16 +7,12 @@ The ROADMAP's request path on top of the one-shot experiment harness:
   content fingerprint, a supervised multi-worker execution pool,
   per-request deadlines and per-batch timeouts, and a
   ``HEALTHY/DEGRADED/UNHEALTHY`` health surface.
-* :mod:`repro.serve.plancache` — :class:`PlanCache`: a process-wide,
-  thread-safe, LRU-bounded cache of :class:`CompiledPlan` objects keyed
-  by CSR content fingerprints.
-* :mod:`repro.serve.dispatch` — :class:`AdaptiveDispatcher`: modeled
-  kernel cycles as the prior, epsilon-greedy refinement from measured
-  latencies, per-backend circuit breakers, forced fallback to the
-  verified executor on any oracle failure (the ``verified-floor`` when
-  every breaker is open).
-* :mod:`repro.serve.guard` — :class:`CircuitBreaker` and
-  :class:`WorkerSupervisor`, the failure-domain guards.
+* :mod:`repro.serve.dispatch` — :class:`Dispatcher`: every thread-tier
+  batch as scipy's CSR product (``matrix.to_scipy() @ dense``), with
+  forced fallback to the verified executor on any kernel or oracle
+  failure.
+* :mod:`repro.serve.guard` — :class:`WorkerSupervisor`, the worker
+  pool's failure-domain guard.
 * :mod:`repro.serve.procpool` — :class:`ProcessWorkerPool`: the
   ``isolation="process"`` execution tier — subprocess workers attached
   zero-copy to shared-memory CSR segments (:mod:`repro.shm`), with a
@@ -32,9 +28,9 @@ The ROADMAP's request path on top of the one-shot experiment harness:
 * :mod:`repro.serve.loadgen` — open/closed-loop synthetic traffic and
   the ``python -m repro serve-bench`` subcommand.
 
-Ego-graph minibatch serving (``InferenceService.submit_ego``, the
-``--workload ego`` loadgen mode, and the structure-class dispatch tier)
-lives in :mod:`repro.sample`; see ``docs/SERVING.md``.
+Ego-graph minibatch serving (``InferenceService.submit_ego`` and the
+``--workload ego`` loadgen mode) samples through :mod:`repro.sample`;
+see ``docs/SERVING.md``.
 
 See ``docs/SERVING.md`` for the architecture tour and
 ``docs/ROBUSTNESS.md`` for the failure-domain model.
@@ -44,16 +40,8 @@ from repro.serve.epoch import (
     EpochLease,
     GraphEpochManager,
 )
-from repro.serve.dispatch import (
-    FLOOR_BACKEND,
-    AdaptiveDispatcher,
-    Backend,
-    DispatchResult,
-    default_backends,
-)
+from repro.serve.dispatch import DispatchResult, Dispatcher
 from repro.serve.guard import (
-    BreakerConfig,
-    CircuitBreaker,
     WorkerPoolExhausted,
     WorkerSupervisor,
 )
@@ -65,16 +53,6 @@ from repro.serve.health import (
     HealthPolicy,
     HealthReport,
     evaluate_health,
-)
-from repro.serve.plancache import (
-    CompiledPlan,
-    PlanCache,
-    PlanCacheStats,
-    RepairedPlan,
-    compile_plan,
-    get_plan_cache,
-    repair_plan,
-    set_plan_cache,
 )
 from repro.serve.procpool import (
     QUARANTINED,
@@ -95,31 +73,23 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "AdaptiveDispatcher",
-    "Backend",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "CompiledPlan",
     "DEGRADED",
     "DispatchResult",
+    "Dispatcher",
     "EgoSubmission",
     "EpochLease",
-    "FLOOR_BACKEND",
     "GraphEpochManager",
     "HEALTHY",
     "HealthCause",
     "HealthPolicy",
     "HealthReport",
     "InferenceService",
-    "PlanCache",
-    "PlanCacheStats",
     "PoolError",
     "ProcPoolConfig",
     "ProcResult",
     "ProcessWorkerPool",
     "QUARANTINED",
     "QuarantinedError",
-    "RepairedPlan",
     "ServeConfig",
     "ServeResponse",
     "UNHEALTHY",
@@ -127,11 +97,6 @@ __all__ = [
     "WorkerCrashError",
     "WorkerPoolExhausted",
     "WorkerSupervisor",
-    "compile_plan",
-    "default_backends",
     "evaluate_health",
-    "get_plan_cache",
     "poison_key",
-    "repair_plan",
-    "set_plan_cache",
 ]

@@ -1,166 +1,31 @@
-"""Adaptive SpMM backend dispatch: modeled prior + epsilon-greedy online.
+"""The thread tier's SpMM: one library kernel behind a verified fallback.
 
-The repo ships six executors with wildly different sweet spots (the point
-of the paper's Figure 4, and of GE-SpMM/HC-SpMM-style kernel selection):
-the vectorized and threaded merge-path executors, row-splitting,
-serial-fix-up merge-path, GNNAdvisor neighbor grouping, and the
-cuSPARSE-like selection library.  :class:`AdaptiveDispatcher` picks one
-per ``(graph structure, feature dim)`` workload:
+:class:`Dispatcher` runs every batch as ``matrix.to_scipy() @ dense`` —
+scipy's CSR product, the CPU analogue of the paper's cuSPARSE baseline
+and the floor every serving layer is measured against.  The kernel call
+is charged to the ``kernel`` request-trace stage.  With ``verify`` the
+output is cross-checked against the independent reference
+(:func:`~repro.resilience.oracles.check_output`); any exception — a
+failed check or a crashed kernel — degrades to
+:func:`~repro.resilience.oracles.verified_spmm`, so a dispatched batch
+always returns a verified product.
 
-* the **prior** ranks backends by modeled kernel cycles from
-  :func:`repro.gpu.kernels.kernel_time` — available before a single
-  request has been served;
-* **online refinement** is epsilon-greedy over measured per-backend
-  latencies (EWMA), calibrated against the prior so never-measured
-  backends compete on a common scale;
-* any backend exception or output-oracle failure triggers a forced
-  fallback to :func:`repro.resilience.oracles.verified_spmm`, so a
-  dispatched request always returns a verified product;
-* each backend sits behind a per-backend
-  :class:`~repro.serve.guard.CircuitBreaker`: a backend that fails
-  persistently is *tripped* out of the bandit arm set entirely (no
-  request reaches it while its breaker is open), probed again after a
-  cooldown, and re-admitted once the probes succeed.  When every breaker
-  is open the dispatcher serves from the always-available
-  **verified floor** (:func:`verified_spmm` under the name
-  ``verified-floor``).
-
-Everything above keys on content fingerprints, which assumes requests
-revisit the same graphs.  Ego-sampled subgraphs violate that — every
-request carries a one-shot fingerprint, so priors, bandit arms, and
-plan caches would all be cold on every request.  For those,
-``execute(..., prefer_class_tier=True)`` routes through the
-:class:`~repro.sample.classtier.ClassTier` instead: no modeled prior,
-no bandit, no per-fingerprint plan — the structure *class* picks the
-executor.  The verified fallback still backstops the tier, so the
-"always returns a verified product" contract is unchanged.
+``InferenceService(dispatcher=...)`` is the seam for slow, failing or
+corrupting kernels: subclass :class:`Dispatcher` and override
+:meth:`Dispatcher.kernel`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.obs import rtrace
-from repro.baselines import (
-    cusparse_like_spmm,
-    gnnadvisor_spmm,
-    merge_path_serial_spmm,
-    row_splitting_spmm,
-)
-from repro.core.parallel import execute_parallel
 from repro.formats import CSRMatrix
+from repro.obs import rtrace
 from repro.resilience.oracles import check_output, verified_spmm
-from repro.serve.guard import BreakerConfig, CircuitBreaker
-from repro.serve.plancache import PlanCache, get_plan_cache
-
-BackendFn = Callable[[CSRMatrix, np.ndarray, PlanCache, int], np.ndarray]
-
-# Reported as the backend name when every breaker is open and the
-# verified fallback is the only executor left standing.
-FLOOR_BACKEND = "verified-floor"
-
-
-@dataclass(frozen=True)
-class Backend:
-    """One dispatchable SpMM executor.
-
-    Attributes:
-        name: Registry name (stable across runs; used in metrics).
-        run: ``(matrix, dense, plan_cache, plan_dim) -> output`` executor.
-            ``plan_dim`` is the *per-request* feature dimension, which may
-            be narrower than ``dense`` when requests were batched
-            column-wise — plans are keyed on it so batch size never
-            fragments the plan cache.
-        kernel: Timing-model kernel name used for the modeled prior
-            (see :data:`repro.gpu.kernels.KERNELS`); ``None`` disables
-            the prior for this backend.
-    """
-
-    name: str
-    run: BackendFn = field(repr=False)
-    kernel: "str | None" = None
-
-
-def _run_vectorized(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    return plans.get(matrix, dim=plan_dim).execute(dense)
-
-
-def _run_threaded(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    plan = plans.get(matrix, dim=plan_dim)
-    schedule = getattr(plan, "schedule", None)
-    if schedule is None:
-        # A repaired plan (live-graph delta) has no single merge-path
-        # schedule to thread over; its execute() is already the patched
-        # fast path.
-        return plan.execute(dense)
-    return execute_parallel(schedule, dense, n_workers=4).output
-
-
-def _baseline_threads(matrix: CSRMatrix) -> int:
-    return max(1, min(256, matrix.n_rows))
-
-
-def _run_row_splitting(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    return row_splitting_spmm(matrix, dense, _baseline_threads(matrix))[0]
-
-
-def _run_merge_path_serial(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    return merge_path_serial_spmm(matrix, dense, _baseline_threads(matrix))[0]
-
-
-def _run_gnnadvisor(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    return gnnadvisor_spmm(matrix, dense)[0]
-
-
-def _run_cusparse_like(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    return cusparse_like_spmm(matrix, dense)[0]
-
-
-def _run_engine(
-    matrix: CSRMatrix, dense: np.ndarray, plans: PlanCache, plan_dim: int
-) -> np.ndarray:
-    # The engine keeps its own plan cache (flattened index arrays, not
-    # CompiledPlan objects) and per-thread arenas; ``plans`` is unused.
-    # Keyed on plan_dim like the others so batching never fragments it.
-    from repro.engine.kernels import get_engine_plan_cache
-
-    return get_engine_plan_cache().get(matrix, dim=plan_dim).execute(dense)
-
-
-def default_backends() -> tuple[Backend, ...]:
-    """The seven stock backends, in registration (tie-break) order."""
-    return (
-        Backend("vectorized", _run_vectorized, kernel="mergepath"),
-        Backend("threaded", _run_threaded, kernel="mergepath"),
-        Backend("row-splitting", _run_row_splitting, kernel="row-splitting"),
-        Backend(
-            "merge-path-serial",
-            _run_merge_path_serial,
-            kernel="merge-path-serial",
-        ),
-        Backend("gnnadvisor", _run_gnnadvisor, kernel="gnnadvisor"),
-        Backend("cusparse-like", _run_cusparse_like, kernel="cusparse"),
-        Backend("engine", _run_engine, kernel="mergepath"),
-    )
 
 
 @dataclass(frozen=True)
@@ -168,13 +33,12 @@ class DispatchResult:
     """Outcome of one dispatched SpMM.
 
     Attributes:
-        output: The product (verified-fallback output when
+        output: The product (the verified fallback's when
             ``fallback_used``).
-        backend: Name of the backend the dispatcher chose.
+        backend: Name of the kernel that ran.
         fallback_used: Whether :func:`verified_spmm` produced the output.
         detected: Oracle/exception description that forced the fallback.
         latency_seconds: Measured wall time, including any fallback.
-        explored: Whether this choice was an epsilon exploration.
     """
 
     output: np.ndarray
@@ -182,416 +46,59 @@ class DispatchResult:
     fallback_used: bool
     detected: "str | None"
     latency_seconds: float
-    explored: bool
 
 
-class _ArmStats:
-    __slots__ = ("count", "ewma")
+class Dispatcher:
+    """Runs one SpMM through :meth:`kernel`, falling back on any failure.
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.ewma = 0.0
-
-
-class AdaptiveDispatcher:
-    """Epsilon-greedy backend selection seeded by the GPU timing model.
-
-    Args:
-        backends: Dispatchable executors; defaults to
-            :func:`default_backends`.
-        plan_cache: Shared plan cache handed to backends; defaults to the
-            process-wide cache.
-        epsilon: Exploration probability per choice.
-        ewma_alpha: Weight of the newest latency sample in the running
-            estimate.
-        seed: Seed for the exploration RNG (pins the choice sequence).
-        device: Modeled GPU for the prior; defaults to the paper's
-            Quadro RTX 6000.
-        max_entries: LRU bound on retained per-``(structure fingerprint,
-            dim, backend)`` bandit arms and modeled priors.  A
-            long-running service seeing an unbounded stream of distinct
-            graphs would otherwise grow these maps without limit even
-            though the plan cache itself is bounded; evicted workloads
-            simply re-measure on their next appearance.
-        breaker_config: Per-backend circuit-breaker thresholds; defaults
-            to :class:`~repro.serve.guard.BreakerConfig`.
-        breaker_clock: Monotonic clock handed to the breakers (test
-            injection point for cooldown control).
-        class_tier: Structure-class tier serving
-            ``execute(prefer_class_tier=True)`` requests.  ``"auto"``
-            (default) resolves the process-wide
-            :func:`repro.sample.classtier.get_class_tier` lazily;
-            ``None`` disables the tier (such requests fall back to the
-            bandit path); a :class:`~repro.sample.classtier.ClassTier`
-            instance pins one explicitly.
-
-    All state is guarded by one lock; `choose`/`record`/`execute` are
-    safe to call from concurrent serve workers.
+    Stateless and safe to call from concurrent serve workers.
     """
 
-    def __init__(
-        self,
-        backends: "tuple[Backend, ...] | list[Backend] | None" = None,
-        *,
-        plan_cache: "PlanCache | None" = None,
-        epsilon: float = 0.1,
-        ewma_alpha: float = 0.3,
-        seed: int = 0,
-        device=None,
-        max_entries: int = 4096,
-        breaker_config: "BreakerConfig | None" = None,
-        breaker_clock: Callable[[], float] = time.monotonic,
-        class_tier="auto",
-    ) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.backends = (
-            tuple(backends) if backends is not None else default_backends()
-        )
-        if not self.backends:
-            raise ValueError("at least one backend is required")
-        names = [b.name for b in self.backends]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate backend names: {names}")
-        self.plan_cache = plan_cache if plan_cache is not None else get_plan_cache()
-        self.epsilon = epsilon
-        self.ewma_alpha = ewma_alpha
-        self.max_entries = max_entries
-        self._rng = np.random.default_rng(seed)
-        self._device = device
-        self._lock = threading.RLock()
-        self._arms: "OrderedDict[tuple[str, int, str], _ArmStats]" = (
-            OrderedDict()
-        )
-        self._priors: "OrderedDict[tuple[str, int, str], float]" = (
-            OrderedDict()
-        )
-        self._class_tier = class_tier
-        self.breaker_config = breaker_config or BreakerConfig()
-        self._breakers = {
-            backend.name: CircuitBreaker(
-                backend.name, self.breaker_config, clock=breaker_clock
-            )
-            for backend in self.backends
-        }
+    #: Reported as ``ServeResponse.backend``.
+    backend = "scipy"
 
-    # ------------------------------------------------------------------
-    # Circuit breakers
-    # ------------------------------------------------------------------
-    def breaker(self, backend_name: str) -> CircuitBreaker:
-        """The breaker guarding one backend (KeyError for unknown names)."""
-        return self._breakers[backend_name]
-
-    def breaker_states(self) -> "dict[str, str]":
-        """Backend name -> breaker state, for health reports."""
-        return {name: b.state for name, b in self._breakers.items()}
-
-    def open_breakers(self) -> "list[str]":
-        """Backends currently tripped out of the arm set."""
-        return [
-            name for name, b in self._breakers.items() if b.state == "open"
-        ]
-
-    # ------------------------------------------------------------------
-    # Prior: modeled kernel cycles
-    # ------------------------------------------------------------------
-    def modeled_microseconds(
-        self, matrix: CSRMatrix, dim: int, backend: Backend
-    ) -> float:
-        """Modeled latency prior for one backend (``inf`` when unmodeled).
-
-        Memoized per ``(structure fingerprint, dim, backend)`` so the
-        timing model runs once per workload, not once per request.
-        """
-        key = (matrix.fingerprint(), dim, backend.name)
-        with self._lock:
-            cached = self._priors.get(key)
-            if cached is not None:
-                self._priors.move_to_end(key)
-                return cached
-        if backend.kernel is None:
-            prior = float("inf")
-        else:
-            from repro.gpu.kernels import kernel_time
-
-            try:
-                prior = kernel_time(
-                    backend.kernel, matrix, dim, device=self._device
-                ).microseconds
-            except Exception:
-                prior = float("inf")
-        with self._lock:
-            self._priors[key] = prior
-            self._priors.move_to_end(key)
-            while len(self._priors) > self.max_entries:
-                self._priors.popitem(last=False)
-        return prior
-
-    # ------------------------------------------------------------------
-    # Online estimates
-    # ------------------------------------------------------------------
-    def record(
-        self, matrix: CSRMatrix, dim: int, backend_name: str, seconds: float
-    ) -> None:
-        """Fold one measured latency into the backend's running estimate."""
-        key = (matrix.fingerprint(), dim, backend_name)
-        with self._lock:
-            arm = self._arms.get(key)
-            if arm is None:
-                arm = self._arms[key] = _ArmStats()
-            else:
-                self._arms.move_to_end(key)
-            if arm.count == 0:
-                arm.ewma = seconds
-            else:
-                arm.ewma += self.ewma_alpha * (seconds - arm.ewma)
-            arm.count += 1
-            while len(self._arms) > self.max_entries:
-                self._arms.popitem(last=False)
-        obs.histogram("serve.dispatch.latency_seconds", backend=backend_name).observe(
-            seconds
-        )
-
-    def _scores(
-        self,
-        matrix: CSRMatrix,
-        dim: int,
-        backends: "tuple[Backend, ...] | list[Backend] | None" = None,
-    ) -> list[float]:
-        """Comparable per-backend scores (seconds-equivalent, lower wins).
-
-        Measured backends score their latency EWMA.  Unmeasured backends
-        score their modeled prior scaled by the median measured-over-
-        modeled ratio of the already-measured backends, so model error
-        cancels once any real sample exists; before any sample, the raw
-        prior ranks (all scores share the modeled unit).
-        """
-        if backends is None:
-            backends = self.backends
-        fp = matrix.fingerprint()
-        priors = [self.modeled_microseconds(matrix, dim, b) for b in backends]
-        with self._lock:
-            arms = [self._arms.get((fp, dim, b.name)) for b in backends]
-            ratios = [
-                arm.ewma / prior
-                for arm, prior in zip(arms, priors)
-                if arm is not None
-                and arm.count > 0
-                and np.isfinite(prior)
-                and prior > 0
-            ]
-            scale = float(np.median(ratios)) if ratios else 1.0
-            return [
-                arm.ewma
-                if arm is not None and arm.count > 0
-                else prior * scale
-                for arm, prior in zip(arms, priors)
-            ]
-
-    def best(
-        self,
-        matrix: CSRMatrix,
-        dim: int,
-        backends: "list[Backend] | None" = None,
-    ) -> Backend:
-        """The current exploitation choice (no exploration roll)."""
-        candidates = list(backends) if backends is not None else list(self.backends)
-        scores = self._scores(matrix, dim, candidates)
-        finite = [s for s in scores if np.isfinite(s)]
-        if not finite:
-            return candidates[0]
-        return candidates[int(np.argmin(scores))]
-
-    def choose(
-        self, matrix: CSRMatrix, dim: int
-    ) -> "tuple[Backend | None, bool]":
-        """Pick a backend; returns ``(backend, explored)``.
-
-        Backends whose breaker is open are removed from the arm set;
-        half-open backends compete for their limited probe slots.
-        Returns ``(None, False)`` when no backend is admissible — the
-        caller must serve from the verified floor.
-        """
-        candidates = [
-            b for b in self.backends if self._breakers[b.name].available()
-        ]
-        while candidates:
-            with self._lock:
-                explore = self._rng.random() < self.epsilon
-                if explore:
-                    backend = candidates[
-                        int(self._rng.integers(len(candidates)))
-                    ]
-            if not explore:
-                backend = self.best(matrix, dim, candidates)
-            # allow() consumes a half-open probe slot; a candidate that
-            # lost the probe race drops out and the choice reruns.
-            if self._breakers[backend.name].allow():
-                return backend, explore
-            candidates.remove(backend)
-        return None, False
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def resolve_class_tier(self):
-        """The tier serving ``prefer_class_tier`` requests (or ``None``)."""
-        if self._class_tier == "auto":
-            from repro.sample.classtier import get_class_tier
-
-            return get_class_tier()
-        return self._class_tier
+    def kernel(self, matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
+        """The product ``matrix @ dense`` (override to inject faults)."""
+        return matrix.to_scipy() @ dense
 
     def execute(
         self,
         matrix: CSRMatrix,
         dense: np.ndarray,
         *,
-        plan_dim: "int | None" = None,
         verify: bool = False,
         rtol: float = 1e-9,
         atol: float = 1e-9,
-        prefer_class_tier: bool = False,
     ) -> DispatchResult:
-        """Dispatch one SpMM, guaranteeing a verified result on failure.
+        """Run one SpMM, returning a verified product on failure.
 
         Args:
             matrix: Sparse input.
-            dense: Dense operand ``XW`` (possibly a column-wise batch).
-            plan_dim: Per-request feature dimension used as the plan and
-                bandit workload key; defaults to ``dense``'s width.
-                Passing the request dim keeps one plan per workload no
-                matter how requests were batched.
-            verify: Cross-check the chosen backend's output against the
-                independent reference before accepting it (the serving
-                layer's paranoid mode; failures degrade to the verified
-                fallback rather than propagate).
-            prefer_class_tier: Route through the structure-class tier,
-                bypassing the per-fingerprint prior/bandit machinery
-                entirely — the right path for one-shot sampled
-                subgraphs whose fingerprints never recur.  Ignored when
-                the dispatcher was built with ``class_tier=None``.
+            dense: Dense operand (possibly a column-stacked batch).
+            verify: Cross-check the kernel's output against the
+                independent reference before accepting it; a mismatch
+                degrades to the verified fallback rather than propagate.
         """
         dense = np.asarray(dense, dtype=np.float64)
-        dim = plan_dim if plan_dim is not None else dense.shape[1]
-        if prefer_class_tier:
-            tier = self.resolve_class_tier()
-            if tier is not None:
-                return self._execute_classed(
-                    tier, matrix, dense, verify=verify, rtol=rtol, atol=atol
-                )
-        # Selection + bandit overhead lands in the "dispatch" stage of
-        # any active request trace; backend execution in "kernel".
-        with rtrace.stage("dispatch"):
-            backend, explored = self.choose(matrix, dim)
-        if backend is None:
-            # Every breaker is open: serve from the verified floor.  The
-            # floor is never tripped — it IS the recovery path.
-            obs.counter("serve.dispatch.floor").inc()
-            started = time.perf_counter()
-            with rtrace.stage("fallback", backend=FLOOR_BACKEND):
-                output = verified_spmm(
-                    matrix, dense, rtol=rtol, atol=atol
-                ).output
-            seconds = time.perf_counter() - started
-            return DispatchResult(
-                output=output,
-                backend=FLOOR_BACKEND,
-                fallback_used=True,
-                detected="all circuit breakers open",
-                latency_seconds=seconds,
-                explored=False,
-            )
-        breaker = self._breakers[backend.name]
-        obs.counter("serve.dispatch.requests", backend=backend.name).inc()
         detected: "str | None" = None
-        fallback_used = False
         started = time.perf_counter()
         try:
-            with obs.span("serve.dispatch.execute", backend=backend.name):
-                with rtrace.stage("kernel", backend=backend.name):
-                    output = backend.run(matrix, dense, self.plan_cache, dim)
-            if verify:
-                with rtrace.stage("verify"):
-                    check_output(matrix, dense, output, rtol=rtol, atol=atol)
-        except Exception as exc:
-            # Oracle failure, executor self-check, or a crashed backend:
-            # forced fallback to the self-checking executor.
-            detected = f"{type(exc).__name__}: {exc}"
-            fallback_used = True
-            obs.counter("serve.dispatch.fallbacks", backend=backend.name).inc()
-            breaker.record_failure()
-            with rtrace.stage("fallback", backend=backend.name):
-                output = verified_spmm(
-                    matrix, dense, rtol=rtol, atol=atol
-                ).output
-        else:
-            breaker.record_success()
-        seconds = time.perf_counter() - started
-        # Fallback latency is charged to the chosen arm on purpose: a
-        # misbehaving backend must look expensive to the bandit.
-        self.record(matrix, dim, backend.name, seconds)
-        return DispatchResult(
-            output=output,
-            backend=backend.name,
-            fallback_used=fallback_used,
-            detected=detected,
-            latency_seconds=seconds,
-            explored=explored,
-        )
-
-    def _execute_classed(
-        self,
-        tier,
-        matrix: CSRMatrix,
-        dense: np.ndarray,
-        *,
-        verify: bool,
-        rtol: float,
-        atol: float,
-    ) -> DispatchResult:
-        """The class-tier path: no prior, no bandit, no per-fingerprint plan.
-
-        The tier measures candidates on a class's first request and runs
-        the class winner afterwards; failures degrade to the same
-        :func:`verified_spmm` fallback as the bandit path.  Nothing here
-        touches the per-fingerprint maps, so a stream of one-shot
-        subgraphs leaves the long-lived workloads' bandit state alone.
-        """
-        detected: "str | None" = None
-        fallback_used = False
-        backend_name = "class-tier"
-        started = time.perf_counter()
-        try:
-            with obs.span("serve.dispatch.execute", backend="class-tier"):
-                with rtrace.stage("kernel", backend="class-tier"):
-                    output, backend_name, hit = tier.execute(matrix, dense)
-            rtrace.count("class_tier_hit" if hit else "class_tier_miss")
+            with rtrace.stage("kernel", backend=self.backend):
+                output = self.kernel(matrix, dense)
             if verify:
                 with rtrace.stage("verify"):
                     check_output(matrix, dense, output, rtol=rtol, atol=atol)
         except Exception as exc:
             detected = f"{type(exc).__name__}: {exc}"
-            fallback_used = True
-            obs.counter("serve.dispatch.fallbacks", backend="class-tier").inc()
-            with rtrace.stage("fallback", backend="class-tier"):
-                output = verified_spmm(
-                    matrix, dense, rtol=rtol, atol=atol
-                ).output
+            obs.counter("serve.dispatch.fallbacks", backend=self.backend).inc()
+            with rtrace.stage("fallback", backend=self.backend):
+                output = verified_spmm(matrix, dense, rtol=rtol, atol=atol).output
         seconds = time.perf_counter() - started
-        obs.counter("serve.dispatch.requests", backend=backend_name).inc()
-        obs.histogram(
-            "serve.dispatch.latency_seconds", backend=backend_name
-        ).observe(seconds)
+        obs.counter("serve.dispatch.requests", backend=self.backend).inc()
         return DispatchResult(
             output=output,
-            backend=backend_name,
-            fallback_used=fallback_used,
+            backend=self.backend,
+            fallback_used=detected is not None,
             detected=detected,
             latency_seconds=seconds,
-            explored=False,
         )

@@ -13,10 +13,7 @@ against the epoch it admitted under, end to end.**
   in-flight leases.
 * An epoch whose lease count drains after being superseded is
   **retired**: every registered cache drops exactly that epoch's keys
-  (``invalidate_fingerprint`` / ``forget_fingerprint``), never a global
-  flush.  Fingerprints shared with live epochs — the compaction base
-  that repairs lean on — are refcounted and survive until the last
-  sharer retires.
+  (``invalidate_fingerprint``), never a global flush.
 
 :meth:`stats` reports epoch lag (current epoch minus oldest still-live
 epoch) and the delta's compaction backlog for the health surface.
@@ -25,7 +22,7 @@ epoch) and the delta's compaction backlog for the health surface.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
@@ -78,28 +75,16 @@ class _EpochState:
     superseded: bool = False
 
 
-@dataclass
-class _Caches:
-    """Registered invalidation targets, split by their hook name."""
-
-    invalidate: "list[object]" = field(default_factory=list)
-    forget: "list[object]" = field(default_factory=list)
-    note: "list[object]" = field(default_factory=list)
-
-
 class GraphEpochManager:
     """Epoch lifecycle: acquire leases, install updates, retire precisely.
 
     Args:
         source: The live graph — a :class:`DeltaCSR`, or a bare
             :class:`CSRMatrix` to wrap in one.
-        caches: Objects to keep coherent.  Anything with
-            ``invalidate_fingerprint(fp)`` (ScheduleCache, PlanCache,
-            EnginePlanCache) is invalidated at retirement; anything with
-            ``forget_fingerprint(fp)`` (Autotuner) likewise; anything
-            with ``note_snapshot(snapshot)`` (PlanCache) is told about
-            each installed snapshot so it can repair instead of
-            recompile.
+        caches: Objects to keep coherent: each exposes
+            ``invalidate_fingerprint(fp) -> int`` (ScheduleCache,
+            NeighborIndexCache, ShardRouter) and is invalidated at
+            retirement.
         compact_threshold: Forwarded to a :class:`DeltaCSR` built from a
             bare matrix (ignored when ``source`` already is one).
     """
@@ -116,39 +101,24 @@ class GraphEpochManager:
         else:
             self.delta = DeltaCSR(source, compact_threshold=compact_threshold)
         self._lock = threading.Lock()
-        self._caches = _Caches()
+        self._caches: "list[object]" = []
         for cache in caches:
             self.register_cache(cache)
         self.retired_epochs = 0
         self.updates_applied = 0
-        # Fingerprints whose owner epoch retired while another live
-        # epoch still shares them (e.g. the repair base); invalidated
-        # once no live epoch references them.
-        self._pending_invalidate: "set[str]" = set()
         snapshot = self.delta.snapshot()
         self._current = snapshot.epoch
         self._epochs: "dict[int, _EpochState]" = {
             snapshot.epoch: _EpochState(snapshot)
         }
-        self._announce(snapshot)
 
     def register_cache(self, cache: object) -> None:
-        """Register one invalidation/notification target (see class docs)."""
-        known = False
-        if callable(getattr(cache, "invalidate_fingerprint", None)):
-            self._caches.invalidate.append(cache)
-            known = True
-        if callable(getattr(cache, "forget_fingerprint", None)):
-            self._caches.forget.append(cache)
-            known = True
-        if callable(getattr(cache, "note_snapshot", None)):
-            self._caches.note.append(cache)
-            known = True
-        if not known:
+        """Register one invalidation target (see class docs)."""
+        if not callable(getattr(cache, "invalidate_fingerprint", None)):
             raise TypeError(
-                f"{type(cache).__name__} exposes none of "
-                "invalidate_fingerprint/forget_fingerprint/note_snapshot"
+                f"{type(cache).__name__} exposes no invalidate_fingerprint"
             )
+        self._caches.append(cache)
 
     # ------------------------------------------------------------------
     # Read side
@@ -183,8 +153,7 @@ class GraphEpochManager:
             if state.superseded and state.leases <= 0:
                 del self._epochs[epoch]
                 retired.append(state.snapshot)
-            invalidate = self._collect_invalidations_locked(retired)
-        self._retire(retired, invalidate)
+        self._retire(retired)
 
     # ------------------------------------------------------------------
     # Write side
@@ -210,61 +179,31 @@ class GraphEpochManager:
                 if state.superseded and state.leases <= 0:
                     del self._epochs[epoch]
                     retired.append(state.snapshot)
-            invalidate = self._collect_invalidations_locked(retired)
         obs.counter("serve.epoch.installed").inc()
         if obs.enabled():
             obs.gauge("serve.epoch.current").set(float(snapshot.epoch))
             obs.gauge("serve.epoch.live").set(float(len(self._epochs)))
-        self._announce(snapshot)
-        self._retire(retired, invalidate)
+        self._retire(retired)
         return snapshot
 
     # ------------------------------------------------------------------
     # Retirement
     # ------------------------------------------------------------------
-    def _live_fingerprints_locked(self) -> "set[str]":
-        live: "set[str]" = set()
-        for state in self._epochs.values():
-            live.add(state.snapshot.fingerprint)
-            live.add(state.snapshot.base_fingerprint)
-        return live
+    def _retire(self, retired: "list[GraphSnapshot]") -> None:
+        """Drop each retired epoch's keys from every registered cache.
 
-    def _collect_invalidations_locked(
-        self, retired: "list[GraphSnapshot]"
-    ) -> "list[str]":
-        """Fingerprints safe to drop now that ``retired`` epochs ended.
-
-        A retired epoch contributes its own fingerprint and its base's;
-        anything still referenced by a live epoch (snapshot or repair
-        base) stays pending until its last sharer retires.
+        Every epoch's snapshot carries its own version-stamped
+        fingerprint, so a retired epoch shares no key with a live one.
         """
-        if not retired and not self._pending_invalidate:
-            return []
+        if not retired:
+            return
+        self.retired_epochs += len(retired)
+        obs.counter("serve.epoch.retired").inc(len(retired))
         for snapshot in retired:
-            self._pending_invalidate.add(snapshot.fingerprint)
-            self._pending_invalidate.add(snapshot.base_fingerprint)
-        live = self._live_fingerprints_locked()
-        ready = sorted(self._pending_invalidate - live)
-        self._pending_invalidate -= set(ready)
-        return ready
-
-    def _retire(
-        self, retired: "list[GraphSnapshot]", fingerprints: "list[str]"
-    ) -> None:
-        if retired:
-            self.retired_epochs += len(retired)
-            obs.counter("serve.epoch.retired").inc(len(retired))
-        for fingerprint in fingerprints:
             dropped = 0
-            for cache in self._caches.invalidate:
-                dropped += cache.invalidate_fingerprint(fingerprint)
-            for tuner in self._caches.forget:
-                dropped += tuner.forget_fingerprint(fingerprint)
+            for cache in self._caches:
+                dropped += cache.invalidate_fingerprint(snapshot.fingerprint)
             obs.counter("serve.epoch.invalidated_keys").inc(dropped)
-
-    def _announce(self, snapshot: GraphSnapshot) -> None:
-        for cache in self._caches.note:
-            cache.note_snapshot(snapshot)
 
     # ------------------------------------------------------------------
     # Introspection

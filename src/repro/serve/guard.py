@@ -1,25 +1,16 @@
-"""Failure-domain guards for the serving layer: breakers and supervision.
+"""Failure-domain guard for the serving layer: worker supervision.
 
-Two primitives that bound how far a fault can spread inside
-:class:`~repro.serve.service.InferenceService`:
+:class:`WorkerSupervisor` owns the service's worker threads (and, via
+:mod:`repro.serve.procpool`, its worker subprocesses).  When a worker
+dies of an uncaught exception (anything outside the per-batch error
+handler) the supervisor records the crash and respawns a replacement, up
+to a restart budget; past the budget it declares the pool *exhausted*
+and fires a callback so the service can fail queued work instead of
+hanging it.
 
-* :class:`CircuitBreaker` — the classic closed / open / half-open state
-  machine, one per dispatch backend.  A backend that fails persistently
-  (consecutive failures, or a failure rate over a sliding window) is
-  *tripped*: the dispatcher stops routing requests to it until a
-  monotonic-clock cooldown elapses, then lets a bounded number of
-  half-open probes through.  Probe success closes the breaker; probe
-  failure re-opens it and restarts the cooldown.
-* :class:`WorkerSupervisor` — owns the service's worker threads.  When a
-  worker dies of an uncaught exception (anything outside the per-batch
-  error handler) the supervisor records the crash and respawns a
-  replacement, up to a restart budget; past the budget it declares the
-  pool *exhausted* and fires a callback so the service can fail queued
-  work instead of hanging it.
-
-Both are deliberately free of serving-layer imports so they can be unit
-tested with fake clocks and crash-on-demand threads, and both emit
-``repro.obs`` counters (``serve.guard.*`` / ``serve.supervisor.*``).
+It is deliberately free of serving-layer imports so it can be unit
+tested with fake clocks and crash-on-demand threads, and it emits
+``repro.obs`` counters (``serve.supervisor.*``).
 """
 
 from __future__ import annotations
@@ -27,209 +18,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half-open"
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Trip/recovery thresholds of one :class:`CircuitBreaker`.
-
-    Attributes:
-        consecutive_failures: Trip after this many failures in a row.
-        failure_rate: Trip when the sliding-window failure rate reaches
-            this fraction (only once ``min_samples`` calls are in the
-            window, so a single early failure cannot trip a cold arm).
-        window: Sliding-window length in calls.
-        min_samples: Minimum window occupancy before the rate rule
-            applies.
-        cooldown_seconds: Open-state dwell time before half-open probing.
-        half_open_probes: Probe calls admitted per half-open episode.
-        half_open_successes: Probe successes required to close again
-            (clamped to ``half_open_probes``).
-    """
-
-    consecutive_failures: int = 5
-    failure_rate: float = 0.5
-    window: int = 32
-    min_samples: int = 10
-    cooldown_seconds: float = 5.0
-    half_open_probes: int = 2
-    half_open_successes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.consecutive_failures < 1:
-            raise ValueError(
-                "consecutive_failures must be >= 1, "
-                f"got {self.consecutive_failures}"
-            )
-        if not 0.0 < self.failure_rate <= 1.0:
-            raise ValueError(
-                f"failure_rate must be in (0, 1], got {self.failure_rate}"
-            )
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {self.min_samples}"
-            )
-        if self.cooldown_seconds <= 0:
-            raise ValueError(
-                f"cooldown_seconds must be positive, got {self.cooldown_seconds}"
-            )
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
-        if not 1 <= self.half_open_successes <= self.half_open_probes:
-            raise ValueError(
-                "half_open_successes must be in [1, half_open_probes], "
-                f"got {self.half_open_successes}"
-            )
-
-
-class CircuitBreaker:
-    """Closed / open / half-open breaker around one failure domain.
-
-    Args:
-        name: Label attached to metrics (the backend name).
-        config: Trip/recovery thresholds.
-        clock: Monotonic clock injection point for tests.
-
-    Thread safety: every method takes the internal lock; `allow` +
-    `record_success`/`record_failure` may be called from concurrent
-    serve workers.
-    """
-
-    def __init__(
-        self,
-        name: str = "",
-        config: "BreakerConfig | None" = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.name = name
-        self.config = config or BreakerConfig()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = CLOSED
-        self._consecutive = 0
-        self._window: "deque[bool]" = deque(maxlen=self.config.window)
-        self._opened_at = 0.0
-        self._probes_left = 0
-        self._probe_successes = 0
-        self.opened_total = 0
-        self.closed_total = 0
-
-    # ------------------------------------------------------------------
-    # State machine
-    # ------------------------------------------------------------------
-    def _tick_locked(self) -> None:
-        """Open -> half-open once the cooldown has elapsed."""
-        if (
-            self._state == OPEN
-            and self._clock() - self._opened_at
-            >= self.config.cooldown_seconds
-        ):
-            self._state = HALF_OPEN
-            self._probes_left = self.config.half_open_probes
-            self._probe_successes = 0
-            obs.counter("serve.guard.breaker_half_open", backend=self.name).inc()
-
-    def _trip_locked(self) -> None:
-        self._state = OPEN
-        self._opened_at = self._clock()
-        self._consecutive = 0
-        self._window.clear()
-        self.opened_total += 1
-        obs.counter("serve.guard.breaker_opened", backend=self.name).inc()
-
-    def _close_locked(self) -> None:
-        self._state = CLOSED
-        self._consecutive = 0
-        self._window.clear()
-        self._probes_left = 0
-        self._probe_successes = 0
-        self.closed_total += 1
-        obs.counter("serve.guard.breaker_closed", backend=self.name).inc()
-
-    @property
-    def state(self) -> str:
-        """Current state, advancing open -> half-open on cooldown expiry."""
-        with self._lock:
-            self._tick_locked()
-            return self._state
-
-    def available(self) -> bool:
-        """Whether a call *could* be admitted right now (non-consuming)."""
-        with self._lock:
-            self._tick_locked()
-            if self._state == CLOSED:
-                return True
-            if self._state == HALF_OPEN:
-                return self._probes_left > 0
-            return False
-
-    def allow(self) -> bool:
-        """Admit one call; half-open admissions consume a probe slot."""
-        with self._lock:
-            self._tick_locked()
-            if self._state == CLOSED:
-                return True
-            if self._state == HALF_OPEN and self._probes_left > 0:
-                self._probes_left -= 1
-                return True
-            obs.counter("serve.guard.breaker_blocked", backend=self.name).inc()
-            return False
-
-    def record_success(self) -> None:
-        """Fold one successful call into the state machine."""
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._probe_successes += 1
-                if self._probe_successes >= self.config.half_open_successes:
-                    self._close_locked()
-            elif self._state == CLOSED:
-                self._consecutive = 0
-                self._window.append(False)
-            # OPEN: a straggler from before the trip — ignore.
-
-    def record_failure(self) -> None:
-        """Fold one failed call in; may trip (closed) or re-open (probe)."""
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._trip_locked()
-                return
-            if self._state == OPEN:
-                return
-            self._consecutive += 1
-            self._window.append(True)
-            rate = sum(self._window) / len(self._window)
-            if self._consecutive >= self.config.consecutive_failures or (
-                len(self._window) >= self.config.min_samples
-                and rate >= self.config.failure_rate
-            ):
-                self._trip_locked()
-
-    def snapshot(self) -> dict:
-        """Machine-readable state for health reports and run records."""
-        with self._lock:
-            self._tick_locked()
-            return {
-                "name": self.name,
-                "state": self._state,
-                "consecutive_failures": self._consecutive,
-                "window_failures": int(sum(self._window)),
-                "window_size": len(self._window),
-                "opened_total": self.opened_total,
-                "closed_total": self.closed_total,
-            }
 
 
 class WorkerPoolExhausted(RuntimeError):

@@ -1,7 +1,7 @@
 """Service health states: ``HEALTHY`` / ``DEGRADED`` / ``UNHEALTHY``.
 
 :func:`evaluate_health` is a *pure* function from a service snapshot
-(queue depth, supervisor state, breaker states, deadline-miss window) to
+(queue depth, supervisor state, deadline-miss window) to
 a :class:`HealthReport` with machine-readable :class:`HealthCause`
 entries, so the rules are unit-testable without threads.  The service
 itself exposes it as :meth:`InferenceService.health
@@ -13,10 +13,9 @@ Severity model:
 * **UNHEALTHY** — the service cannot do real work: it is closed, the
   worker pool is dead or its restart budget is exhausted (for sharded
   serving, *any* shard's pool — every batch needs all shards:
-  ``shard-pool-exhausted``), or *every* dispatch backend's breaker is
-  open (only the verified floor remains).
-* **DEGRADED** — serving, but impaired: some (not all) breakers open or
-  probing, recent worker crashes/restarts, queue near saturation, a
+  ``shard-pool-exhausted``).
+* **DEGRADED** — serving, but impaired: recent worker
+  crashes/restarts, queue near saturation, a
   deadline-miss rate above threshold, a route burning (or having
   exhausted) its SLO error budget (``slo-burn-high`` /
   ``slo-budget-exhausted``; see :mod:`repro.obs.slo`), — on
@@ -164,8 +163,8 @@ class HealthCause:
     """One machine-readable reason the service is not fully healthy.
 
     Attributes:
-        kind: Stable cause identifier (``breaker-open``,
-            ``worker-crash-recent``, ``queue-saturated``, ...).
+        kind: Stable cause identifier (``worker-crash-recent``,
+            ``queue-saturated``, ...).
         severity: The state this cause implies on its own
             (``degraded`` or ``unhealthy``).
         detail: Human-readable explanation.
@@ -226,8 +225,8 @@ def evaluate_health(
             ``queue_depth``, ``max_queue``, ``supervisor`` (a
             :meth:`WorkerSupervisor.snapshot
             <repro.serve.guard.WorkerSupervisor.snapshot>` dict plus
-            ``recent_crashes``), ``breakers`` (backend name -> state),
-            and ``deadline`` (``misses``/``window`` recent counts).
+            ``recent_crashes``) and ``deadline`` (``misses``/``window``
+            recent counts).
             Missing keys are treated as "feature not in play".
         policy: Thresholds; defaults to :class:`HealthPolicy`.
     """
@@ -271,31 +270,6 @@ def evaluate_health(
                     f"({supervisor.get('restarts', 0)} restart(s) total)",
                 )
             )
-
-    breakers: dict = snapshot.get("breakers") or {}
-    if breakers:
-        not_closed = {
-            name: state for name, state in breakers.items() if state != "closed"
-        }
-        open_only = [n for n, s in not_closed.items() if s == "open"]
-        if open_only and len(open_only) == len(breakers):
-            causes.append(
-                HealthCause(
-                    "all-breakers-open",
-                    UNHEALTHY,
-                    "every backend breaker is open; only the verified "
-                    "floor is serving",
-                )
-            )
-        else:
-            for name, state in sorted(not_closed.items()):
-                causes.append(
-                    HealthCause(
-                        "breaker-open" if state == "open" else "breaker-probing",
-                        DEGRADED,
-                        f"backend {name!r} breaker is {state}",
-                    )
-                )
 
     max_queue = snapshot.get("max_queue", 0)
     depth = snapshot.get("queue_depth", 0)

@@ -9,12 +9,13 @@ Two load patterns against :class:`~repro.serve.service.InferenceService`:
   issuing its next request when the previous one completes.
 
 Graph popularity is Zipf-distributed over a set of Table II stand-ins
-(:mod:`repro.graphs.datasets`), which is what makes the serving plan
-cache earn its keep: a handful of hot graphs absorb most of the traffic.
+(:mod:`repro.graphs.datasets`): a handful of hot graphs absorb most of
+the traffic, which is what gives micro-batching same-graph requests to
+stack.
 
 The bench runs a *steady* scenario (throughput, p50/p95/p99 latency,
-plan-cache and backend statistics, with every accepted response verified
-against the independent SciPy oracle) and an *overload* scenario (a
+batching and backend statistics, with every accepted response verified
+against the independent reference oracle) and an *overload* scenario (a
 burst into a deliberately tiny queue, proving admission control sheds
 load instead of growing without bound), then appends a run to the
 ``BENCH_serve.json`` trajectory.  Measured wall-clock latencies are
@@ -48,15 +49,8 @@ from repro.graphs.delta import DeltaCSR, UpdatePlanner
 from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.resilience.oracles import reference_spmm
-from repro.sample import (
-    ClassTier,
-    ZipfSeedGenerator,
-    get_neighbor_index_cache,
-    set_class_tier,
-)
-from repro.serve.dispatch import AdaptiveDispatcher
+from repro.sample import ZipfSeedGenerator, get_neighbor_index_cache
 from repro.serve.epoch import GraphEpochManager
-from repro.serve.plancache import PlanCache
 from repro.serve.service import InferenceService, ServeConfig
 
 DEFAULT_DATASETS = ("Cora", "Citeseer", "Wiki-Vote", "Oregon-1")
@@ -92,7 +86,6 @@ class BenchConfig:
     datasets: tuple[str, ...] = DEFAULT_DATASETS
     scale: float = 0.25
     zipf_s: float = 1.1
-    epsilon: float = 0.1
     verify: bool = True
     deadline_ms: "float | None" = None
     overload_requests: int = 64
@@ -184,7 +177,7 @@ def percentiles_ms(seconds: "list[float]") -> dict:
 
 
 class _Verifier:
-    """Checks accepted responses against the independent SciPy oracle."""
+    """Checks accepted responses against the independent reference oracle."""
 
     def __init__(self) -> None:
         self.verified = 0
@@ -211,8 +204,8 @@ class _Verifier:
         ``scipy_graph`` is the *full* graph of the response's admitted
         epoch as a ``scipy.sparse.csr_matrix``; the expected output is
         ``(A[nodes][:, nodes]) @ X[nodes]`` computed entirely by SciPy,
-        so this cross-checks the sampler's extraction *and* the
-        class-tier SpMM in one shot.
+        so this cross-checks the sampler's extraction *and* the served
+        SpMM in one shot.
         """
         induced = scipy_graph[nodes][:, nodes]
         reference = induced.toarray() @ features[nodes]
@@ -424,7 +417,7 @@ def run_steady_ego(
     All traffic targets the hottest dataset: each request samples a
     k-hop ego network around a Zipf-popular seed node
     (:meth:`InferenceService.submit_ego`) and aggregates the extracted
-    subgraph through the structure-class tier.  Every accepted response
+    subgraph.  Every accepted response
     is verified against SciPy fancy indexing over the full graph of the
     epoch it admitted under — exact even while ``--update-rate`` mutates
     the graph concurrently.
@@ -693,10 +686,6 @@ def run_overload(config: BenchConfig) -> "tuple[_ScenarioTally, _Verifier]":
     """Burst into a tiny queue; proves admission control sheds load."""
     rng = np.random.default_rng(config.seed + 1)
     matrix = load_traffic_matrices(config)[0]
-    plan_cache = PlanCache(capacity=16)
-    dispatcher = AdaptiveDispatcher(
-        plan_cache=plan_cache, epsilon=config.epsilon, seed=config.seed
-    )
     overload_cfg = ServeConfig(
         max_queue=4,
         max_batch=8,
@@ -707,7 +696,7 @@ def run_overload(config: BenchConfig) -> "tuple[_ScenarioTally, _Verifier]":
     )
     tally = _ScenarioTally()
     verifier = _Verifier()
-    with InferenceService(dispatcher, overload_cfg) as service:
+    with InferenceService(config=overload_cfg) as service:
         inflight = []
         for _ in range(config.overload_requests):
             dense = rng.random((matrix.n_cols, config.dim))
@@ -723,63 +712,44 @@ def run_overload(config: BenchConfig) -> "tuple[_ScenarioTally, _Verifier]":
 @obs.instrumented
 def run_bench(config: BenchConfig) -> dict:
     """Run both scenarios and assemble the ``BENCH_serve.json`` payload."""
-    plan_cache = PlanCache(capacity=64)
-    dispatcher = AdaptiveDispatcher(
-        plan_cache=plan_cache, epsilon=config.epsilon, seed=config.seed
-    )
     slo_tracker = SLOTracker(
         default_objective=SLObjective(
             p95_ms=config.slo_p95_ms, threshold_ms=config.slo_p95_ms
         )
     )
     flight_recorder = FlightRecorder(capacity=16)
-    # Ego runs get a fresh structure-class tier so reported hit rates
-    # belong to this run alone; restored on exit.
-    previous_tier = (
-        set_class_tier(ClassTier()) if config.workload == "ego" else None
-    )
     epoch_manager = None
     if config.update_rate > 0:
         # The hottest dataset becomes a live graph: requests against it
         # pin their admitted epoch while the update stream mutates it,
-        # and the plan cache (plus, for ego runs, the neighbor-index
-        # cache) is invalidated epoch-precisely.
+        # and for ego runs the neighbor-index cache is invalidated
+        # epoch-precisely.
         hot = load_traffic_matrices(config)[0]
-        caches: "tuple[object, ...]" = (plan_cache,)
-        if config.workload == "ego":
-            caches = (plan_cache, get_neighbor_index_cache())
         epoch_manager = GraphEpochManager(
             DeltaCSR(hot, compact_threshold=config.compact_threshold),
-            caches=caches,
+            caches=(
+                (get_neighbor_index_cache(),)
+                if config.workload == "ego"
+                else ()
+            ),
         )
-    try:
-        with InferenceService(
-            dispatcher,
-            config.service,
-            slo_tracker=slo_tracker,
-            flight_recorder=flight_recorder,
-            epoch_manager=epoch_manager,
-        ) as service:
-            with obs.span("serve.loadgen.steady", requests=config.requests):
-                steady, steady_verifier, extra = run_steady(config, service)
-            health = service.health()
-            slo_report = slo_tracker.report()
-            # Process-isolation tier: worker crash/restart/heartbeat and
-            # zero-copy statistics, captured before the pool closes.
-            procpool_stats = (
-                service._proc_pool.snapshot()
-                if service._proc_pool is not None
-                else None
-            )
-        cache_stats = plan_cache.stats()
-        class_tier_stats = (
-            dispatcher.resolve_class_tier().stats().to_dict()
-            if config.workload == "ego"
+    with InferenceService(
+        config=config.service,
+        slo_tracker=slo_tracker,
+        flight_recorder=flight_recorder,
+        epoch_manager=epoch_manager,
+    ) as service:
+        with obs.span("serve.loadgen.steady", requests=config.requests):
+            steady, steady_verifier, extra = run_steady(config, service)
+        health = service.health()
+        slo_report = slo_tracker.report()
+        # Process-isolation tier: worker crash/restart/heartbeat and
+        # zero-copy statistics, captured before the pool closes.
+        procpool_stats = (
+            service._proc_pool.snapshot()
+            if service._proc_pool is not None
             else None
         )
-    finally:
-        if previous_tier is not None:
-            set_class_tier(previous_tier)
 
     with obs.span("serve.loadgen.overload", requests=config.overload_requests):
         overload, overload_verifier = run_overload(config)
@@ -798,7 +768,6 @@ def run_bench(config: BenchConfig) -> dict:
             "datasets": list(config.datasets),
             "scale": config.scale,
             "zipf_s": config.zipf_s,
-            "epsilon": config.epsilon,
             "max_queue": config.service.max_queue,
             "max_batch": config.service.max_batch,
             "max_wait_ms": config.service.max_wait_ms,
@@ -832,7 +801,6 @@ def run_bench(config: BenchConfig) -> dict:
                 else 0.0
             ),
             "backends": steady.backends,
-            "plan_cache": cache_stats.to_dict(),
             # Accepted responses per admitted graph epoch (empty without
             # an update stream) and the stream's own statistics.
             "epochs": {
@@ -844,14 +812,8 @@ def run_bench(config: BenchConfig) -> dict:
                 if extra["update_stream"] is not None
                 else {}
             ),
-            # Ego workloads: subgraph-size distributions and the
-            # structure-class tier's reuse statistics.
+            # Ego workloads: subgraph-size distributions.
             **({"ego": extra["ego"]} if "ego" in extra else {}),
-            **(
-                {"class_tier": class_tier_stats}
-                if class_tier_stats is not None
-                else {}
-            ),
         },
         "overload": {
             "requests": overload.requests,
@@ -874,7 +836,6 @@ def render_summary(report: dict) -> str:
     steady = report["steady"]
     overload = report["overload"]
     latency = steady["latency_ms"]
-    cache = steady["plan_cache"]
     backends = ", ".join(
         f"{name}={count}"
         for name, count in sorted(
@@ -896,9 +857,6 @@ def render_summary(report: dict) -> str:
             )
             or "none"
         ),
-        f"  plan cache: hit_rate={cache['hit_rate']:.1%} "
-        f"({cache['hits']} hits / {cache['misses']} misses, "
-        f"{cache['bytes'] / 1024:.0f} KiB)",
         f"  backends  : {backends or 'none'}",
         f"  batching  : mean batch {steady['batch_size_mean']:.2f}",
         f"  overload  : {overload['rejected']}/{overload['requests']} shed "
@@ -920,13 +878,6 @@ def render_summary(report: dict) -> str:
             f"  ego       : fanouts {ego['fanouts']}, subgraph p50 "
             f"{ego['subgraph_nodes']['p50']:.0f} nodes / "
             f"{ego['subgraph_nnz']['p50']:.0f} nnz"
-        )
-    class_tier = steady.get("class_tier")
-    if class_tier is not None:
-        lines.append(
-            f"  class tier: hit_rate={class_tier['hit_rate']:.1%} "
-            f"({class_tier['hits']} hits / {class_tier['misses']} misses, "
-            f"{class_tier['classes']} classes)"
         )
     if steady.get("deadline_misses"):
         lines.insert(
@@ -986,8 +937,8 @@ def main(argv: "list[str] | None" = None) -> int:
         prog="repro serve-bench",
         description=(
             "Drive synthetic Zipf/Poisson traffic through the serving "
-            "layer and record throughput, latency percentiles, plan-cache "
-            "and load-shedding statistics."
+            "layer and record throughput, latency percentiles and "
+            "load-shedding statistics."
         ),
     )
     parser.add_argument("--requests", type=int, default=1000)
@@ -1010,7 +961,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help=(
             "full: Zipf-popular full-graph aggregations (default); "
             "ego: k-hop ego-sampled minibatch requests against the "
-            "hottest dataset, served through the structure-class tier"
+            "hottest dataset"
         ),
     )
     parser.add_argument(
@@ -1029,7 +980,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="dataset downscale factor in (0, 1]",
     )
     parser.add_argument("--zipf-s", type=float, default=1.1)
-    parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
         "--isolation", choices=("thread", "process"), default="thread",
@@ -1072,7 +1022,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--no-verify", action="store_true",
-        help="skip the per-response SciPy oracle cross-check",
+        help="skip the per-response oracle cross-check",
     )
     parser.add_argument(
         "--bench-dir", default=None,
@@ -1100,7 +1050,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ),
         scale=args.scale,
         zipf_s=args.zipf_s,
-        epsilon=args.epsilon,
         verify=not args.no_verify,
         deadline_ms=args.deadline_ms,
         slo_p95_ms=args.slo_p95_ms,

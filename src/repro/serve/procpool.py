@@ -139,14 +139,8 @@ class ProcPoolConfig:
             makes the budget a lifetime total.
         start_method: ``multiprocessing`` start method.  ``fork`` keeps
             respawn latency in the low milliseconds; workers run a
-            deliberately minimal loop (pipe + numpy only) so inherited
+            deliberately minimal loop (pipe + numpy/scipy) so inherited
             parent state is never touched.
-        kernel: SpMM kernel workers run: ``"reference"`` (the
-            :meth:`~repro.formats.csr.CSRMatrix.multiply_dense` ground
-            truth, default) or ``"engine"`` (the
-            :func:`~repro.engine.kernels.engine_spmm` fast path with a
-            per-worker plan cache — what the shard tier uses on its
-            compacted per-shard matrices).
         result_transport: How worker outputs return to the parent:
             ``"pipe"`` (pickled over the worker pipe, default) or
             ``"shm"`` (written into a parent-owned shared-memory block,
@@ -167,7 +161,6 @@ class ProcPoolConfig:
     restart_budget: int = 8
     restart_window: "float | None" = 60.0
     start_method: str = "fork"
-    kernel: str = "reference"
     result_transport: str = "pipe"
 
     def __post_init__(self) -> None:
@@ -197,10 +190,6 @@ class ProcPoolConfig:
         if self.start_method not in ("fork", "spawn", "forkserver"):
             raise ValueError(
                 f"unknown start_method {self.start_method!r}"
-            )
-        if self.kernel not in ("reference", "engine"):
-            raise ValueError(
-                f"kernel must be 'reference' or 'engine', got {self.kernel!r}"
             )
         if self.result_transport not in ("pipe", "shm"):
             raise ValueError(
@@ -291,28 +280,24 @@ def _worker_entry(
     conn,
     heartbeat_interval: float,
     segment_cache_capacity: int,
-    kernel: str = "reference",
 ) -> None:
     """Worker subprocess main loop: beat while idle, compute on demand.
 
-    Deliberately minimal — pipe + numpy + segment attach, nothing else —
-    so a ``fork``-started child never touches inherited parent state
-    (locks, sockets, the obs registry).  Metrics collection is switched
-    off first thing for the same reason.
+    Deliberately minimal — pipe + numpy/scipy + segment attach, nothing
+    else — so a ``fork``-started child never touches inherited parent
+    state (locks, sockets, the obs registry).  Metrics collection is
+    switched off first thing for the same reason.  Each attached segment
+    keeps one scipy view of its matrix, built at attach time (values
+    stay in the shared pages; scipy may narrow the index arrays to
+    ``int32``, a one-off copy per attach); every batch runs as
+    ``csr @ stacked``.
     """
     try:
         obs.disable()
     except Exception:  # pragma: no cover - defensive
         pass
-    if kernel == "engine":
-        # Imported here, not at loop scope: the plan cache and arena are
-        # per-process, so the fork child builds its own — never touching
-        # compiled state inherited from the parent.
-        from repro.engine.kernels import engine_spmm as _spmm
-    else:
-        def _spmm(matrix, stacked):
-            return matrix.multiply_dense(stacked)
-    attached: "OrderedDict[str, object]" = OrderedDict()
+    # Segment name -> (attached segment, scipy view of its matrix).
+    attached: "OrderedDict[str, tuple[object, object]]" = OrderedDict()
     try:
         while True:
             if not conn.poll(heartbeat_interval):
@@ -332,14 +317,17 @@ def _worker_entry(
             _, job_id, meta, stacked, fault, delay_seconds, shm_io = message
             _apply_fault(fault, delay_seconds)
             try:
-                entry = attached.get(meta.name)
-                if entry is None:
+                cached = attached.get(meta.name)
+                if cached is None:
                     entry = attach_csr(meta, verify=True)
-                    attached[meta.name] = entry
+                    cached = attached[meta.name] = (
+                        entry, entry.matrix.to_scipy()
+                    )
                     while len(attached) > segment_cache_capacity:
-                        attached.popitem(last=False)[1].close()
+                        attached.popitem(last=False)[1][0].close()
                 else:
                     attached.move_to_end(meta.name)
+                entry, csr = cached
                 block = None
                 if shm_io is not None:
                     # shm operand/result transport: the parent staged the
@@ -357,7 +345,7 @@ def _worker_entry(
                     )
                 try:
                     started = time.perf_counter()
-                    output = _spmm(entry.matrix, stacked)
+                    output = csr @ stacked
                     kernel_seconds = time.perf_counter() - started
                     if block is not None:
                         view = np.ndarray(
@@ -379,14 +367,14 @@ def _worker_entry(
             except SegmentChecksumError as exc:
                 stale = attached.pop(meta.name, None)
                 if stale is not None:
-                    stale.close()
+                    stale[0].close()
                 conn.send(("error", job_id, "segment_corrupt", str(exc)))
             except Exception as exc:  # noqa: BLE001 - report, stay alive
                 conn.send(
                     ("error", job_id, "exec_error", f"{type(exc).__name__}: {exc}")
                 )
     finally:
-        for entry in attached.values():
+        for entry, _ in attached.values():
             entry.close()
         try:
             conn.close()
@@ -573,7 +561,6 @@ class ProcessWorkerPool:
                 child_conn,
                 self.config.heartbeat_interval,
                 self.config.segment_cache_capacity,
-                self.config.kernel,
             ),
             name=f"procpool-worker-{worker_id}",
             daemon=True,

@@ -15,10 +15,10 @@ needs on top of the one-shot experiment harness:
   aggregation across users of the same graph — then split back per
   request (each reply owns its output; nothing aliases the shared batch
   result).
-* **Adaptive dispatch.**  Each batch runs through an
-  :class:`~repro.serve.dispatch.AdaptiveDispatcher`, so backend choice
-  improves as traffic flows, and any oracle failure degrades to the
-  verified fallback rather than returning a corrupt product.
+* **One kernel.**  Each batch runs through a
+  :class:`~repro.serve.dispatch.Dispatcher` as scipy's CSR product, and
+  any kernel or oracle failure degrades to the verified fallback rather
+  than returning a corrupt product.
 * **Deadlines.**  ``submit(deadline_ms=...)`` stamps a request with a
   wall-clock budget.  Requests already past their deadline are *shed
   before execution* with a :data:`DEADLINE_EXCEEDED` response, and a
@@ -32,8 +32,8 @@ needs on top of the one-shot experiment harness:
   past the budget the pool is *exhausted*, queued work is failed, and
   new submissions are rejected.
 * **Health.**  :meth:`InferenceService.health` reports
-  ``HEALTHY / DEGRADED / UNHEALTHY`` with machine-readable causes (open
-  breakers, recent crashes, queue saturation, deadline-miss rate); see
+  ``HEALTHY / DEGRADED / UNHEALTHY`` with machine-readable causes
+  (recent crashes, queue saturation, deadline-miss rate); see
   :mod:`repro.serve.health`.
 
 Every stage emits ``repro.obs`` counters and spans (``serve.service.*``).
@@ -58,11 +58,10 @@ from repro.resilience import faults
 from repro.resilience.oracles import check_output
 from repro.resilience.runtime import ExperimentTimeoutError, call_with_timeout
 from repro.sample import EgoSubgraph, gather_features, sample_ego
-from repro.serve.dispatch import AdaptiveDispatcher
+from repro.serve.dispatch import Dispatcher
 from repro.serve.epoch import EpochLease, GraphEpochManager
 from repro.serve.guard import WorkerSupervisor
 from repro.serve.health import HealthPolicy, HealthReport, evaluate_health
-from repro.serve.plancache import PlanCache
 from repro.serve.procpool import (
     QUARANTINED,
     WORKER_CRASHED,
@@ -111,7 +110,7 @@ class ServeConfig:
             check runs in the parent, outside the worker's failure
             domain).
         isolation: ``"thread"`` executes batches on this process's
-            worker threads through the adaptive dispatcher;
+            worker threads through the dispatcher;
             ``"process"`` executes them on supervised worker
             *subprocesses* attached zero-copy to shared-memory graph
             segments (:mod:`repro.serve.procpool`): crashes, hangs and
@@ -265,10 +264,9 @@ class _Pending:
     request_id: int
     matrix: CSRMatrix
     dense: np.ndarray
-    # (full content fingerprint, feature width, class-tier flag): only
-    # requests that share the matrix values, the dense width, and the
-    # dispatch path may batch together.
-    key: "tuple[str, int, bool]"
+    # (full content fingerprint, feature width): only requests that
+    # share the matrix values and the dense width may batch together.
+    key: "tuple[str, int]"
     enqueued_at: float
     future: "Future[ServeResponse]"
     # Request-trace context carried explicitly across the queue and
@@ -284,9 +282,6 @@ class _Pending:
     # choke point every terminal path passes through.
     lease: "EpochLease | None" = None
     epoch: "int | None" = None
-    # Ego requests dispatch through the structure-class tier instead of
-    # the per-fingerprint bandit (their fingerprints never recur).
-    use_class_tier: bool = False
     # Seconds pre-charged to the ledger before admission (the "sample"
     # stage); reconciliation adds it on top of the admission-to-reply
     # latency so the stage sum equals the *full* end-to-end time.
@@ -300,10 +295,10 @@ class InferenceService:
     """A multi-worker, micro-batching GNN aggregation service.
 
     Args:
-        dispatcher: Backend dispatcher; a default
-            :class:`AdaptiveDispatcher` is built when omitted.
+        dispatcher: Thread-tier kernel runner; a default
+            :class:`~repro.serve.dispatch.Dispatcher` when omitted (pass
+            a subclass to inject slow, failing or corrupting kernels).
         config: Queueing/batching tunables.
-        plan_cache: Plan cache handed to a default dispatcher.
         slo_tracker: Per-route SLO accounting fed every finished request
             (a default :class:`~repro.obs.slo.SLOTracker` when omitted);
             its burn rates feed :meth:`health`.
@@ -340,10 +335,9 @@ class InferenceService:
 
     def __init__(
         self,
-        dispatcher: "AdaptiveDispatcher | None" = None,
+        dispatcher: "Dispatcher | None" = None,
         config: "ServeConfig | None" = None,
         *,
-        plan_cache: "PlanCache | None" = None,
         slo_tracker: "SLOTracker | None" = None,
         flight_recorder: "rtrace.FlightRecorder | None" = None,
         epoch_manager: "GraphEpochManager | None" = None,
@@ -352,9 +346,7 @@ class InferenceService:
         shard_config: "object | None" = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self.dispatcher = dispatcher or AdaptiveDispatcher(
-            plan_cache=plan_cache
-        )
+        self.dispatcher = dispatcher or Dispatcher()
         self.epoch_manager = epoch_manager
         self._proc_pool = proc_pool
         self._proc_config = proc_config
@@ -525,10 +517,7 @@ class InferenceService:
         its version stamp, and the eventual output all belong to exactly
         one epoch even if updates land mid-flight.
 
-        Ego requests dispatch through the structure-class tier
-        (:mod:`repro.sample.classtier`) rather than the per-fingerprint
-        bandit — each subgraph's fingerprint occurs once, so fingerprint
-        keys can never amortize.  Sampling time is charged to the
+        Sampling time is charged to the
         ``sample`` attribution stage; for ego requests the attribution's
         stage sum therefore equals ``sample_seconds`` *plus* the
         admission-to-reply latency.
@@ -589,7 +578,6 @@ class InferenceService:
             route=route,
             lease=lease,
             pre_stages={"sample": sample_seconds},
-            use_class_tier=True,
         )
         return EgoSubmission(
             future=future,
@@ -621,7 +609,6 @@ class InferenceService:
         route: str,
         lease: "EpochLease | None",
         pre_stages: "dict[str, float] | None" = None,
-        use_class_tier: bool = False,
     ) -> "Future[ServeResponse]":
         """Validate, admit (or shed), and queue one request."""
         try:
@@ -761,11 +748,7 @@ class InferenceService:
                 request_id=request_id,
                 matrix=matrix,
                 dense=dense,
-                key=(
-                    matrix.fingerprint(include_values=True),
-                    dense.shape[1],
-                    use_class_tier,
-                ),
+                key=(matrix.fingerprint(include_values=True), dense.shape[1]),
                 enqueued_at=now,
                 future=future,
                 ctx=ctx,
@@ -776,7 +759,6 @@ class InferenceService:
                 ),
                 lease=lease,
                 epoch=lease.epoch if lease is not None else None,
-                use_class_tier=use_class_tier,
                 pre_seconds=pre_seconds,
                 poison_key=pkey,
             )
@@ -843,7 +825,7 @@ class InferenceService:
 
         See :mod:`repro.serve.health` for the severity model.  The
         snapshot embedded in the report carries the raw inputs (queue
-        depth, supervisor and breaker state, deadline-miss window) for
+        depth, supervisor state, deadline-miss window) for
         dashboards and run records.
         """
         policy = policy or HealthPolicy()
@@ -857,10 +839,6 @@ class InferenceService:
             supervisor_snapshot["recent_crashes"] = (
                 self._supervisor.recent_crashes(policy.crash_recent_seconds)
             )
-        breaker_states: dict = {}
-        states_fn = getattr(self.dispatcher, "breaker_states", None)
-        if callable(states_fn):
-            breaker_states = states_fn()
         with self._miss_lock:
             window = len(self._recent_misses)
             misses = sum(self._recent_misses)
@@ -870,7 +848,6 @@ class InferenceService:
             "queue_depth": depth,
             "max_queue": self.config.max_queue,
             "supervisor": supervisor_snapshot,
-            "breakers": breaker_states,
             "deadline": {
                 "window": window,
                 "misses": misses,
@@ -1118,15 +1095,7 @@ class InferenceService:
             # contexts propagate explicitly, never via thread inheritance.
             with rtrace.activate(*contexts):
                 return self.dispatcher.execute(
-                    matrix,
-                    stacked,
-                    # Key plans/bandit arms by the per-request width so
-                    # batch size never fragments the plan cache.
-                    plan_dim=width,
-                    verify=self.config.verify,
-                    # Homogeneous per batch: the flag is part of the
-                    # batching key.
-                    prefer_class_tier=batch[0].use_class_tier,
+                    matrix, stacked, verify=self.config.verify
                 )
 
         try:

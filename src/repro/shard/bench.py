@@ -3,8 +3,8 @@
 Times the same SpMM two ways on a synthetic power-law dataset:
 
 * **single-process** — ``matrix.multiply_dense`` in this process, the
-  unsharded reference baseline (shard workers themselves default to the
-  compiled engine kernel on their compacted local matrices);
+  unsharded reference baseline (shard workers themselves run scipy's
+  CSR product on their compacted local matrices);
 * **sharded** — an ``N``-shard :class:`~repro.shard.router.ShardRouter`
   (scatter -> concurrent per-shard SpMM on worker subprocesses -> halo
   gather).
@@ -43,8 +43,7 @@ from repro.shard.partition import STRATEGIES
 from repro.shard.router import ShardConfig, ShardRouter
 
 # (name, n_nodes, nnz, max_degree) — quick uses the small dataset, the
-# full run uses the 1.2M-nnz acceptance target (same sweep as
-# kernel-bench).
+# full run uses the 1.2M-nnz acceptance target.
 QUICK_DATASET = ("pl-small", 2_000, 16_000, 400)
 FULL_DATASET = ("pl-large", 100_000, 1_200_000, 5_000)
 

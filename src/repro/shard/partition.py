@@ -221,7 +221,7 @@ class GraphPartition:
         """In-process sharded SpMM: scatter -> per-shard SpMM -> gather.
 
         The single-process reference for the distributed data path; the
-        property tests pin it bit-for-bit against the scipy oracle on
+        property tests pin it bit-for-bit against the reference oracle on
         integer-valued inputs, and the router must agree with it.
         """
         operands = self.scatter(dense)

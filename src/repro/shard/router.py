@@ -12,9 +12,7 @@ global graph.  A request executes as:
 2. **scatter** — the dense operand is sliced into per-shard
    owned-vertex blocks (``rtrace`` stage ``scatter``);
 3. **shard SpMM** — every non-empty shard runs its local
-   ``A_s @ X_s`` concurrently on its own pool, by default through the
-   engine fast path (:func:`~repro.engine.kernels.engine_spmm`) whose
-   merge-path planner thrives on the compacted per-shard matrices; a
+   ``A_s @ X_s`` concurrently on its own pool as scipy's CSR product; a
    crashed shard worker is *re-replayed* on its respawned successor
    (bounded by ``replay_budget``) while the other shards' results
    stand;
@@ -73,12 +71,6 @@ class ShardConfig:
             distinct graph fingerprint; LRU beyond this — live-graph
             epochs arrive with fresh fingerprints and age old ones out).
         seed: Tie-breaking seed for the edge-cut strategy.
-        worker_kernel: SpMM kernel the shard workers run.  Defaults to
-            ``"engine"`` — the compacted per-shard matrices are exactly
-            what the engine fast path's merge-path planner is built
-            for, and partition-aware kernels are where the shard tier's
-            single-host speedup comes from; ``"reference"`` pins the
-            ground-truth kernel instead.
         result_transport: How per-shard partial outputs return to the
             router (``"shm"`` default — boundary-heavy partitions ship
             close to ``n_shards`` full outputs per request, so skipping
@@ -93,7 +85,6 @@ class ShardConfig:
     replay_budget: int = 2
     partition_cache_capacity: int = 4
     seed: int = 0
-    worker_kernel: str = "engine"
     result_transport: str = "shm"
 
     def __post_init__(self) -> None:
@@ -117,11 +108,6 @@ class ShardConfig:
             raise ValueError(
                 "partition_cache_capacity must be >= 1, "
                 f"got {self.partition_cache_capacity}"
-            )
-        if self.worker_kernel not in ("reference", "engine"):
-            raise ValueError(
-                "worker_kernel must be 'reference' or 'engine', "
-                f"got {self.worker_kernel!r}"
             )
         if self.result_transport not in ("pipe", "shm"):
             raise ValueError(
@@ -212,7 +198,6 @@ class ShardRouter:
         self._proc_config = replace(
             template,
             n_workers=self.config.workers_per_shard,
-            kernel=self.config.worker_kernel,
             result_transport=self.config.result_transport,
         )
         self.pools: "list[ProcessWorkerPool]" = []

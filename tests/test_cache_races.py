@@ -1,9 +1,9 @@
 """Threaded stress tests: cache coherence under concurrent live updates.
 
-Satellite of the live-graph mutation work: hammer ScheduleCache,
-PlanCache, and EnginePlanCache from reader threads while a writer
-applies update batches through a GraphEpochManager (invalidation +
-snapshot notes race against get/put/evict under LRU pressure).  Every
+Satellite of the live-graph mutation work: hammer the caches that
+register with a GraphEpochManager — ScheduleCache and NeighborIndexCache
+— from reader threads while a writer applies update batches
+(invalidation races against get/put/evict under LRU pressure).  Every
 read is verified against the dense reference for the *exact matrix the
 reader used*, so any cross-epoch or cross-matrix aliasing shows up as a
 numeric mismatch, not a flake.
@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core import ScheduleCache, execute_vectorized
-from repro.engine import EnginePlanCache
 from repro.graphs import power_law_graph
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
-from repro.serve import GraphEpochManager, PlanCache
+from repro.sample import PUSH, NeighborIndexCache
+from repro.serve import GraphEpochManager
 
 DIM = 8
 COST = 256
@@ -43,11 +43,10 @@ def _run_race(base, bystanders, read_one):
     """Drive readers + one updater; returns collected problems."""
     # Tiny capacities force evictions to interleave with invalidations.
     schedules = ScheduleCache(max_entries=4)
-    plans = PlanCache(capacity=4)
-    engine = EnginePlanCache(capacity=4)
+    indexes = NeighborIndexCache(capacity=4)
     manager = GraphEpochManager(
         DeltaCSR(base, compact_threshold=8),
-        caches=(schedules, plans, engine),
+        caches=(schedules, indexes),
     )
     planner = UpdatePlanner(base)
     problems: "list[str]" = []
@@ -74,17 +73,13 @@ def _run_race(base, bystanders, read_one):
             for i in range(ROUNDS):
                 if rng.random() < 0.5:
                     with manager.acquire() as lease:
-                        matrix, operand = lease.matrix, dense
                         read_one(
-                            (schedules, plans, engine),
-                            matrix,
-                            operand,
-                            problems,
+                            (schedules, indexes), lease.matrix, dense, problems
                         )
                 else:
                     matrix = bystanders[i % len(bystanders)]
                     read_one(
-                        (schedules, plans, engine),
+                        (schedules, indexes),
                         matrix,
                         small[matrix.fingerprint()],
                         problems,
@@ -101,7 +96,7 @@ def _run_race(base, bystanders, read_one):
         alive = t.is_alive()
         stop.set()
         assert not alive, "race test deadlocked"
-    return problems, manager, (schedules, plans, engine)
+    return problems, manager, (schedules, indexes)
 
 
 def _check(expected, got, label, problems):
@@ -109,61 +104,42 @@ def _check(expected, got, label, problems):
         problems.append(f"{label}: output mismatch")
 
 
+def _read_index(indexes, matrix, problems):
+    """The cached push index must be exactly ``matrix``'s transpose."""
+    index = indexes.get(matrix, PUSH)
+    _check(matrix.to_dense(), index.csc.to_dense(), "index", problems)
+
+
 class TestCacheRaces:
-    def test_all_three_caches_stay_coherent(self, base, bystanders):
+    def test_registered_caches_stay_coherent(self, base, bystanders):
         def read_one(caches, matrix, dense, problems):
-            schedules, plans, engine = caches
-            expected = matrix.multiply_dense(dense)
+            schedules, indexes = caches
             schedule = schedules.get(matrix, COST)
             out, _ = execute_vectorized(schedule, dense)
-            _check(expected, out, "schedule", problems)
-            _check(
-                expected,
-                plans.get(matrix, cost=COST).execute(dense),
-                "plan",
-                problems,
-            )
-            _check(
-                expected,
-                engine.get(matrix, cost=COST).execute(dense),
-                "engine",
-                problems,
-            )
+            _check(matrix.multiply_dense(dense), out, "schedule", problems)
+            _read_index(indexes, matrix, problems)
 
         problems, manager, caches = _run_race(base, bystanders, read_one)
         assert problems == [], problems[:10]
         stats = manager.stats()
         assert stats["retired_epochs"] >= 1
         assert stats["leases"] == 0
-        # Retirement kept firing under load: retired epochs' keys are
-        # gone, and the small caches never grew past their bounds.
-        schedules, plans, engine = caches
+        # Retirement kept firing under load, and the small caches never
+        # grew past their bounds.
+        schedules, indexes = caches
         assert schedules.entries <= 4
-        assert plans.stats().entries <= 4
-        assert len(engine) <= 4
-        live = {
-            manager.current_snapshot().fingerprint,
-            manager.current_snapshot().base_fingerprint,
-        } | {m.fingerprint() for m in bystanders}
-        assert plans.fingerprints() <= live
+        assert len(indexes) <= 4
 
     def test_precise_invalidation_under_eviction_pressure(
         self, base, bystanders
     ):
-        # Plan-cache-only variant with repairs in the mix: the repair
-        # base may be evicted at any moment by bystander traffic.
+        # Index-cache-only variant: bystander traffic may evict a live
+        # epoch's index at any moment while retirement drops others.
         def read_one(caches, matrix, dense, problems):
-            _, plans, _ = caches
-            _check(
-                matrix.multiply_dense(dense),
-                plans.get(matrix, dim=DIM).execute(dense),
-                "plan",
-                problems,
-            )
+            _read_index(caches[1], matrix, problems)
 
         problems, manager, caches = _run_race(base, bystanders, read_one)
         assert problems == [], problems[:10]
-        _, plans, _ = caches
-        stats = plans.stats()
-        assert stats.hits + stats.misses > 0
+        indexes = caches[1]
+        assert indexes.hits + indexes.misses > 0
         assert manager.stats()["compactions"] >= 1

@@ -19,31 +19,24 @@ class TestServeChaosMatrix:
         assert not report.silent
 
     def test_demonstrates_every_guard(self, report):
-        assert report.breaker_trips >= 1
-        assert report.breaker_recoveries >= 1
         assert report.worker_restarts >= 1
         assert report.deadline_shed >= 1
-        # The open-breaker phase routed traffic through the verified floor.
-        assert report.floor_requests >= 1
         assert report.verified_responses >= 1
 
     def test_expected_case_names_present(self, report):
         names = {case.name for case in report.cases}
-        assert "persistent-fault/breaker-trips" in names
-        assert "open-breaker/isolates-backend" in names
-        assert "half-open/recovers-to-healthy" in names
         assert "worker-crash/batch-fails-cleanly" in names
         assert "worker-crash/supervisor-restarts" in names
         assert "bitflip/verified-fallback" in names
         assert "corrupt-matrix/nan-values" in names
         assert "expired-deadline/shed-before-execution" in names
+        assert "slow-kernel/kernel-stage-attribution" in names
 
     def test_serialization_and_render(self, report):
         payload = report.to_dict()
         assert payload["coverage"] == 1.0
         assert payload["passed"] is True
         demos = payload["demonstrations"]
-        assert demos["breaker_trips"] >= 1
         assert demos["worker_restarts"] >= 1
         assert len(payload["cases"]) == len(report.cases)
         rendered = report.render()

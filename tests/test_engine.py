@@ -1,206 +1,15 @@
-"""Unit tests for the engine fast path: arena, plans, cache, pipeline."""
+"""Unit tests for the GCN inference engine's layer ordering and kernel."""
 
 import numpy as np
-import pytest
 
-from repro.core import build_schedule, execute_vectorized
-from repro.core.schedule import schedule_for_cost
-from repro.engine import (
+from repro.gnn.inference import (
     AGGREGATE_FIRST,
     TRANSFORM_FIRST,
-    Arena,
-    EnginePlanCache,
-    FusedGCNPipeline,
+    InferenceEngine,
     choose_ordering,
-    compile_engine_plan,
-    engine_spmm,
-    execute_engine,
 )
-from repro.formats import CSRMatrix
 from repro.gnn.models import GCN
-from repro.resilience import faults
-
-
-class TestArena:
-    def test_reuses_backing_storage(self):
-        arena = Arena()
-        first = arena.take("buf", (4, 8))
-        second = arena.take("buf", (4, 8))
-        assert first.shape == second.shape == (4, 8)
-        assert arena.allocations == 1
-        assert arena.reuses == 1
-
-    def test_take_zeroes_by_default(self):
-        arena = Arena()
-        buf = arena.take("buf", (3, 3))
-        buf.fill(7.0)
-        again = arena.take("buf", (3, 3))
-        assert np.all(again == 0.0)
-        dirty = arena.take("buf", (3, 3), zero=False)
-        assert dirty.shape == (3, 3)  # contents unspecified, shape right
-
-    def test_grows_geometrically(self):
-        arena = Arena()
-        arena.take("buf", (4,))
-        arena.take("buf", (100,))
-        assert arena.allocations == 2
-        # A smaller request after growth reuses the big backing buffer.
-        arena.take("buf", (50,))
-        assert arena.allocations == 2
-
-    def test_release_drops_bytes(self):
-        arena = Arena()
-        arena.take("buf", (64,))
-        assert arena.nbytes > 0
-        arena.release()
-        assert arena.nbytes == 0
-
-
-class TestEnginePlan:
-    @pytest.mark.parametrize("strategy", ["grouped", "reduceat"])
-    @pytest.mark.parametrize("dim", [1, 4, 33])
-    def test_matches_vectorized_executor(
-        self, small_power_law, features, strategy, dim
-    ):
-        x = features(small_power_law.n_cols, dim)
-        schedule = schedule_for_cost(small_power_law, 30)
-        expected, accounting = execute_vectorized(schedule, x)
-        plan = compile_engine_plan(small_power_law, schedule=schedule)
-        out = plan.execute(x, strategy=strategy)
-        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
-        assert plan.accounting == accounting
-
-    def test_paper_example(self, paper_example, features):
-        x = features(paper_example.n_cols, 6)
-        plan = compile_engine_plan(paper_example, cost=4)
-        np.testing.assert_allclose(
-            plan.execute(x), paper_example.multiply_dense(x)
-        )
-
-    def test_empty_matrix(self):
-        empty = CSRMatrix.from_arrays([0, 0, 0], [])
-        plan = compile_engine_plan(empty, cost=4)
-        out = plan.execute(np.ones((2, 3)))
-        assert out.shape == (2, 3)
-        assert np.all(out == 0.0)
-
-    def test_out_parameter_is_filled_in_place(self, paper_example, features):
-        x = features(paper_example.n_cols, 4)
-        plan = compile_engine_plan(paper_example, cost=4)
-        buf = np.full((paper_example.n_rows, 4), 9.0)
-        returned = plan.execute(x, out=buf)
-        assert returned is buf
-        np.testing.assert_allclose(buf, paper_example.multiply_dense(x))
-
-    def test_out_shape_mismatch_rejected(self, paper_example, features):
-        plan = compile_engine_plan(paper_example, cost=4)
-        with pytest.raises(ValueError, match="out must be"):
-            plan.execute(
-                features(paper_example.n_cols, 4), out=np.zeros((1, 4))
-            )
-
-    def test_dimension_mismatch_rejected(self, paper_example):
-        plan = compile_engine_plan(paper_example, cost=4)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            plan.execute(np.ones((3, 2)))
-
-    def test_unknown_strategy_rejected(self, paper_example, features):
-        plan = compile_engine_plan(paper_example, cost=4)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            plan.execute(features(paper_example.n_cols, 2), strategy="magic")
-        with pytest.raises(ValueError, match="unknown strategy"):
-            compile_engine_plan(paper_example, cost=4, strategy="magic")
-
-    def test_feature_blocking_matches_unblocked(
-        self, small_power_law, features
-    ):
-        x = features(small_power_law.n_cols, 20)
-        wide = compile_engine_plan(small_power_law, dim=20, block=64)
-        narrow = compile_engine_plan(small_power_law, dim=20, block=7)
-        np.testing.assert_allclose(narrow.execute(x), wide.execute(x))
-
-    def test_rebind_swaps_values_not_structure(self, paper_example, features):
-        plan = compile_engine_plan(paper_example, cost=4)
-        scaled = CSRMatrix(
-            n_rows=paper_example.n_rows,
-            n_cols=paper_example.n_cols,
-            row_pointers=paper_example.row_pointers,
-            column_indices=paper_example.column_indices,
-            values=paper_example.values * 3.0,
-        )
-        rebound = plan.rebind(scaled)
-        x = features(paper_example.n_cols, 3)
-        np.testing.assert_allclose(
-            rebound.execute(x), 3.0 * plan.execute(x), rtol=1e-12
-        )
-
-    def test_honors_fault_injection(self, small_power_law, features):
-        # Chaos parity: a fault plan that zeroes segment sums must change
-        # the engine's output exactly like the core executors'.
-        x = features(small_power_law.n_cols, 4)
-        plan = compile_engine_plan(small_power_law, dim=4)
-        clean = plan.execute(x)
-        with faults.inject(seed=3, drop_atomic=1.0) as fault_plan:
-            faulty = plan.execute(x)
-        assert fault_plan.total_injected > 0
-        assert not np.allclose(faulty, clean)
-
-    def test_execute_engine_returns_accounting(
-        self, small_power_law, features
-    ):
-        x = features(small_power_law.n_cols, 8)
-        schedule = build_schedule(small_power_law, 64)
-        expected, accounting = execute_vectorized(schedule, x)
-        out, acc = execute_engine(schedule, x)
-        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
-        assert acc == accounting
-
-
-class TestEnginePlanCache:
-    def test_hit_on_same_content(self, small_power_law):
-        cache = EnginePlanCache(capacity=4)
-        a = cache.get(small_power_law, 30)
-        b = cache.get(small_power_law, 30)
-        assert a is b
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_rebinds_on_same_structure_different_values(
-        self, paper_example, features
-    ):
-        cache = EnginePlanCache(capacity=4)
-        cache.get(paper_example, 4)
-        scaled = CSRMatrix(
-            n_rows=paper_example.n_rows,
-            n_cols=paper_example.n_cols,
-            row_pointers=paper_example.row_pointers,
-            column_indices=paper_example.column_indices,
-            values=paper_example.values * 2.0,
-        )
-        plan = cache.get(scaled, 4)
-        x = features(paper_example.n_cols, 2)
-        np.testing.assert_allclose(
-            plan.execute(x), scaled.multiply_dense(x), rtol=1e-12
-        )
-
-    def test_lru_eviction(self, paper_example, small_power_law):
-        cache = EnginePlanCache(capacity=1)
-        cache.get(paper_example, 4)
-        cache.get(small_power_law, 30)
-        assert len(cache) == 1
-        cache.get(paper_example, 4)
-        assert cache.misses == 3  # evicted entry recompiled
-
-    def test_requires_some_sizing_hint(self, paper_example):
-        cache = EnginePlanCache()
-        with pytest.raises(ValueError, match="pass cost=, dim=, or schedule="):
-            cache.get(paper_example)
-
-    def test_engine_spmm_cached_entry_point(self, small_power_law, features):
-        x = features(small_power_law.n_cols, 8)
-        out = engine_spmm(small_power_law, x)
-        np.testing.assert_allclose(
-            out, small_power_law.multiply_dense(x), rtol=1e-9, atol=1e-12
-        )
+from repro.graphs import Graph
 
 
 class TestFusedPipeline:
@@ -219,26 +28,36 @@ class TestFusedPipeline:
 
     def test_matches_layerwise_forward(self, small_power_law, features):
         model = GCN.random([12, 16, 3], seed=5)
+        graph = Graph("pl", small_power_law)
         x = features(small_power_law.n_cols, 12)
-        pipeline = FusedGCNPipeline(model, small_power_law)
-        fused = pipeline.forward(x)
+        fused = InferenceEngine(fused=True).infer(model, graph, x).output
+        adjacency = graph.normalized_adjacency()
         hidden = x
         for layer in model.layers:
-            hidden = layer.forward(small_power_law, hidden)
+            hidden = layer.forward(adjacency, hidden)
         np.testing.assert_allclose(fused, hidden, rtol=1e-9, atol=1e-12)
 
-    def test_widening_layer_uses_aggregate_first(self, small_power_law):
+    def test_widening_layer_uses_aggregate_first(self, small_power_law, features):
         model = GCN.random([4, 32], seed=1)
-        pipeline = FusedGCNPipeline(model, small_power_law)
-        assert pipeline.layer_plans[0].ordering == AGGREGATE_FIRST
-        assert pipeline.total_flops == pipeline.layer_plans[0].flops
+        plan = choose_ordering(
+            small_power_law.n_rows, small_power_law.nnz, 4, 32
+        )
+        assert plan.ordering == AGGREGATE_FIRST
+        assert plan.spmm_width == 4
+        graph = Graph("pl", small_power_law)
+        x = features(small_power_law.n_cols, 4)
+        out = InferenceEngine().infer(model, graph, x).output
+        expected = model.layers[0].forward(graph.normalized_adjacency(), x)
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
 
     def test_single_plan_shared_across_layers(self, small_power_law, features):
         model = GCN.random([8, 8, 8, 8], seed=2)
-        pipeline = FusedGCNPipeline(model, small_power_law)
-        out = pipeline.forward(features(small_power_law.n_cols, 8))
-        assert out.shape == (small_power_law.n_rows, 8)
-        # One compiled plan serves every layer of every forward pass.
-        assert pipeline.plan is not None
-        again = pipeline.forward(features(small_power_law.n_cols, 8))
-        np.testing.assert_allclose(out, again)
+        graph = Graph("pl", small_power_law)
+        engine = InferenceEngine()
+        out = engine.infer(model, graph, features(small_power_law.n_cols, 8))
+        assert out.output.shape == (small_power_law.n_rows, 8)
+        # One adjacency view serves every layer of every inference.
+        view = engine._adjacency(graph)[1]
+        again = engine.infer(model, graph, features(small_power_law.n_cols, 8))
+        assert engine._adjacency(graph)[1] is view
+        np.testing.assert_allclose(out.output, again.output)

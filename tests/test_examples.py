@@ -62,13 +62,6 @@ def test_multicore_scaling_runs(capsys):
     assert "core" in out.lower()
 
 
-def test_fast_inference_runs(capsys):
-    _run("fast_inference.py")
-    out = capsys.readouterr().out
-    assert "winner:" in out
-    assert "fused GCN" in out
-
-
 def test_sharded_serving_runs(capsys):
     _run("sharded_serving.py", ["2"])
     out = capsys.readouterr().out
@@ -80,7 +73,7 @@ def test_sharded_serving_runs(capsys):
 ALL_EXAMPLES = [
     "quickstart.py", "gcn_inference.py", "kernel_comparison.py",
     "multicore_scaling.py", "cost_tuning.py", "node_classification.py",
-    "fast_inference.py", "sharded_serving.py",
+    "sharded_serving.py",
 ]
 
 

@@ -374,3 +374,58 @@ class TestVersionPropagation:
             for v in range(3)
         }
         assert len(fps) == 3
+
+
+class TestToScipy:
+    def _check(self, matrix, width=3):
+        dense = np.random.default_rng(0).random((matrix.n_cols, width))
+        view = matrix.to_scipy()
+        assert view.shape == matrix.shape
+        # Empty arrays never report shared memory.
+        assert np.shares_memory(view.data, matrix.values) or not matrix.nnz
+        out = view @ dense
+        assert out.shape == (matrix.n_rows, width)
+        np.testing.assert_allclose(
+            out, matrix.multiply_dense(dense), rtol=1e-12, atol=0
+        )
+        return out
+
+    def test_shares_values_buffer(self, csr_small):
+        view = csr_small.to_scipy()
+        assert np.shares_memory(view.data, csr_small.values)
+        # Not memoised: each call is a fresh view over the same values.
+        assert csr_small.to_scipy() is not view
+
+    def test_matches_reference_with_empty_rows(self, csr_small):
+        assert not csr_small.row_lengths[3] and not csr_small.row_lengths[7]
+        out = self._check(csr_small)
+        assert not out[3].any() and not out[7].any()
+
+    def test_zero_nnz(self):
+        matrix = CSRMatrix.from_arrays([0, 0, 0, 0], [], n_cols=5)
+        assert not self._check(matrix).any()
+
+    def test_zero_rows(self):
+        matrix = CSRMatrix.from_arrays([0], [], n_cols=4)
+        assert self._check(matrix).shape == (0, 3)
+
+    def test_duplicate_entries_are_summed(self):
+        from repro.graphs.delta import DeltaCSR, EdgeUpdate
+
+        # Row 0 holds a parallel edge the delta snapshot leaves in place
+        # (only dirty rows are coalesced).
+        base = CSRMatrix.from_arrays([0, 3, 4, 5], [1, 1, 2, 0, 1], n_cols=3)
+        delta = DeltaCSR(base)
+        delta.apply([EdgeUpdate.insert(2, 2, 4.0)])
+        snapshot = delta.snapshot().matrix
+        assert snapshot.row_lengths[0] == 3
+        out = self._check(snapshot)
+        dense = np.random.default_rng(0).random((3, 3))
+        np.testing.assert_array_equal(out, snapshot.multiply_dense(dense))
+
+    def test_version_stamped_matrix(self, csr_small):
+        stamped = csr_small.with_version(7)
+        assert stamped.version == 7
+        np.testing.assert_array_equal(
+            self._check(stamped), self._check(csr_small)
+        )

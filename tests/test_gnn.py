@@ -155,3 +155,19 @@ class TestInferenceEngine:
         model = GCN.random([8, 8, 8], seed=0)
         report = InferenceEngine(SchedulingMode.ONLINE).infer(model, tiny_graph)
         assert 0.0 < report.scheduling_overhead < 1.0
+
+    def test_recycled_graph_address_never_serves_stale_adjacency(self):
+        # Graphs created and dropped in a loop often reuse a collected
+        # graph's address; the engine must still answer each graph's own
+        # product, exactly as a fresh engine would.
+        model = GCN.random([6, 6, 3], seed=0)
+        engine = InferenceEngine()
+        rng = np.random.default_rng(7)
+        for i in range(50):
+            dense = (rng.random((20, 20)) < 0.2) * rng.random((20, 20))
+            graph = Graph(name=f"g{i}", adjacency=CSRMatrix.from_dense(dense))
+            features = rng.random((20, 6))
+            out = engine.infer(model, graph, features).output
+            fresh = InferenceEngine().infer(model, graph, features).output
+            assert np.array_equal(out, fresh), f"cycle {i}"
+            del graph

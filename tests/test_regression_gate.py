@@ -55,7 +55,7 @@ def _kernel_record(rows_per_s, status="ok"):
     )
 
 
-def _serve_record(p95_ms, rps):
+def _serve_record(p95_ms, rps, status="ok"):
     return obs.run_record(
         "serve",
         extra={
@@ -66,6 +66,7 @@ def _serve_record(p95_ms, rps):
                 }
             }
         },
+        status=status,
     )
 
 
@@ -128,31 +129,24 @@ class TestTrajectories:
 
 
 class TestMetricExtraction:
-    def test_kernel_metrics(self, gate):
-        metrics = gate.kernel_metrics(_kernel_record(123.0))
-        assert metrics == {
-            "rows_per_s[cora/fused]": (123.0, gate.HIGHER)
-        }
-
     def test_serve_metrics(self, gate):
         metrics = gate.serve_metrics(_serve_record(12.5, 80.0))
         assert metrics["steady.latency_ms.p95"] == (12.5, gate.LOWER)
         assert metrics["steady.throughput_rps"] == (80.0, gate.HIGHER)
 
     def test_missing_sections_empty(self, gate):
-        assert gate.kernel_metrics({}) == {}
         assert gate.serve_metrics({"serve": {}}) == {}
 
 
 class TestGate:
-    def _seed(self, tmp_path, values):
-        for value in values:
-            write_run_record(_kernel_record(value), directory=tmp_path)
+    def _seed(self, tmp_path, throughputs):
+        for rps in throughputs:
+            write_run_record(_serve_record(10.0, rps), directory=tmp_path)
 
     def test_clean_pass(self, gate, tmp_path, capsys):
         self._seed(tmp_path, [100.0, 105.0, 98.0])
         code = gate.main(
-            ["--bench-dir", str(tmp_path), "--name", "kernel"]
+            ["--bench-dir", str(tmp_path), "--name", "serve"]
         )
         assert code == 0
         assert "clean" in capsys.readouterr().out
@@ -162,7 +156,7 @@ class TestGate:
         # tolerance, so the gate must trip.
         self._seed(tmp_path, [100.0, 105.0, 30.0])
         code = gate.main(
-            ["--bench-dir", str(tmp_path), "--name", "kernel"]
+            ["--bench-dir", str(tmp_path), "--name", "serve"]
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
@@ -176,7 +170,7 @@ class TestGate:
     def test_insufficient_history_passes(self, gate, tmp_path, capsys):
         self._seed(tmp_path, [100.0])
         code = gate.main(
-            ["--bench-dir", str(tmp_path), "--name", "kernel"]
+            ["--bench-dir", str(tmp_path), "--name", "serve"]
         )
         assert code == 0
         assert "passing without judgement" in capsys.readouterr().out
@@ -184,17 +178,17 @@ class TestGate:
     def test_error_runs_excluded_from_baseline(self, gate, tmp_path):
         # A crashed run's numbers must not poison the baseline: only the
         # two ok runs count, and one prior ok run < min-history default.
-        write_run_record(_kernel_record(100.0), directory=tmp_path)
+        write_run_record(_serve_record(10.0, 100.0), directory=tmp_path)
         write_run_record(
-            _kernel_record(1.0, status="error"), directory=tmp_path
+            _serve_record(10.0, 1.0, status="error"), directory=tmp_path
         )
-        write_run_record(_kernel_record(95.0), directory=tmp_path)
+        write_run_record(_serve_record(10.0, 95.0), directory=tmp_path)
         code = gate.main(
             [
                 "--bench-dir",
                 str(tmp_path),
                 "--name",
-                "kernel",
+                "serve",
                 "--min-history",
                 "1",
             ]

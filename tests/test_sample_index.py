@@ -134,9 +134,7 @@ class TestNeighborIndexCache:
 class TestEpochIntegration:
     def test_epoch_manager_invalidates_retired_index(self, adjacency):
         # The cache duck-types the epoch manager's cache protocol: a
-        # retired epoch's index entries drop, while fingerprints still
-        # referenced by a live epoch — the shared repair *base* included
-        # — stay resident until their last sharer retires.
+        # retired epoch's index entries drop, while live epochs' stay.
         from repro.graphs.delta import EdgeUpdate
 
         cache = NeighborIndexCache()
@@ -146,22 +144,18 @@ class TestEpochIntegration:
         first = manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=0, value=1.0)]
         )
-        # Epoch 0 retired but its fingerprint is the live epoch's repair
-        # base, so its index survives the first install.
-        assert len(cache) == 1
+        # Epoch 0 retired at the install (no lease held it).
+        assert len(cache) == 0
+        assert cache.invalidations == 1
         index = cache.get(first.matrix)
         ids, _ = index.neighbors(2)
         assert 0 in ids.tolist()
         manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=1, value=1.0)]
         )
-        # Epoch 1 retired and nothing live references it: exactly its
-        # entry is dropped; the still-shared base entry remains.
-        assert cache.invalidations == 1
-        assert len(cache) == 1
-        remaining = {key[0] for key in cache._indexes}
-        assert first.fingerprint not in remaining
-        assert base.fingerprint() in remaining
+        # Epoch 1 retired too: exactly its entry is dropped.
+        assert cache.invalidations == 2
+        assert len(cache) == 0
 
     def test_lease_pins_index_until_release(self, adjacency):
         from repro.graphs.delta import EdgeUpdate

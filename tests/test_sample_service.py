@@ -1,8 +1,7 @@
 """Integration tests: ego sampling through the serving stack.
 
-Pins the `submit_ego` contract: class-tier dispatch (never the
-per-fingerprint bandit), the pre-charged `sample` attribution stage,
-epoch pinning under live updates, and exact agreement with the
+Pins the `submit_ego` contract: the pre-charged `sample` attribution
+stage, epoch pinning under live updates, and exact agreement with the
 independently recomputed subgraph aggregation.
 """
 
@@ -11,12 +10,7 @@ import pytest
 
 from repro.graphs import power_law_graph
 from repro.graphs.delta import EdgeUpdate
-from repro.sample import (
-    ClassTier,
-    NeighborIndexCache,
-    set_class_tier,
-    set_neighbor_index_cache,
-)
+from repro.sample import NeighborIndexCache, set_neighbor_index_cache
 from repro.serve.epoch import GraphEpochManager
 from repro.serve.service import EgoSubmission, InferenceService
 
@@ -24,15 +18,6 @@ from repro.serve.service import EgoSubmission, InferenceService
 @pytest.fixture(scope="module")
 def graph():
     return power_law_graph(n_nodes=300, nnz=2_000, max_degree=80, seed=11)
-
-
-@pytest.fixture
-def fresh_tier():
-    previous = set_class_tier(ClassTier())
-    try:
-        yield
-    finally:
-        set_class_tier(previous)
 
 
 @pytest.fixture
@@ -51,7 +36,7 @@ def _expected(submission, features):
 
 class TestSubmitEgo:
     def test_end_to_end_matches_subgraph_aggregation(
-        self, graph, fresh_tier, fresh_index_cache
+        self, graph, fresh_index_cache
     ):
         features = np.random.default_rng(0).random((graph.n_cols, 8))
         with InferenceService() as service:
@@ -65,44 +50,14 @@ class TestSubmitEgo:
             assert isinstance(submission, EgoSubmission)
             response = submission.result(timeout=10.0)
         assert response.ok
-        assert response.backend.startswith("class:")
+        assert response.backend == "scipy"
         assert submission.subgraph.nodes[0] == 0
         assert np.allclose(
             response.output, _expected(submission, features), atol=1e-9
         )
 
-    def test_class_tier_hits_across_submissions(
-        self, graph, fresh_tier, fresh_index_cache
-    ):
-        from repro.sample import get_class_tier
-
-        features = np.random.default_rng(1).random((graph.n_cols, 4))
-        with InferenceService() as service:
-            # Closed loop on purpose: identical subgraphs co-batch into a
-            # single dispatch, so back-to-back submission is what makes
-            # each request its own tier execution.
-            for _ in range(4):
-                submission = service.submit_ego(
-                    0,
-                    features,
-                    matrix=graph,
-                    fanouts=(5, 3),
-                    rng=np.random.default_rng(0),
-                )
-                response = submission.result(timeout=10.0)
-                assert response.ok
-                assert np.allclose(
-                    response.output,
-                    _expected(submission, features),
-                    atol=1e-9,
-                )
-        stats = get_class_tier().stats()
-        assert stats.requests == 4
-        assert stats.misses == 1
-        assert stats.hits == 3  # repeat classes reuse the learned winner
-
     def test_sample_stage_attribution_reconciles(
-        self, graph, fresh_tier, fresh_index_cache
+        self, graph, fresh_index_cache
     ):
         features = np.random.default_rng(2).random((graph.n_cols, 4))
         with InferenceService() as service:
@@ -126,7 +81,7 @@ class TestSubmitEgo:
         assert sum(stages.values()) == pytest.approx(total, abs=1e-9)
 
     def test_deterministic_under_explicit_rng(
-        self, graph, fresh_tier, fresh_index_cache
+        self, graph, fresh_index_cache
     ):
         features = np.random.default_rng(3).random((graph.n_cols, 4))
         with InferenceService() as service:
@@ -141,7 +96,7 @@ class TestSubmitEgo:
         assert np.array_equal(a.subgraph.nodes, b.subgraph.nodes)
 
     def test_default_rngs_differ_per_submission(
-        self, graph, fresh_tier, fresh_index_cache
+        self, graph, fresh_index_cache
     ):
         # Unseeded submissions of the same hub draw distinct neighborhoods
         # (service-local sequence), yet each remains a valid sample.
@@ -153,23 +108,6 @@ class TestSubmitEgo:
             assert a.result(timeout=10.0).ok
             assert b.result(timeout=10.0).ok
         assert not np.array_equal(a.subgraph.nodes, b.subgraph.nodes)
-
-    def test_full_and_ego_traffic_use_separate_paths(
-        self, graph, fresh_tier, fresh_index_cache
-    ):
-        # Same service, both APIs: the full-graph path keeps its bandit
-        # backends, the ego path reports a class-tier backend.
-        features = np.random.default_rng(5).random((graph.n_cols, 4))
-        with InferenceService() as service:
-            ego = service.submit_ego(
-                0, features, matrix=graph, rng=np.random.default_rng(0)
-            )
-            full = service.submit(graph, features)
-            ego_response = ego.result(timeout=10.0)
-            full_response = full.result(timeout=10.0)
-        assert ego_response.ok and full_response.ok
-        assert ego_response.backend.startswith("class:")
-        assert not full_response.backend.startswith("class:")
 
     def test_feature_shape_validation_releases_lease(self, graph):
         manager = GraphEpochManager(graph)
@@ -186,7 +124,7 @@ class TestSubmitEgo:
 
 class TestEgoUnderLiveUpdates:
     def test_epoch_pinned_sampling_and_verification(
-        self, graph, fresh_tier, fresh_index_cache
+        self, graph, fresh_index_cache
     ):
         # Snapshot dense copies per epoch; every response must match the
         # aggregation of the epoch it *admitted* under, not the latest.

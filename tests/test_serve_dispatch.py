@@ -1,205 +1,53 @@
-"""Unit tests for adaptive backend dispatch (bandit + verified fallback)."""
-
-import time
+"""Unit tests for the thread tier's dispatcher (one kernel + verified fallback)."""
 
 import numpy as np
-import pytest
 
+from repro.core import build_schedule, execute_vectorized
+from repro.obs import rtrace
 from repro.resilience import faults
-from repro.serve.dispatch import (
-    AdaptiveDispatcher,
-    Backend,
-    default_backends,
-)
-from repro.serve.plancache import PlanCache
+from repro.serve.dispatch import Dispatcher
 
 
-def _correct_backend(name, delay=0.0):
-    def run(matrix, dense, plans, plan_dim):
-        if delay:
-            time.sleep(delay)
-        return matrix.multiply_dense(dense)
-
-    return Backend(name, run)
+class _CrashingDispatcher(Dispatcher):
+    def kernel(self, matrix, dense):
+        raise RuntimeError("kernel exploded")
 
 
-def _crashing_backend(name):
-    def run(matrix, dense, plans, plan_dim):
-        raise RuntimeError("backend exploded")
+class _MergePathDispatcher(Dispatcher):
+    """Runs the core merge-path executor, which honors fault plans."""
 
-    return Backend(name, run)
-
-
-class TestValidation:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate backend names"):
-            AdaptiveDispatcher(
-                [_correct_backend("a"), _correct_backend("a")],
-                plan_cache=PlanCache(),
-            )
-
-    def test_epsilon_range(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            AdaptiveDispatcher(plan_cache=PlanCache(), epsilon=1.5)
-
-    def test_empty_backends_rejected(self):
-        with pytest.raises(ValueError, match="at least one backend"):
-            AdaptiveDispatcher([], plan_cache=PlanCache())
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            AdaptiveDispatcher(plan_cache=PlanCache(), max_entries=0)
+    def kernel(self, matrix, dense):
+        return execute_vectorized(build_schedule(matrix, n_threads=8), dense)[0]
 
 
-class TestStateBounds:
-    def test_arms_lru_bounded(self, small_power_law):
-        # Regression: a long-running service seeing many distinct
-        # workloads must not grow bandit state without bound.
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("only")], plan_cache=PlanCache(), max_entries=4
-        )
-        for dim in range(1, 21):
-            dispatcher.record(small_power_law, dim, "only", 0.01)
-        assert len(dispatcher._arms) == 4
-
-    def test_priors_lru_bounded(self, small_power_law):
-        dispatcher = AdaptiveDispatcher(plan_cache=PlanCache(), max_entries=4)
-        vectorized = dispatcher.backends[0]
-        for dim in range(1, 21):
-            dispatcher.modeled_microseconds(small_power_law, dim, vectorized)
-        assert len(dispatcher._priors) == 4
-
-    def test_eviction_only_drops_oldest_estimates(self, small_power_law):
-        # The most recently touched arm survives eviction pressure.
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("only")], plan_cache=PlanCache(), max_entries=2
-        )
-        dispatcher.record(small_power_law, 8, "only", 0.5)
-        for dim in (16, 32, 64):
-            dispatcher.record(small_power_law, dim, "only", 0.01)
-            dispatcher.record(small_power_law, 8, "only", 0.5)
-        assert (small_power_law.fingerprint(), 8, "only") in dispatcher._arms
-
-
-class TestModeledPrior:
-    def test_finite_for_modeled_kernel(self, small_power_law):
-        dispatcher = AdaptiveDispatcher(plan_cache=PlanCache())
-        vectorized = dispatcher.backends[0]
-        prior = dispatcher.modeled_microseconds(small_power_law, 16, vectorized)
-        assert np.isfinite(prior) and prior > 0
-
-    def test_infinite_without_kernel(self, small_power_law):
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("unmodeled")], plan_cache=PlanCache()
-        )
-        prior = dispatcher.modeled_microseconds(
-            small_power_law, 16, dispatcher.backends[0]
-        )
-        assert prior == float("inf")
-
-    def test_prior_ranks_before_any_measurement(self, small_power_law):
-        dispatcher = AdaptiveDispatcher(plan_cache=PlanCache(), epsilon=0.0)
-        best = dispatcher.best(small_power_law, 16)
-        priors = [
-            dispatcher.modeled_microseconds(small_power_law, 16, b)
-            for b in dispatcher.backends
-        ]
-        assert best.name == dispatcher.backends[int(np.argmin(priors))].name
-
-
-class TestRiggedLatencies:
-    def test_best_tracks_rigged_table(self, small_power_law):
-        """With a rigged measured-latency table the greedy arm is exact."""
-        backends = [
-            _correct_backend("slow"),
-            _correct_backend("fastest"),
-            _correct_backend("medium"),
-        ]
-        dispatcher = AdaptiveDispatcher(
-            backends, plan_cache=PlanCache(), epsilon=0.0
-        )
-        rigged = {"slow": 0.5, "fastest": 0.001, "medium": 0.05}
-        for name, seconds in rigged.items():
-            dispatcher.record(small_power_law, 8, name, seconds)
-        assert dispatcher.best(small_power_law, 8).name == "fastest"
-        # The table is per (structure, dim): a different dim is unmeasured.
-        rigged_32 = {"slow": 0.001, "fastest": 0.5, "medium": 0.05}
-        for name, seconds in rigged_32.items():
-            dispatcher.record(small_power_law, 32, name, seconds)
-        assert dispatcher.best(small_power_law, 32).name == "slow"
-        assert dispatcher.best(small_power_law, 8).name == "fastest"
-
-    def test_epsilon_greedy_converges_to_fastest(self, small_power_law, rng):
-        """Exploration discovers, then exploitation locks onto, the fast arm."""
-        backends = [
-            _correct_backend("slow", delay=0.004),
-            _correct_backend("fast", delay=0.0),
-        ]
-        dispatcher = AdaptiveDispatcher(
-            backends, plan_cache=PlanCache(), epsilon=0.3, seed=7
-        )
+class TestScipyKernel:
+    def test_output_is_scipy_bit_for_bit(self, small_power_law, rng):
         dense = rng.random((small_power_law.n_cols, 8))
-        for _ in range(40):
-            result = dispatcher.execute(small_power_law, dense)
-            assert np.allclose(
-                result.output, small_power_law.multiply_dense(dense)
-            )
-        assert dispatcher.best(small_power_law, 8).name == "fast"
-        # Exploitation now serves the fast arm.
-        tail = [
-            dispatcher.execute(small_power_law, dense) for _ in range(10)
-        ]
-        exploited = [r.backend for r in tail if not r.explored]
-        assert exploited and all(name == "fast" for name in exploited)
+        result = Dispatcher().execute(small_power_law, dense)
+        assert result.backend == "scipy"
+        assert not result.fallback_used and result.detected is None
+        assert np.array_equal(result.output, small_power_law.to_scipy() @ dense)
 
-    def test_ewma_prefers_recent_samples(self, small_power_law):
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("only")], plan_cache=PlanCache(), ewma_alpha=0.5
-        )
-        dispatcher.record(small_power_law, 8, "only", 1.0)
-        dispatcher.record(small_power_law, 8, "only", 0.0)
-        # 1.0 then 0.0 at alpha=0.5 -> 0.5, not the mean-of-history 0.5...
-        # a third fast sample keeps pulling the estimate down.
-        dispatcher.record(small_power_law, 8, "only", 0.0)
-        scores = dispatcher._scores(small_power_law, 8)
-        assert scores[0] == pytest.approx(0.25)
-
-
-class TestExploration:
-    def test_epsilon_one_always_explores(self, small_power_law, rng):
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("a"), _correct_backend("b")],
-            plan_cache=PlanCache(),
-            epsilon=1.0,
-        )
+    def test_verify_accepts_a_correct_product(self, small_power_law, rng):
         dense = rng.random((small_power_law.n_cols, 4))
-        assert all(
-            dispatcher.execute(small_power_law, dense).explored
-            for _ in range(5)
-        )
+        result = Dispatcher().execute(small_power_law, dense, verify=True)
+        assert not result.fallback_used
+        assert result.latency_seconds > 0
 
-    def test_epsilon_zero_never_explores(self, small_power_law, rng):
-        dispatcher = AdaptiveDispatcher(
-            [_correct_backend("a"), _correct_backend("b")],
-            plan_cache=PlanCache(),
-            epsilon=0.0,
-        )
+    def test_kernel_time_lands_in_kernel_stage(self, small_power_law, rng):
+        ctx = rtrace.RequestContext.new(request_id=1, route="test")
         dense = rng.random((small_power_law.n_cols, 4))
-        assert not any(
-            dispatcher.execute(small_power_law, dense).explored
-            for _ in range(5)
-        )
+        with rtrace.activate(ctx):
+            Dispatcher().execute(small_power_law, dense)
+        assert set(ctx.ledger.stages()) == {"kernel"}
 
 
 class TestVerifiedFallback:
     def test_crashing_backend_degrades_to_verified(self, small_power_law, rng):
-        dispatcher = AdaptiveDispatcher(
-            [_crashing_backend("bad")], plan_cache=PlanCache(), epsilon=0.0
-        )
         dense = rng.random((small_power_law.n_cols, 8))
-        result = dispatcher.execute(small_power_law, dense)
+        result = _CrashingDispatcher().execute(small_power_law, dense)
         assert result.fallback_used
-        assert "backend exploded" in result.detected
+        assert "kernel exploded" in result.detected
         assert np.allclose(
             result.output, small_power_law.multiply_dense(dense)
         )
@@ -207,190 +55,19 @@ class TestVerifiedFallback:
     def test_fault_injection_still_returns_correct_result(
         self, small_power_law, rng
     ):
-        """A FaultPlan corrupting the cached plan path must not escape.
+        """A FaultPlan corrupting the kernel's output must not escape.
 
         With ``verify=True`` the output oracle catches the bit flips and
         the dispatcher degrades to the verified fallback, so the caller
         still receives the correct product.
         """
-        vectorized = default_backends()[0]
-        dispatcher = AdaptiveDispatcher(
-            [vectorized], plan_cache=PlanCache(), epsilon=0.0
-        )
         dense = rng.random((small_power_law.n_cols, 8))
         reference = small_power_law.multiply_dense(dense)
         with faults.inject(bitflip=1.0) as plan:
-            result = dispatcher.execute(small_power_law, dense, verify=True)
+            result = _MergePathDispatcher().execute(
+                small_power_law, dense, verify=True
+            )
         assert plan.total_injected > 0
         assert result.fallback_used
         assert result.detected is not None
         assert np.allclose(result.output, reference)
-
-    def test_fallback_latency_charged_to_arm(self, small_power_law, rng):
-        dispatcher = AdaptiveDispatcher(
-            [_crashing_backend("bad")], plan_cache=PlanCache(), epsilon=0.0
-        )
-        dense = rng.random((small_power_law.n_cols, 4))
-        dispatcher.execute(small_power_law, dense)
-        scores = dispatcher._scores(small_power_law, 4)
-        assert np.isfinite(scores[0]) and scores[0] > 0
-
-
-class TestStockBackends:
-    def test_all_stock_backends_agree(self, small_power_law, rng):
-        dense = rng.random((small_power_law.n_cols, 8))
-        reference = small_power_law.multiply_dense(dense)
-        plans = PlanCache()
-        for backend in default_backends():
-            output = backend.run(small_power_law, dense, plans, 8)
-            assert np.allclose(output, reference), backend.name
-
-    def test_plan_dim_keys_plan_not_batch_width(self, small_power_law, rng):
-        """Batched widths reuse the plan keyed on the per-request dim."""
-        plans = PlanCache()
-        vectorized = default_backends()[0]
-        single = rng.random((small_power_law.n_cols, 8))
-        batched = rng.random((small_power_law.n_cols, 24))
-        vectorized.run(small_power_law, single, plans, 8)
-        vectorized.run(small_power_law, batched, plans, 8)
-        stats = plans.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 50.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-def _switchable_backend(name):
-    state = {"failing": True, "calls": 0}
-
-    def run(matrix, dense, plans, plan_dim):
-        state["calls"] += 1
-        if state["failing"]:
-            raise RuntimeError("persistent fault")
-        return matrix.multiply_dense(dense)
-
-    return Backend(name, run), state
-
-
-class TestCircuitBreakers:
-    def _dispatcher(self, backends, clock, **breaker_kwargs):
-        from repro.serve.guard import BreakerConfig
-
-        defaults = dict(
-            consecutive_failures=2,
-            cooldown_seconds=5.0,
-            half_open_probes=1,
-            half_open_successes=1,
-        )
-        defaults.update(breaker_kwargs)
-        return AdaptiveDispatcher(
-            backends,
-            plan_cache=PlanCache(),
-            epsilon=0.0,
-            breaker_config=BreakerConfig(**defaults),
-            breaker_clock=clock,
-        )
-
-    def test_persistent_failure_trips_breaker(self, small_power_law, rng):
-        clock = _FakeClock()
-        backend, state = _switchable_backend("flaky")
-        dispatcher = self._dispatcher([backend], clock)
-        dense = rng.random((small_power_law.n_cols, 4))
-        reference = small_power_law.multiply_dense(dense)
-        for _ in range(2):
-            result = dispatcher.execute(small_power_law, dense)
-            # Failures degrade to the verified fallback, never an error.
-            assert result.fallback_used
-            assert np.allclose(result.output, reference)
-        assert dispatcher.breaker("flaky").state == "open"
-        assert dispatcher.open_breakers() == ["flaky"]
-
-    def test_open_breaker_serves_floor_without_calling_backend(
-        self, small_power_law, rng
-    ):
-        from repro.serve.dispatch import FLOOR_BACKEND
-
-        clock = _FakeClock()
-        backend, state = _switchable_backend("flaky")
-        dispatcher = self._dispatcher([backend], clock)
-        dense = rng.random((small_power_law.n_cols, 4))
-        for _ in range(2):
-            dispatcher.execute(small_power_law, dense)
-        calls_at_trip = state["calls"]
-        result = dispatcher.execute(small_power_law, dense)
-        assert result.backend == FLOOR_BACKEND
-        assert result.fallback_used
-        assert result.detected == "all circuit breakers open"
-        assert state["calls"] == calls_at_trip
-        assert np.allclose(
-            result.output, small_power_law.multiply_dense(dense)
-        )
-        chosen, explored = dispatcher.choose(small_power_law, 4)
-        assert chosen is None and explored is False
-
-    def test_half_open_probe_closes_breaker(self, small_power_law, rng):
-        clock = _FakeClock()
-        backend, state = _switchable_backend("flaky")
-        dispatcher = self._dispatcher([backend], clock)
-        dense = rng.random((small_power_law.n_cols, 4))
-        for _ in range(2):
-            dispatcher.execute(small_power_law, dense)
-        assert dispatcher.breaker("flaky").state == "open"
-        state["failing"] = False
-        clock.advance(5.1)
-        result = dispatcher.execute(small_power_law, dense)
-        assert result.backend == "flaky"
-        assert not result.fallback_used
-        assert dispatcher.breaker("flaky").state == "closed"
-
-    def test_failed_probe_reopens_breaker(self, small_power_law, rng):
-        clock = _FakeClock()
-        backend, state = _switchable_backend("flaky")
-        dispatcher = self._dispatcher([backend], clock)
-        dense = rng.random((small_power_law.n_cols, 4))
-        for _ in range(2):
-            dispatcher.execute(small_power_law, dense)
-        clock.advance(5.1)
-        # Still failing: the probe runs (verified fallback serves the
-        # request) and the breaker snaps back open.
-        result = dispatcher.execute(small_power_law, dense)
-        assert result.fallback_used
-        assert dispatcher.breaker("flaky").state == "open"
-
-    def test_tripped_backend_removed_from_arm_set(self, small_power_law, rng):
-        clock = _FakeClock()
-        flaky, state = _switchable_backend("flaky")
-        good = _correct_backend("good")
-        dispatcher = self._dispatcher([flaky, good], clock)
-        dense = rng.random((small_power_law.n_cols, 4))
-        # Force the flaky arm until its breaker trips.
-        for _ in range(4):
-            dispatcher.execute(small_power_law, dense)
-            if dispatcher.breaker("flaky").state == "open":
-                break
-        assert dispatcher.breaker("flaky").state == "open"
-        calls_at_trip = state["calls"]
-        for _ in range(4):
-            chosen, _ = dispatcher.choose(small_power_law, 4)
-            assert chosen is not None and chosen.name == "good"
-        result = dispatcher.execute(small_power_law, dense)
-        assert result.backend == "good"
-        assert state["calls"] == calls_at_trip
-
-    def test_breaker_states_surface(self, small_power_law, rng):
-        clock = _FakeClock()
-        backend, _ = _switchable_backend("flaky")
-        dispatcher = self._dispatcher([backend], clock)
-        assert dispatcher.breaker_states() == {"flaky": "closed"}
-        dense = rng.random((small_power_law.n_cols, 4))
-        for _ in range(2):
-            dispatcher.execute(small_power_law, dense)
-        assert dispatcher.breaker_states() == {"flaky": "open"}

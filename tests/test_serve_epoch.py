@@ -2,25 +2,18 @@
 
 The acceptance criterion under test: after a graph update, caches keep
 entries for *live* epochs (including an older epoch pinned by an
-in-flight lease and the shared repair base) and drop entries for exactly
-the retired epochs — never a global flush.
+in-flight lease) and drop entries for exactly the retired epochs —
+never a global flush.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ScheduleCache
-from repro.engine import Autotuner, Candidate, EnginePlanCache
 from repro.graphs import power_law_graph
-from repro.graphs.delta import DeltaCSR, EdgeUpdate, UpdatePlanner
-from repro.serve import (
-    AdaptiveDispatcher,
-    Backend,
-    GraphEpochManager,
-    InferenceService,
-    PlanCache,
-    ServeConfig,
-)
+from repro.graphs.delta import DeltaCSR, UpdatePlanner
+from repro.sample import NeighborIndexCache
+from repro.serve import GraphEpochManager, InferenceService, ServeConfig
 
 DIM = 8
 
@@ -40,11 +33,6 @@ def _planner_batches(base, seed=0):
     rng = np.random.default_rng(seed)
     while True:
         yield planner.batch(rng, size=1)
-
-
-def _fake_tuner():
-    cands = (Candidate(name="only", run=lambda m, d: m.multiply_dense(d)),)
-    return Autotuner(candidates=cands, measure=lambda thunk: (thunk(), 1.0)[1])
 
 
 class TestEpochLease:
@@ -76,97 +64,63 @@ class TestEpochLease:
 
 
 class TestPreciseInvalidation:
-    """Step-by-step lifecycle of one live graph across three caches."""
+    """Step-by-step lifecycle of one live graph across two caches."""
 
     def _build_all(self, caches, matrix):
-        schedules, plans, engine, tuner = caches
+        schedules, indexes = caches
         schedules.get(matrix, cost=256)
-        plans.get(matrix, dim=DIM)
-        engine.get(matrix, dim=DIM)
-        tuner.tune(matrix, DIM)
+        indexes.get(matrix)
 
     def test_caches_drop_exactly_retired_epochs(self, base, bystander):
         schedules = ScheduleCache(max_entries=32)
-        plans = PlanCache(capacity=32)
-        engine = EnginePlanCache(capacity=32)
-        tuner = _fake_tuner()
-        caches = (schedules, plans, engine, tuner)
+        indexes = NeighborIndexCache(capacity=32)
+        caches = (schedules, indexes)
         manager = GraphEpochManager(
             DeltaCSR(base, compact_threshold=3), caches=caches
         )
         batches = _planner_batches(base)
-        fp_bystander = bystander.fingerprint()
         self._build_all(caches, bystander)
 
         snap0 = manager.current_snapshot()
-        fp0 = snap0.fingerprint
         self._build_all(caches, snap0.matrix)
 
         # Hold a lease on epoch 0 across an update: nothing may drop.
         lease = manager.acquire()
         snap1 = manager.apply_updates(next(batches))
-        fp1 = snap1.fingerprint
         self._build_all(caches, snap1.matrix)
-        assert fp0 in plans.fingerprints()
-        assert {d.fingerprint for d in tuner.decisions} >= {fp0, fp1}
+        assert schedules.entries == 3 and len(indexes) == 3
+        assert indexes.invalidations == 0
 
-        # Released: epoch 0 retires, but fp0 is epoch 1's repair base —
-        # it must survive until its last sharer goes.
+        # Released: epoch 0 retires and exactly its keys drop.
         lease.release()
         assert manager.stats()["retired_epochs"] == 1
-        assert fp0 in plans.fingerprints()
+        assert schedules.entries == 2 and len(indexes) == 2
+        assert indexes.invalidations == 1
 
         # Two more batches reach the compaction threshold: the delta
-        # rebases, epochs 1 and 2 retire, and the shared base finally
-        # has no live sharer.  Exactly fp0/fp1/fp2 drop.
-        snap2 = manager.apply_updates(next(batches))
-        fp2 = snap2.fingerprint
+        # rebases and epochs 1 and 2 retire.  Epoch 2 was never built, so
+        # exactly one more index drops.
+        manager.apply_updates(next(batches))
         snap3 = manager.apply_updates(next(batches))
         assert snap3.compacted
-        retired_fps = {fp0, fp1, fp2}
-        assert plans.fingerprints() & retired_fps == set()
-        assert fp_bystander in plans.fingerprints()
-        assert {d.fingerprint for d in tuner.decisions} & retired_fps == set()
-        assert fp_bystander in {d.fingerprint for d in tuner.decisions}
-        # ScheduleCache/EnginePlanCache held one entry per epoch plus the
-        # bystander; only the bystander's survives retirement.
-        assert schedules.entries == 1
-        assert len(engine) == 1
+        assert indexes.invalidations == 2
+        # Only the bystander's entries survive retirement.
+        assert schedules.entries == 1 and len(indexes) == 1
         assert schedules.schedule_computations == 3  # nothing recomputed yet
-        # Plans existed for fp0 and fp1 only (epoch 2 was never compiled),
-        # so exactly two invalidations are counted.
-        assert plans.stats().invalidations == 2
 
         # The bystander still hits: precise invalidation, not a flush.
         before = schedules.schedule_computations
         schedules.get(bystander, cost=256)
         assert schedules.schedule_computations == before
-        hits_before = plans.stats().hits
-        plans.get(bystander, dim=DIM)
-        assert plans.stats().hits == hits_before + 1
-
-    def test_repair_serves_dirty_epoch_miss(self, base):
-        plans = PlanCache(capacity=32)
-        manager = GraphEpochManager(
-            DeltaCSR(base, compact_threshold=64), caches=(plans,)
-        )
-        snap0 = manager.current_snapshot()
-        plans.get(snap0.matrix, dim=DIM)
-        snap1 = manager.apply_updates(next(_planner_batches(base)))
-        plan = plans.get(snap1.matrix, dim=DIM)
-        stats = plans.stats()
-        assert stats.repairs == 1
-        assert stats.repaired_rows >= 1
-        dense = np.random.default_rng(0).standard_normal((base.n_cols, DIM))
-        np.testing.assert_allclose(
-            plan.execute(dense), snap1.matrix.multiply_dense(dense), atol=1e-9
-        )
+        hits_before = indexes.hits
+        indexes.get(bystander)
+        assert indexes.hits == hits_before + 1
 
 
 class TestRegisterCache:
     def test_rejects_objects_without_hooks(self, base):
         manager = GraphEpochManager(base)
-        with pytest.raises(TypeError, match="exposes none"):
+        with pytest.raises(TypeError, match="exposes no"):
             manager.register_cache(object())
 
 
@@ -199,26 +153,17 @@ class TestStats:
 
 
 class TestServiceIntegration:
-    def _service(self, manager, plans):
-        def run(matrix, dense, plans_, plan_dim):
-            return plans_.get(matrix, dim=plan_dim).execute(dense)
-
-        dispatcher = AdaptiveDispatcher(
-            [Backend("planned", run)], plan_cache=plans, epsilon=0.0
-        )
+    def _service(self, manager):
         config = ServeConfig(
             max_queue=32, max_batch=2, max_wait_ms=1.0, n_workers=1
         )
-        return InferenceService(dispatcher, config, epoch_manager=manager)
+        return InferenceService(config=config, epoch_manager=manager)
 
     def test_responses_are_epoch_stamped_and_correct(self, base):
-        plans = PlanCache(capacity=16)
-        manager = GraphEpochManager(
-            DeltaCSR(base, compact_threshold=64), caches=(plans,)
-        )
+        manager = GraphEpochManager(DeltaCSR(base, compact_threshold=64))
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((base.n_cols, DIM))
-        with self._service(manager, plans) as service:
+        with self._service(manager) as service:
             first = service.infer(None, dense)
             assert first.ok and first.epoch == 0
             np.testing.assert_allclose(
@@ -239,26 +184,15 @@ class TestServiceIntegration:
         assert manager.stats()["leases"] == 0
 
     def test_submit_without_manager_rejects_live_requests(self, base):
-        plans = PlanCache(capacity=4)
-
-        def run(matrix, dense, plans_, plan_dim):
-            return plans_.get(matrix, dim=plan_dim).execute(dense)
-
-        dispatcher = AdaptiveDispatcher(
-            [Backend("planned", run)], plan_cache=plans, epsilon=0.0
-        )
-        with InferenceService(dispatcher, ServeConfig(n_workers=1)) as service:
+        with InferenceService(config=ServeConfig(n_workers=1)) as service:
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="epoch_manager"):
                 service.infer(None, rng.standard_normal((base.n_cols, DIM)))
 
     def test_health_reports_epoch_lag_and_backlog(self, base):
-        plans = PlanCache(capacity=16)
-        manager = GraphEpochManager(
-            DeltaCSR(base, compact_threshold=10), caches=(plans,)
-        )
+        manager = GraphEpochManager(DeltaCSR(base, compact_threshold=10))
         batches = _planner_batches(base, seed=11)
-        with self._service(manager, plans) as service:
+        with self._service(manager) as service:
             assert service.health().status == "healthy"
             lease = manager.acquire()
             for _ in range(5):

@@ -1,15 +1,11 @@
-"""Unit tests for the failure-domain guards (breakers, supervision)."""
+"""Unit tests for the failure-domain guard (worker supervision)."""
 
 import threading
 import time
 
 import pytest
 
-from repro.serve.guard import (
-    BreakerConfig,
-    CircuitBreaker,
-    WorkerSupervisor,
-)
+from repro.serve.guard import WorkerSupervisor
 
 
 class _Clock:
@@ -23,156 +19,6 @@ class _Clock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-def _breaker(clock, **kwargs) -> CircuitBreaker:
-    defaults = dict(
-        consecutive_failures=3,
-        failure_rate=0.5,
-        window=8,
-        min_samples=4,
-        cooldown_seconds=10.0,
-        half_open_probes=2,
-        half_open_successes=1,
-    )
-    defaults.update(kwargs)
-    return CircuitBreaker("b", BreakerConfig(**defaults), clock=clock)
-
-
-class TestBreakerConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"consecutive_failures": 0},
-            {"failure_rate": 0.0},
-            {"failure_rate": 1.5},
-            {"window": 0},
-            {"min_samples": 0},
-            {"cooldown_seconds": 0.0},
-            {"half_open_probes": 0},
-            {"half_open_successes": 0},
-            {"half_open_probes": 1, "half_open_successes": 2},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            BreakerConfig(**kwargs)
-
-
-class TestCircuitBreaker:
-    def test_starts_closed_and_admits(self):
-        breaker = _breaker(_Clock())
-        assert breaker.state == "closed"
-        assert breaker.available()
-        assert breaker.allow()
-
-    def test_consecutive_failures_trip(self):
-        breaker = _breaker(_Clock())
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.available()
-        assert not breaker.allow()
-        assert breaker.opened_total == 1
-
-    def test_success_resets_consecutive_count(self):
-        # min_samples high enough that the rate rule stays out of play.
-        breaker = _breaker(_Clock(), min_samples=8)
-        for _ in range(2):
-            breaker.record_failure()
-        breaker.record_success()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_failure_rate_trips_only_past_min_samples(self):
-        # Alternating success/failure never hits 3 consecutive, but the
-        # window rate reaches 50% once min_samples calls are recorded.
-        breaker = _breaker(_Clock(), min_samples=6)
-        for i in range(5):
-            (breaker.record_failure if i % 2 else breaker.record_success)()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_cooldown_moves_open_to_half_open(self):
-        clock = _Clock()
-        breaker = _breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(9.9)
-        assert breaker.state == "open"
-        clock.advance(0.2)
-        assert breaker.state == "half-open"
-        assert breaker.available()
-
-    def test_half_open_admits_bounded_probes(self):
-        clock = _Clock()
-        breaker = _breaker(clock, half_open_probes=2)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.1)
-        assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()  # probe quota spent
-        # available() never consumed a slot along the way.
-        assert not breaker.available()
-
-    def test_available_does_not_consume_probe_slots(self):
-        clock = _Clock()
-        breaker = _breaker(clock, half_open_probes=1)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.1)
-        for _ in range(5):
-            assert breaker.available()
-        assert breaker.allow()
-
-    def test_probe_success_closes(self):
-        clock = _Clock()
-        breaker = _breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.1)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.closed_total == 1
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        clock = _Clock()
-        breaker = _breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.1)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.opened_total == 2
-        clock.advance(9.0)
-        assert breaker.state == "open"  # cooldown restarted at reopen
-        clock.advance(1.1)
-        assert breaker.state == "half-open"
-
-    def test_straggler_success_while_open_is_ignored(self):
-        breaker = _breaker(_Clock())
-        for _ in range(3):
-            breaker.record_failure()
-        breaker.record_success()  # in-flight call from before the trip
-        assert breaker.state == "open"
-
-    def test_snapshot_shape(self):
-        breaker = _breaker(_Clock())
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap["name"] == "b"
-        assert snap["state"] == "closed"
-        assert snap["consecutive_failures"] == 1
-        assert snap["window_failures"] == 1
-        assert snap["opened_total"] == 0
 
 
 def _worker_factory(behaviour):

@@ -26,7 +26,6 @@ def _snapshot(**overrides) -> dict:
             "exhausted": False,
             "recent_crashes": 0,
         },
-        "breakers": {"vectorized": "closed", "gnnadvisor": "closed"},
         "deadline": {"misses": 0, "window": 0},
     }
     base.update(overrides)
@@ -87,29 +86,6 @@ class TestEvaluateHealth:
         assert report.status == DEGRADED
         assert report.causes[0].kind == "worker-crash-recent"
 
-    def test_one_open_breaker_degrades(self):
-        report = evaluate_health(
-            _snapshot(breakers={"vectorized": "open", "gnnadvisor": "closed"})
-        )
-        assert report.status == DEGRADED
-        assert report.causes[0].kind == "breaker-open"
-
-    def test_probing_breaker_degrades(self):
-        report = evaluate_health(
-            _snapshot(
-                breakers={"vectorized": "half-open", "gnnadvisor": "closed"}
-            )
-        )
-        assert report.status == DEGRADED
-        assert report.causes[0].kind == "breaker-probing"
-
-    def test_all_breakers_open_is_unhealthy(self):
-        report = evaluate_health(
-            _snapshot(breakers={"vectorized": "open", "gnnadvisor": "open"})
-        )
-        assert report.status == UNHEALTHY
-        assert report.causes[0].kind == "all-breakers-open"
-
     def test_saturated_queue_degrades(self):
         report = evaluate_health(_snapshot(queue_depth=52, max_queue=64))
         assert report.status == DEGRADED
@@ -163,7 +139,6 @@ class TestServiceHealthSurface:
             report = service.health()
             assert report.status == HEALTHY
             assert report.snapshot["supervisor"]["alive"] >= 1
-            assert report.snapshot["breakers"]
         # After close the same surface reports unhealthy.
         report = service.health()
         assert report.status == UNHEALTHY

@@ -188,7 +188,7 @@ class TestProcessWorkerPool:
                 lambda: len(
                     {
                         s.proc.pid
-                        for s in pool._slots.values()
+                        for s in list(pool._slots.values())
                         if not s.dead and s.proc.is_alive()
                     }
                     - killed
@@ -266,7 +266,7 @@ class TestServiceProcessIsolation:
                 assert _wait_for(
                     lambda: any(
                         s.job is not None
-                        for s in pool._slots.values()
+                        for s in list(pool._slots.values())
                         if not s.dead
                     )
                 )
@@ -274,7 +274,7 @@ class TestServiceProcessIsolation:
             with pool._cond:
                 busy = [
                     s.proc.pid
-                    for s in pool._slots.values()
+                    for s in list(pool._slots.values())
                     if s.job is not None and not s.dead and s.proc.is_alive()
                 ]
             queued = []

@@ -4,7 +4,7 @@ Covers the PR's acceptance criteria: trace contexts survive the queue
 and worker-thread boundary, batched requests keep distinct ids and
 non-aliasing ledgers, stage attribution reconciles with end-to-end
 latency, the flight recorder stays bounded under overload, and a
-deliberately slowed backend shows up as kernel time rather than queue
+deliberately slowed kernel shows up as kernel time rather than queue
 time.
 """
 
@@ -14,24 +14,21 @@ import pytest
 
 from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
-from repro.serve.dispatch import AdaptiveDispatcher, Backend
-from repro.serve.plancache import PlanCache
+from repro.serve.dispatch import Dispatcher
 from repro.serve.service import InferenceService, ServeConfig
 
 
-def _service(config=None, backends=None, **kwargs):
-    dispatcher = AdaptiveDispatcher(
-        backends, plan_cache=PlanCache(), epsilon=0.0
-    )
+def _service(config=None, dispatcher=None, **kwargs):
     return InferenceService(dispatcher, config, **kwargs)
 
 
-def _delayed_backend(name, delay):
-    def run(matrix, dense, plans, plan_dim):
-        time.sleep(delay)
-        return matrix.multiply_dense(dense)
+class _DelayedDispatcher(Dispatcher):
+    def __init__(self, delay):
+        self.delay = delay
 
-    return Backend(name, run)
+    def kernel(self, matrix, dense):
+        time.sleep(self.delay)
+        return super().kernel(matrix, dense)
 
 
 class TestTracePropagation:
@@ -88,9 +85,9 @@ class TestTracePropagation:
 
     def test_deadline_shed_attributed_to_queue(self, small_power_law, rng):
         config = ServeConfig(max_batch=1, max_wait_ms=0.0, n_workers=1)
-        backends = [_delayed_backend("slow", 0.05)]
+        dispatcher = _DelayedDispatcher(0.05)
         recorder = FlightRecorder()
-        with _service(config, backends, flight_recorder=recorder) as service:
+        with _service(config, dispatcher, flight_recorder=recorder) as service:
             blocker = service.submit(
                 small_power_law, rng.random((small_power_law.n_cols, 4))
             )
@@ -120,11 +117,11 @@ class TestTracePropagation:
         config = ServeConfig(
             max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
-        backends = [_delayed_backend("slow", 0.05)]
+        dispatcher = _DelayedDispatcher(0.05)
         recorder = FlightRecorder()
         slo = SLOTracker()
         with _service(
-            config, backends, flight_recorder=recorder, slo_tracker=slo
+            config, dispatcher, flight_recorder=recorder, slo_tracker=slo
         ) as service:
             futures = [
                 service.submit(
@@ -148,9 +145,9 @@ class TestSlowBackendAttribution:
         self, small_power_law, rng
     ):
         config = ServeConfig(max_batch=1, max_wait_ms=0.0, n_workers=1)
-        backends = [_delayed_backend("molasses", 0.04)]
+        dispatcher = _DelayedDispatcher(0.04)
         recorder = FlightRecorder(capacity=4)
-        with _service(config, backends, flight_recorder=recorder) as service:
+        with _service(config, dispatcher, flight_recorder=recorder) as service:
             for _ in range(3):  # closed loop: queue wait stays negligible
                 response = service.infer(
                     small_power_law,

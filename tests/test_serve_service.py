@@ -7,39 +7,31 @@ import numpy as np
 import pytest
 
 from repro.resilience import faults
-from repro.serve.dispatch import AdaptiveDispatcher, Backend
-from repro.serve.plancache import PlanCache
+from repro.serve.dispatch import Dispatcher
 from repro.serve.service import InferenceService, ServeConfig
 
 
-def _service(config=None, backends=None, **dispatcher_kwargs):
-    dispatcher = AdaptiveDispatcher(
-        backends,
-        plan_cache=PlanCache(),
-        epsilon=0.0,
-        **dispatcher_kwargs,
-    )
+def _service(config=None, dispatcher=None):
     return InferenceService(dispatcher, config)
 
 
-def _slow_backend(delay):
-    def run(matrix, dense, plans, plan_dim):
-        time.sleep(delay)
-        return matrix.multiply_dense(dense)
+class _CountingDispatcher(Dispatcher):
+    """Counts kernel calls; optionally sleeps in each."""
 
-    return Backend("slow", run)
+    def __init__(self, delay=0.0):
+        self.delay = delay
+        self.calls = []
+
+    def kernel(self, matrix, dense):
+        self.calls.append(1)
+        if self.delay:
+            time.sleep(self.delay)
+        return super().kernel(matrix, dense)
 
 
 def _counting_backend(delay=0.0):
-    calls = []
-
-    def run(matrix, dense, plans, plan_dim):
-        calls.append(1)
-        if delay:
-            time.sleep(delay)
-        return matrix.multiply_dense(dense)
-
-    return Backend("counting", run), calls
+    dispatcher = _CountingDispatcher(delay)
+    return dispatcher, dispatcher.calls
 
 
 class TestConfigValidation:
@@ -63,10 +55,10 @@ class TestRequestPath:
         with _service() as service:
             response = service.infer(small_power_law, dense, timeout=10.0)
         assert response.ok
-        assert response.backend is not None
+        assert response.backend == "scipy"
         assert response.batch_size >= 1
-        assert np.allclose(
-            response.output, small_power_law.multiply_dense(dense)
+        assert np.array_equal(
+            response.output, small_power_law.to_scipy() @ dense
         )
 
     def test_many_requests_all_correct(
@@ -136,9 +128,8 @@ class TestBatching:
         assert max(r.batch_size for r in responses) <= 3
 
     def test_distinct_widths_never_share_a_batch(self, small_power_law, rng):
-        # Regression: batching must key on the feature width too — mixing
-        # widths in one batch keys the plan and bandit arm on an
-        # arbitrary member's width and skews the latency stats.
+        # Regression: batching must key on the feature width too — mixed
+        # widths cannot be column-stacked and split back evenly.
         config = ServeConfig(
             max_queue=64, max_batch=8, max_wait_ms=100.0, n_workers=1
         )
@@ -203,7 +194,7 @@ class TestLoadShedding:
             max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
-        with _service(config, backends=[_slow_backend(0.05)]) as service:
+        with _service(config, dispatcher=_CountingDispatcher(0.05)) as service:
             futures = [
                 service.submit(small_power_law, dense) for _ in range(16)
             ]
@@ -225,7 +216,7 @@ class TestLoadShedding:
             max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
-        with _service(config, backends=[_slow_backend(0.2)]) as service:
+        with _service(config, dispatcher=_CountingDispatcher(0.2)) as service:
             futures = [
                 service.submit(small_power_law, dense) for _ in range(8)
             ]
@@ -243,7 +234,7 @@ class TestTimeouts:
             request_timeout=0.05,
         )
         dense = rng.random((small_power_law.n_cols, 4))
-        with _service(config, backends=[_slow_backend(1.0)]) as service:
+        with _service(config, dispatcher=_CountingDispatcher(1.0)) as service:
             response = service.infer(small_power_law, dense, timeout=30.0)
         assert response.status == "error"
         assert "timeout" in response.error
@@ -269,7 +260,7 @@ class TestLifecycle:
         config = ServeConfig(
             max_queue=64, max_batch=2, max_wait_ms=0.0, n_workers=1
         )
-        service = _service(config, backends=[_slow_backend(0.01)]).start()
+        service = _service(config, dispatcher=_CountingDispatcher(0.01)).start()
         futures = [
             service.submit(
                 small_power_law, rng.random((small_power_law.n_cols, 4))
@@ -322,7 +313,7 @@ class TestLifecycle:
             max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
         backend, calls = _counting_backend(delay=0.3)
-        service = _service(config, backends=[backend]).start()
+        service = _service(config, dispatcher=backend).start()
         dense = rng.random((small_power_law.n_cols, 4))
         future = service.submit(small_power_law, dense)
         deadline = time.monotonic() + 5.0
@@ -368,7 +359,7 @@ class TestDeadlines:
             max_queue=64, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
         backend, calls = _counting_backend(delay=0.1)
-        with _service(config, backends=[backend]) as service:
+        with _service(config, dispatcher=backend) as service:
             # The undeadlined blocker pins the single worker while the
             # tightly-deadlined requests expire in the queue.
             blocker = service.submit(
@@ -400,7 +391,7 @@ class TestDeadlines:
             max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
-        with _service(config, backends=[_slow_backend(1.0)]) as service:
+        with _service(config, dispatcher=_CountingDispatcher(1.0)) as service:
             response = service.submit(
                 small_power_law, dense, deadline_ms=60.0
             ).result(timeout=30.0)
@@ -437,7 +428,7 @@ class TestWorkerCrashes:
         )
         dense = rng.random((small_power_law.n_cols, 4))
         backend, calls = _counting_backend(delay=0.25)
-        with _service(config, backends=[backend]) as service:
+        with _service(config, dispatcher=backend) as service:
             # While the worker executes the first request, the other two
             # queue up safely; the crash plan then kills the worker on
             # its *second* gather, with the queue demonstrably non-empty.

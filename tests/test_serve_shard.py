@@ -89,9 +89,7 @@ class TestShardedServing:
     def test_custom_shard_config_is_honoured(self):
         matrix = _matrix(seed=1)
         dense = np.ones((matrix.n_cols, 2))
-        shard_config = ShardConfig(
-            n_shards=3, strategy="edge-cut", worker_kernel="reference"
-        )
+        shard_config = ShardConfig(n_shards=3, strategy="edge-cut")
         with _service(shard_config=shard_config) as service:
             response = service.submit(matrix, dense).result(timeout=30.0)
             assert response.ok, response.error
@@ -139,8 +137,9 @@ class TestEpochManagedSharding:
                 rtol=1e-9,
                 atol=1e-9,
             )
-            # Each epoch got its own partition plan.
-            assert router.snapshot()["partitions_cached"] == 2
+            # Epoch 1 got its own partition plan; retired epoch 0's
+            # partition was dropped.
+            assert router.snapshot()["partitions_cached"] == 1
 
 
 def _shard_snapshot(**overrides) -> dict:

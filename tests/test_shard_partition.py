@@ -3,7 +3,7 @@
 The load-bearing guarantee is the property test at the bottom: for any
 valid CSR matrix, any shard count, and either strategy, the sharded data
 path (scatter -> per-shard SpMM -> halo gather) must equal the
-full-graph scipy oracle *bit for bit* on integer-valued inputs — the
+full-graph reference oracle *bit for bit* on integer-valued inputs — the
 partition may change where work happens, never what is computed.
 """
 

@@ -64,7 +64,6 @@ class TestShardConfig:
             {"workers_per_shard": 0},
             {"replay_budget": -1},
             {"partition_cache_capacity": 0},
-            {"worker_kernel": "cuda"},
             {"result_transport": "tcp"},
         ],
     )
@@ -74,14 +73,10 @@ class TestShardConfig:
 
     def test_defaults_pick_the_fast_path(self):
         config = ShardConfig()
-        assert config.worker_kernel == "engine"
         assert config.result_transport == "shm"
 
-    def test_router_forwards_kernel_and_transport_to_pools(self):
-        router = ShardRouter(
-            ShardConfig(worker_kernel="reference", result_transport="pipe")
-        )
-        assert router._proc_config.kernel == "reference"
+    def test_router_forwards_transport_to_pools(self):
+        router = ShardRouter(ShardConfig(result_transport="pipe"))
         assert router._proc_config.result_transport == "pipe"
 
 
@@ -104,9 +99,7 @@ class TestExecution:
         matrix = _matrix(seed=2)
         dense = np.random.default_rng(2).random((matrix.n_cols, 4))
         expected = matrix.multiply_dense(dense)
-        config = ShardConfig(
-            n_shards=2, worker_kernel="reference", result_transport="pipe"
-        )
+        config = ShardConfig(n_shards=2, result_transport="pipe")
         with ShardRouter(config, proc_config=_proc_config()) as router:
             for _ in range(3):
                 result = router.execute(matrix, dense)
@@ -285,9 +278,7 @@ class TestResultRelease:
 
         matrix = _matrix()
         dense = np.ones((matrix.n_cols, 3))
-        config = _proc_config(
-            n_workers=1, kernel="engine", result_transport="shm"
-        )
+        config = _proc_config(n_workers=1, result_transport="shm")
         with ProcessWorkerPool(config) as pool:
             result = pool.execute(matrix, dense)
             assert np.allclose(

@@ -45,12 +45,6 @@ ALLOWLIST: "set[tuple[str, str]]" = {
     ("src/repro/core/schedule.py", "ThreadAssignment.n_nonzeros"),
     ("src/repro/core/schedule.py", "ScheduleStatistics.total_writes"),
     ("src/repro/core/spmm.py", "WriteSegments.n_segments"),
-    ("src/repro/engine/autotune.py", "TuningDecision.to_dict"),
-    ("src/repro/engine/autotune.py", "TuningDecision.from_dict"),
-    ("src/repro/engine/bench.py", "main"),
-    ("src/repro/engine/kernels.py", "SegmentGroup.n_segments"),
-    ("src/repro/engine/kernels.py", "EnginePlan.matrix"),
-    ("src/repro/engine/kernels.py", "EnginePlanCache.clear"),
     ("src/repro/experiments/end_to_end_gnn.py", "main"),
     ("src/repro/experiments/engine_balance.py", "main"),
     ("src/repro/experiments/fig1_power_law.py", "main"),
@@ -170,13 +164,6 @@ ALLOWLIST: "set[tuple[str, str]]" = {
     ("src/repro/resilience/corruption.py", "nan_values"),
     ("src/repro/resilience/corruption.py", "inf_values"),
     ("src/repro/resilience/faults.py", "FaultPlan.total_injected"),
-    ("src/repro/sample/classtier.py", "StructureClass.label"),
-    ("src/repro/sample/classtier.py", "ClassPlan.to_dict"),
-    ("src/repro/sample/classtier.py", "ClassTier.stats"),
-    ("src/repro/sample/classtier.py", "ClassTier.clear"),
-    ("src/repro/sample/classtier.py", "ClassTierStats.requests"),
-    ("src/repro/sample/classtier.py", "ClassTierStats.hit_rate"),
-    ("src/repro/sample/classtier.py", "ClassTierStats.to_dict"),
     ("src/repro/sample/extract.py", "EgoSubgraph.n_nodes"),
     ("src/repro/sample/extract.py", "EgoSubgraph.nnz"),
     ("src/repro/sample/index.py", "NeighborIndex.n_nodes"),

@@ -16,9 +16,8 @@ from traces and run records.  Opt-outs (e.g. trivial dispatchers) go in
 :data:`EXEMPT` with a reason.
 
 A second rule guards the failure-domain modules: everything in
-:data:`OBS_REQUIRED_MODULES` (circuit breakers, worker supervision,
-health evaluation, the serving chaos matrix, the request-trace and SLO
-layers) must emit at least one ``repro.obs`` signal — a
+:data:`OBS_REQUIRED_MODULES` (worker supervision, health evaluation,
+the serving chaos matrix, the request-trace and SLO layers) must emit at least one ``repro.obs`` signal — a
 ``counter``/``gauge``/``histogram``/``span``/``instant`` call on one of
 the :data:`_OBS_RECEIVERS` aliases or an ``@obs.instrumented``
 decorator.  A guard that trips invisibly defeats the point of having
@@ -34,7 +33,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PACKAGES = ("core", "engine", "gpu", "multicore", "sample", "serve", "shard")
+PACKAGES = ("core", "gpu", "multicore", "sample", "serve", "shard")
 
 ENTRY_PREFIXES = ("run_", "execute_", "simulate")
 REQUIRED_FUNCTIONS = {
@@ -66,13 +65,11 @@ OBS_REQUIRED_MODULES = (
     "src/repro/obs/rtrace.py",
     "src/repro/obs/slo.py",
     # The sampling subsystem: every module must be visible in traces —
-    # a sampler or class-tier decision that leaves no signal makes the
-    # ego-workload latency attribution unreconcilable.
+    # a sampler decision that leaves no signal makes the ego-workload
+    # latency attribution unreconcilable.
     "src/repro/sample/index.py",
     "src/repro/sample/sampler.py",
     "src/repro/sample/extract.py",
-    "src/repro/sample/classtier.py",
-    "src/repro/sample/bench.py",
     # Sharded serving: partition builds, replays, halo traffic, and the
     # chaos demonstrations must all leave signals — a silent shard tier
     # makes per-shard failure containment unverifiable.

@@ -8,18 +8,14 @@ each named trajectory and compares them against a **baseline built from
 the run history** (the median of the previous runs' values, which is
 robust to a single noisy run in the history).
 
-Known trajectories and their metrics:
-
-* ``kernel`` (``python -m repro kernel-bench``): per
-  ``(dataset, executor)`` throughput ``rows_per_s`` — higher is better.
-* ``serve`` (``python -m repro serve-bench``): steady-state
-  ``latency_ms.p95`` (lower is better) and ``throughput_rps``
-  (higher is better).
+Known trajectory and its metrics: ``serve`` (``python -m repro
+serve-bench``): steady-state ``latency_ms.p95`` (lower is better) and
+``throughput_rps`` (higher is better).
 
 A metric regresses when it is worse than the baseline by more than the
 noise tolerance (default 50%, generous on purpose: CI machines are
 shared and the gate must catch order-of-magnitude regressions — a
-deliberately slowed backend, a plan cache that stopped hitting —
+deliberately slowed kernel, a batcher that stopped batching —
 without flaking on scheduler jitter).  Trajectories with fewer than
 ``--min-history`` previous runs *pass with a notice*: the gate needs
 history before it can judge, and the first CI run on a fresh branch
@@ -47,19 +43,6 @@ HIGHER = "higher"
 LOWER = "lower"
 
 
-def kernel_metrics(record: dict) -> "dict[str, tuple[float, str]]":
-    """``{metric: (value, direction)}`` from one kernel-bench record."""
-    metrics: "dict[str, tuple[float, str]]" = {}
-    for row in record.get("results") or []:
-        dataset = row.get("dataset")
-        executor = row.get("executor")
-        value = row.get("rows_per_s")
-        if dataset is None or executor is None or not value:
-            continue
-        metrics[f"rows_per_s[{dataset}/{executor}]"] = (float(value), HIGHER)
-    return metrics
-
-
 def serve_metrics(record: dict) -> "dict[str, tuple[float, str]]":
     """``{metric: (value, direction)}`` from one serve-bench record.
 
@@ -84,7 +67,6 @@ def serve_metrics(record: dict) -> "dict[str, tuple[float, str]]":
 
 
 EXTRACTORS = {
-    "kernel": kernel_metrics,
     "serve": serve_metrics,
 }
 
@@ -154,7 +136,7 @@ def judge(
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Compare the latest kernel-bench / serve-bench run against "
+            "Compare the latest serve-bench run against "
             "its recorded trajectory with noise-tolerant thresholds."
         )
     )
