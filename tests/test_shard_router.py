@@ -64,6 +64,7 @@ class TestShardConfig:
             {"workers_per_shard": 0},
             {"replay_budget": -1},
             {"partition_cache_capacity": 0},
+            {"result_transport": "SHM"},
             {"result_transport": "tcp"},
         ],
     )
