@@ -40,21 +40,10 @@ class LayerPlan:
     Attributes:
         ordering: :data:`TRANSFORM_FIRST` or :data:`AGGREGATE_FIRST`.
         spmm_width: Dense width the layer's SpMM runs at.
-        flops_transform_first: Modeled FLOPs of ``A @ (X W)``.
-        flops_aggregate_first: Modeled FLOPs of ``(A X) @ W``.
     """
 
     ordering: str
     spmm_width: int
-    flops_transform_first: float
-    flops_aggregate_first: float
-
-    @property
-    def flops(self) -> float:
-        """FLOPs of the chosen ordering."""
-        if self.ordering == TRANSFORM_FIRST:
-            return self.flops_transform_first
-        return self.flops_aggregate_first
 
 
 def choose_ordering(
@@ -64,23 +53,15 @@ def choose_ordering(
 
     Both orderings share the ``2·n·f_in·f_out`` dense multiply; they
     differ only in the SpMM width (``2·nnz·width`` FLOPs), so the choice
-    reduces to ``min(f_in, f_out)`` — but the full counts are kept for
-    reporting.  Ties go to transform-first, the ordering the paper's
-    accelerators use.
+    reduces to ``min(f_in, f_out)``.  Ties go to transform-first, the
+    ordering the paper's accelerators use.
     """
     dense_flops = 2.0 * n_rows * f_in * f_out
     transform_first = dense_flops + 2.0 * nnz * f_out
     aggregate_first = dense_flops + 2.0 * nnz * f_in
     if transform_first <= aggregate_first:
-        ordering, width = TRANSFORM_FIRST, f_out
-    else:
-        ordering, width = AGGREGATE_FIRST, f_in
-    return LayerPlan(
-        ordering=ordering,
-        spmm_width=width,
-        flops_transform_first=transform_first,
-        flops_aggregate_first=aggregate_first,
-    )
+        return LayerPlan(ordering=TRANSFORM_FIRST, spmm_width=f_out)
+    return LayerPlan(ordering=AGGREGATE_FIRST, spmm_width=f_in)
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,6 @@ class InferenceEngine:
     ) -> None:
         self.cache = ScheduleCache(mode=mode)
         self.device = device or quadro_rtx_6000()
-        self.fused = fused
         # (graph, normalized adjacency, its scipy view) of the last graph
         # served.  Matched with ``is``: an ``id()`` key would hand a new
         # graph allocated at a collected graph's address the stale

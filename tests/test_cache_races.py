@@ -40,7 +40,11 @@ def bystanders():
 
 
 def _run_race(base, bystanders, read_one):
-    """Drive readers + one updater; returns collected problems."""
+    """Drive readers + one updater.
+
+    Returns the collected problems, the manager, both caches and every
+    installed epoch's fingerprint, in install order.
+    """
     # Tiny capacities force evictions to interleave with invalidations.
     schedules = ScheduleCache(max_entries=4)
     indexes = NeighborIndexCache(capacity=4)
@@ -49,16 +53,23 @@ def _run_race(base, bystanders, read_one):
         caches=(schedules, indexes),
     )
     planner = UpdatePlanner(base)
+    installed = [manager.current_snapshot().fingerprint]
     problems: "list[str]" = []
     stop = threading.Event()
 
     def updater():
+        # Keeps installing epochs until the readers finish, so retirements
+        # race the readers' puts right up to the end of the run; the last
+        # install retires the epoch the readers saw last.
         rng = np.random.default_rng(99)
         try:
-            for _ in range(ROUNDS):
-                if stop.is_set():
+            for _ in range(ROUNDS * 50):
+                done = stop.wait(0.001)
+                installed.append(
+                    manager.apply_updates(planner.batch(rng, 2)).fingerprint
+                )
+                if done:
                     return
-                manager.apply_updates(planner.batch(rng, 2))
         except Exception as exc:  # pragma: no cover - failure path
             problems.append(f"updater: {exc!r}")
 
@@ -87,16 +98,18 @@ def _run_race(base, bystanders, read_one):
         except Exception as exc:  # pragma: no cover - failure path
             problems.append(f"reader[{seed}]: {exc!r}")
 
-    threads = [threading.Thread(target=updater)]
-    threads += [threading.Thread(target=reader, args=(s,)) for s in range(N_READERS)]
-    for t in threads:
+    writer = threading.Thread(target=updater)
+    readers = [threading.Thread(target=reader, args=(s,)) for s in range(N_READERS)]
+    for t in (writer, *readers):
         t.start()
-    for t in threads:
+    for t in readers:
         t.join(timeout=60.0)
-        alive = t.is_alive()
-        stop.set()
-        assert not alive, "race test deadlocked"
-    return problems, manager, (schedules, indexes)
+    stop.set()
+    writer.join(timeout=60.0)
+    assert not any(t.is_alive() for t in (writer, *readers)), (
+        "race test deadlocked"
+    )
+    return problems, manager, (schedules, indexes), installed
 
 
 def _check(expected, got, label, problems):
@@ -119,14 +132,21 @@ class TestCacheRaces:
             _check(matrix.multiply_dense(dense), out, "schedule", problems)
             _read_index(indexes, matrix, problems)
 
-        problems, manager, caches = _run_race(base, bystanders, read_one)
+        problems, manager, caches, installed = _run_race(
+            base, bystanders, read_one
+        )
         assert problems == [], problems[:10]
         stats = manager.stats()
-        assert stats["retired_epochs"] >= 1
         assert stats["leases"] == 0
-        # Retirement kept firing under load, and the small caches never
-        # grew past their bounds.
+        # With no lease left, every superseded epoch has retired, and no
+        # retired epoch's key survived the race in either cache.
+        retired = set(installed) - {manager.current_snapshot().fingerprint}
+        assert len(retired) == stats["retired_epochs"] >= 1
         schedules, indexes = caches
+        for fp in retired:
+            assert schedules.invalidate_fingerprint(fp) == 0
+            assert indexes.invalidate_fingerprint(fp) == 0
+        # The small caches never grew past their bounds.
         assert schedules.entries <= 4
         assert len(indexes) <= 4
 
@@ -138,7 +158,7 @@ class TestCacheRaces:
         def read_one(caches, matrix, dense, problems):
             _read_index(caches[1], matrix, problems)
 
-        problems, manager, caches = _run_race(base, bystanders, read_one)
+        problems, manager, caches, _ = _run_race(base, bystanders, read_one)
         assert problems == [], problems[:10]
         indexes = caches[1]
         assert indexes.hits + indexes.misses > 0
