@@ -16,7 +16,7 @@ attribute their *self time* (wall time minus nested stage time) to every
 active context, so the stage taxonomy forms non-overlapping leaves whose
 sum reconciles with end-to-end latency:
 
-``queue`` → ``batch_form`` → ``kernel`` → ``verify`` / ``fallback`` →
+``queue`` → ``kernel`` → ``verify`` / ``fallback`` →
 ``scatter`` (copy-out), plus ``other`` for the residual the service
 stamps at finalization.
 
@@ -55,8 +55,7 @@ from repro.obs import trace as _trace
 # taxonomy reports and tests rely on.
 STAGES = (
     "sample",       # ego-graph sampling + extraction (pre-admission)
-    "queue",        # admission -> pulled into a forming batch
-    "batch_form",   # pulled -> batch execution start
+    "queue",        # admission -> batch execution start
     "kernel",       # the SpMM itself
     "verify",       # output-oracle cross-check
     "fallback",     # verified_spmm recovery path

@@ -207,7 +207,6 @@ def _service(proc_config: ProcPoolConfig, **serve_overrides) -> InferenceService
     settings = dict(
         max_queue=64,
         max_batch=1,
-        max_wait_ms=0.0,
         n_workers=2,
         verify=True,
         request_timeout=5.0,

@@ -236,7 +236,7 @@ def _run_worker_crash_scenario(
     matrix = _base_matrix(seed + 1)
     dispatcher = _CountingDispatcher()
     config = ServeConfig(
-        max_queue=64, max_batch=1, max_wait_ms=0.0, n_workers=1,
+        max_queue=64, max_batch=1, n_workers=1,
         restart_budget=3,
     )
     problems: "list[str]" = []
@@ -319,9 +319,7 @@ def _run_executor_fault_scenario(
     """A bit-flipping kernel under live load: verified fallback only."""
     matrix = _base_matrix(seed + 2)
     dispatcher = _BitFlipDispatcher()
-    config = ServeConfig(
-        max_queue=64, max_batch=2, max_wait_ms=1.0, n_workers=1, verify=True
-    )
+    config = ServeConfig(max_queue=64, max_batch=2, n_workers=1, verify=True)
     with InferenceService(dispatcher, config) as service:
         entries = _poisson_submit(service, matrix, rng, 6, rate)
         responses = [f.result(timeout=30.0) for _, f in entries]
@@ -361,8 +359,7 @@ def _run_corrupt_matrix_scenario(
     """A NaN-valued request matrix must come back as a detected error."""
     corrupted = corruption.nan_values(_base_matrix(seed + 3), rng)
     matrix = corrupted.as_matrix()
-    config = ServeConfig(max_queue=8, max_batch=1, max_wait_ms=0.0,
-                         n_workers=1, verify=True)
+    config = ServeConfig(max_queue=8, max_batch=1, n_workers=1, verify=True)
     with InferenceService(config=config) as service:
         dense = rng.random((matrix.n_cols, _DIM))
         response = service.submit(matrix, dense).result(timeout=30.0)
@@ -388,8 +385,7 @@ def _run_deadline_scenario(
     """Expired deadlines are shed pre-execution, never reach the kernel."""
     matrix = _base_matrix(seed + 4)
     slow = _CountingDispatcher(delay=0.08)
-    config = ServeConfig(max_queue=64, max_batch=1, max_wait_ms=0.0,
-                         n_workers=1)
+    config = ServeConfig(max_queue=64, max_batch=1, n_workers=1)
     with InferenceService(slow, config) as service:
         # One undeadlined request pins the single worker ...
         blocker = service.submit(matrix, rng.random((matrix.n_cols, _DIM)))
@@ -450,8 +446,7 @@ def _run_slow_kernel_scenario(
     matrix = _base_matrix(seed + 5)
     delay = 0.05
     slow = _CountingDispatcher(delay=delay)
-    config = ServeConfig(max_queue=16, max_batch=1, max_wait_ms=0.0,
-                         n_workers=1)
+    config = ServeConfig(max_queue=16, max_batch=1, n_workers=1)
     recorder = rtrace.FlightRecorder(capacity=8)
     problems: "list[str]" = []
     with InferenceService(

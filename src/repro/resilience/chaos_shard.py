@@ -306,7 +306,6 @@ def _run_exhaustion_scenario(
         config=ServeConfig(
             max_queue=16,
             max_batch=1,
-            max_wait_ms=0.0,
             n_workers=1,
             verify=False,
             request_timeout=10.0,

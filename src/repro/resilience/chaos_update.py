@@ -218,7 +218,7 @@ def _run_update_stream_scenario(
     base = _base_matrix(seed)
     manager = GraphEpochManager(DeltaCSR(base, compact_threshold=12))
     dispatcher = _SlowDispatcher(delay=0.003)
-    config = ServeConfig(max_queue=256, max_batch=4, max_wait_ms=1.0, n_workers=2)
+    config = ServeConfig(max_queue=256, max_batch=4, n_workers=2)
     oracle: "dict[int, CSRMatrix]" = {}
     planner = UpdatePlanner(base)
     problems: "list[str]" = []
@@ -381,7 +381,7 @@ def _run_health_scenario(
     """Held leases and a filling log surface as DEGRADED, then clear."""
     base = _base_matrix(seed + 7)
     manager = GraphEpochManager(DeltaCSR(base, compact_threshold=10))
-    config = ServeConfig(max_queue=16, max_batch=1, max_wait_ms=0.0, n_workers=1)
+    config = ServeConfig(max_queue=16, max_batch=1, n_workers=1)
     planner = UpdatePlanner(base)
     problems: "list[str]" = []
     with InferenceService(config=config, epoch_manager=manager) as service:

@@ -50,6 +50,7 @@ from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.resilience.oracles import reference_spmm
 from repro.sample import ZipfSeedGenerator, get_neighbor_index_cache
+from repro.serve.dispatch import Dispatcher
 from repro.serve.epoch import GraphEpochManager
 from repro.serve.service import InferenceService, ServeConfig
 
@@ -681,26 +682,48 @@ def run_steady(
     return tally, verifier, extra
 
 
+class _HeldDispatcher(Dispatcher):
+    """Holds every kernel call until :attr:`release` is set."""
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+
+    def kernel(self, matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
+        self.release.wait()
+        return super().kernel(matrix, dense)
+
+
 @obs.instrumented
 def run_overload(config: BenchConfig) -> "tuple[_ScenarioTally, _Verifier]":
-    """Burst into a tiny queue; proves admission control sheds load."""
+    """Burst into a tiny queue; proves admission control sheds load.
+
+    The single worker's first batch is held in the kernel until the
+    whole burst is submitted, so the queue stays full and the burst
+    sheds however fast the host drains.  Runs on the thread tier for
+    every ``config.service.isolation``: admission is the same code on
+    each tier, and only the thread tier's kernel can be held.
+    """
     rng = np.random.default_rng(config.seed + 1)
     matrix = load_traffic_matrices(config)[0]
     overload_cfg = ServeConfig(
         max_queue=4,
         max_batch=8,
-        max_wait_ms=50.0,
         n_workers=1,
         request_timeout=config.service.request_timeout,
-        isolation=config.service.isolation,
     )
     tally = _ScenarioTally()
     verifier = _Verifier()
-    with InferenceService(config=overload_cfg) as service:
+    dispatcher = _HeldDispatcher()
+    with InferenceService(dispatcher, overload_cfg) as service:
         inflight = []
-        for _ in range(config.overload_requests):
-            dense = rng.random((matrix.n_cols, config.dim))
-            inflight.append((matrix, dense, service.submit(matrix, dense)))
+        try:
+            for _ in range(config.overload_requests):
+                dense = rng.random((matrix.n_cols, config.dim))
+                inflight.append(
+                    (matrix, dense, service.submit(matrix, dense))
+                )
+        finally:
+            dispatcher.release.set()
         for entry_matrix, dense, future in inflight:
             response = future.result()
             tally.absorb(response)
@@ -770,7 +793,6 @@ def run_bench(config: BenchConfig) -> dict:
             "zipf_s": config.zipf_s,
             "max_queue": config.service.max_queue,
             "max_batch": config.service.max_batch,
-            "max_wait_ms": config.service.max_wait_ms,
             "n_workers": config.service.n_workers,
             "isolation": config.service.isolation,
             "deadline_ms": config.deadline_ms,
@@ -991,7 +1013,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ),
     )
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--max-queue", type=int, default=64)
     parser.add_argument(
         "--timeout", type=float, default=None,
@@ -1057,7 +1078,6 @@ def main(argv: "list[str] | None" = None) -> int:
         service=ServeConfig(
             max_queue=args.max_queue,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             n_workers=args.workers,
             request_timeout=args.timeout,
             isolation=args.isolation,

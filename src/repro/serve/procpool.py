@@ -58,6 +58,7 @@ import time
 from multiprocessing import shared_memory
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -241,6 +242,32 @@ def poison_key(matrix_fingerprint: str, dense: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+class PoisonKeys:
+    """The :func:`poison_key` of each batch member, hashed on first use.
+
+    A key is a pass over the member's whole dense operand, and a healthy
+    pool never needs one: keys matter only while the quarantine set is
+    non-empty or after a worker dies for a poison reason.  The first
+    iteration computes the keys once (shard threads may race to it);
+    later ones reuse them.
+    """
+
+    def __init__(self, matrix_fingerprint: str, operands) -> None:
+        self._fingerprint = matrix_fingerprint
+        self._operands = tuple(operands)
+        self._keys: "tuple[str, ...] | None" = None
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        with self._lock:
+            if self._keys is None:
+                self._keys = tuple(
+                    poison_key(self._fingerprint, dense)
+                    for dense in self._operands
+                )
+        return iter(self._keys)
+
+
 def rss_bytes(pid: "int | None" = None) -> int:
     """Resident set size of ``pid`` (default: this process), in bytes."""
     try:
@@ -388,7 +415,9 @@ def _worker_entry(
 @dataclass
 class _Job:
     job_id: int
-    keys: "tuple[str, ...]"
+    # Poison keys (a tuple or a lazy PoisonKeys); read only on a
+    # poison-reason death.
+    keys: "Iterable[str]"
     event: threading.Event = field(default_factory=threading.Event)
     result: "ProcResult | None" = None
     error: "tuple[str, str] | None" = None  # (kind, message)
@@ -805,7 +834,9 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------
     # Quarantine
     # ------------------------------------------------------------------
-    def _strike(self, keys: "tuple[str, ...]") -> None:
+    def _strike(self, keys: "Iterable[str]") -> None:
+        # Materialize (hash, for lazy keys) before taking the pool lock.
+        keys = tuple(keys)
         quarantined_now = False
         with self._cond:
             for key in keys:
@@ -905,7 +936,7 @@ class ProcessWorkerPool:
         matrix: CSRMatrix,
         stacked: np.ndarray,
         *,
-        keys: "tuple[str, ...]" = (),
+        keys: "Iterable[str]" = (),
         timeout: "float | None" = None,
     ) -> ProcResult:
         """Run ``matrix @ stacked`` on a worker subprocess.
@@ -916,7 +947,8 @@ class ProcessWorkerPool:
             stacked: Column-stacked dense operands of the batch (the
                 only per-request payload on the pipe).
             keys: Poison keys of the batch's members (see
-                :func:`poison_key`); worker deaths strike them and a
+                :func:`poison_key`; a lazy :class:`PoisonKeys` is read
+                only when needed); worker deaths strike them and a
                 quarantined key fails fast with
                 :class:`QuarantinedError`.
             timeout: Batch budget in seconds.  Unlike the thread tier's
@@ -935,12 +967,11 @@ class ProcessWorkerPool:
         time (pickle, pipe, wakeups) to ``ipc`` for every active
         request context.
         """
-        for key in keys:
-            if self.is_quarantined(key):
-                raise QuarantinedError(
-                    "request content is quarantined after repeatedly "
-                    "killing workers"
-                )
+        if self.quarantine_size() and any(map(self.is_quarantined, keys)):
+            raise QuarantinedError(
+                "request content is quarantined after repeatedly "
+                "killing workers"
+            )
         started = time.monotonic()
         deadline = started + timeout if timeout is not None else None
         budget = min(
@@ -1024,7 +1055,7 @@ class ProcessWorkerPool:
         matrix: CSRMatrix,
         stacked: np.ndarray,
         segment,
-        keys: "tuple[str, ...]",
+        keys: "Iterable[str]",
         started: float,
         deadline: "float | None",
         budget: float,
@@ -1038,7 +1069,7 @@ class ProcessWorkerPool:
             attempts += 1
             with self._cond:
                 self._jobs += 1
-                job = _Job(job_id=self._jobs, keys=tuple(keys))
+                job = _Job(job_id=self._jobs, keys=keys)
             slot = self._acquire_slot(job, deadline)
             plan = faults.active_plan()
             fault = plan.proc_fault() if plan is not None else None

@@ -6,10 +6,11 @@ needs on top of the one-shot experiment harness:
 * **Bounded admission.**  ``submit`` enqueues into a bounded queue; when
   it is full the request is *rejected immediately* with a ``503``-style
   :data:`REJECTED` response instead of growing memory without bound.
-* **Dynamic micro-batching.**  Worker threads group queued requests by
-  the full content fingerprint of their adjacency matrix *and* their
-  feature width, and flush a batch when it reaches ``max_batch`` or the
-  oldest member has waited ``max_wait_ms``.  A batch executes as *one*
+* **Work-conserving micro-batching.**  A batch is what is queued when a
+  worker frees up: the worker pops the oldest request and takes every
+  queued request with the same full content fingerprint *and* feature
+  width, up to ``max_batch``, then dispatches at once — no worker ever
+  idles on a timer while work is queued.  A batch executes as *one*
   SpMM — the dense operands are concatenated column-wise
   (``A @ [X1 | X2 | ...]``), which is exactly how GNN serving amortizes
   aggregation across users of the same graph — then split back per
@@ -65,6 +66,7 @@ from repro.serve.health import HealthPolicy, HealthReport, evaluate_health
 from repro.serve.procpool import (
     QUARANTINED,
     WORKER_CRASHED,
+    PoisonKeys,
     PoolError,
     ProcessWorkerPool,
     ProcPoolConfig,
@@ -91,9 +93,7 @@ class ServeConfig:
 
     Attributes:
         max_queue: Admission bound; requests beyond it are shed.
-        max_batch: Micro-batch flush size.
-        max_wait_ms: Micro-batch flush deadline, measured from the oldest
-            batched request's enqueue time.
+        max_batch: Most same-key queued requests one batch takes.
         n_workers: Batch-executing worker threads.
         request_timeout: Per-batch wall-clock budget in seconds
             (``None`` disables; see :mod:`repro.resilience.runtime`).
@@ -128,7 +128,6 @@ class ServeConfig:
 
     max_queue: int = 64
     max_batch: int = 8
-    max_wait_ms: float = 2.0
     n_workers: int = 2
     request_timeout: "float | None" = None
     restart_budget: int = 3
@@ -159,10 +158,6 @@ class ServeConfig:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.restart_budget < 0:
@@ -274,9 +269,6 @@ class _Pending:
     ctx: rtrace.RequestContext = None  # type: ignore[assignment]
     # Absolute monotonic deadline; None = no deadline.
     deadline: "float | None" = None
-    # When a worker pulled this request into a forming batch (monotonic);
-    # 0.0 until then.  Splits queue wait from batch-formation wait.
-    picked_at: float = 0.0
     # Epoch lease pinning the snapshot this request admitted under
     # (epoch-managed services only); released in _finalize, the single
     # choke point every terminal path passes through.
@@ -286,9 +278,6 @@ class _Pending:
     # stage); reconciliation adds it on top of the admission-to-reply
     # latency so the stage sum equals the *full* end-to-end time.
     pre_seconds: float = 0.0
-    # Quarantine identity (graph fingerprint + dense bytes); set only
-    # when the service runs with process isolation.
-    poison_key: "str | None" = None
 
 
 class InferenceService:
@@ -631,13 +620,15 @@ class InferenceService:
             raise
         # Process-isolation admission inputs are gathered outside the
         # lock: the poison key hashes the operands and the memory guard
-        # reads /proc.
+        # reads /proc.  The key is a pass over the whole dense operand,
+        # so it is computed only while something is quarantined.
         pkey: "str | None" = None
         memory_pressure = False
         if self._proc_pool is not None:
-            pkey = poison_key(
-                matrix.fingerprint(include_values=True), dense
-            )
+            if self._proc_pool.quarantine_size():
+                pkey = poison_key(
+                    matrix.fingerprint(include_values=True), dense
+                )
             memory_pressure = self._proc_pool.memory_pressure()
         future: "Future[ServeResponse]" = Future()
         with self._cond:
@@ -760,7 +751,6 @@ class InferenceService:
                 lease=lease,
                 epoch=lease.epoch if lease is not None else None,
                 pre_seconds=pre_seconds,
-                poison_key=pkey,
             )
             self._queue.append(pending)
             obs.counter("serve.service.accepted").inc()
@@ -918,19 +908,19 @@ class InferenceService:
 
         Requests already past their deadline are shed with a
         :data:`DEADLINE_EXCEEDED` response the moment they surface,
-        before any execution cost is paid.  Otherwise takes the oldest
-        queued request as the batch head, then keeps pulling same-key
-        requests until the batch is full or the head has waited
-        ``max_wait_ms``; the condition variable is released while
-        waiting so other workers keep draining other keys.
+        before any execution cost is paid.  Otherwise pops the oldest
+        queued request as the batch head, takes every queued request
+        with the same key (up to ``max_batch``) and returns at once:
+        the batch is what is queued when this worker frees up.  Nothing
+        here waits on a clock; the only blocking wait is for an empty
+        queue, woken by admission or :meth:`close`.
         """
-        max_wait = self.config.max_wait_ms / 1000.0
         with self._cond:
             while True:
                 while not self._queue:
                     if self._closed:
                         return None
-                    self._cond.wait(timeout=0.1)
+                    self._cond.wait()
                 head = self._queue.popleft()
                 if (
                     head.deadline is not None
@@ -939,31 +929,19 @@ class InferenceService:
                     self._shed_expired(head)
                     continue
                 break
-            head.picked_at = time.monotonic()
             batch = [head]
-            deadline = head.enqueued_at + max_wait
-            while len(batch) < self.config.max_batch:
-                self._take_matching(batch)
-                if len(batch) >= self.config.max_batch:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(timeout=min(remaining, 0.01))
+            kept: "deque[_Pending]" = deque()
+            while self._queue:
+                pending = self._queue.popleft()
+                if (
+                    pending.key == head.key
+                    and len(batch) < self.config.max_batch
+                ):
+                    batch.append(pending)
+                else:
+                    kept.append(pending)
+            self._queue.extend(kept)
             return batch
-
-    def _take_matching(self, batch: "list[_Pending]") -> None:
-        """Move queued requests with the batch head's key into ``batch``."""
-        key = batch[0].key
-        kept: "deque[_Pending]" = deque()
-        while self._queue:
-            pending = self._queue.popleft()
-            if pending.key == key and len(batch) < self.config.max_batch:
-                pending.picked_at = time.monotonic()
-                batch.append(pending)
-            else:
-                kept.append(pending)
-        self._queue.extend(kept)
 
     def _shed_expired(self, pending: _Pending, now: "float | None" = None) -> None:
         """Resolve one expired request with ``DEADLINE_EXCEEDED``, unexecuted."""
@@ -1049,8 +1027,9 @@ class InferenceService:
 
     def _execute_batch(self, batch: "list[_Pending]") -> None:
         started = time.monotonic()
-        # Final deadline sweep: members may have expired while the batch
-        # was forming.  Nothing expired ever reaches a backend.
+        # Final deadline sweep: _gather_batch checks only the head, and
+        # other members may have expired in the queue.  Nothing expired
+        # ever reaches a backend.
         live = []
         for pending in batch:
             if pending.deadline is not None and started >= pending.deadline:
@@ -1062,16 +1041,9 @@ class InferenceService:
         batch = live
         matrix = batch[0].matrix
         queue_waits = [started - p.enqueued_at for p in batch]
-        # Split each member's wait into queue time (admission -> pulled
-        # into the forming batch) and batch-formation time (pulled ->
-        # execution start); together they equal queue_seconds.
         contexts = []
-        for pending in batch:
-            picked = pending.picked_at or started
-            pending.ctx.ledger.add(
-                "queue", max(0.0, picked - pending.enqueued_at)
-            )
-            pending.ctx.ledger.add("batch_form", max(0.0, started - picked))
+        for pending, wait in zip(batch, queue_waits):
+            pending.ctx.ledger.add("queue", max(0.0, wait))
             contexts.append(pending.ctx)
         # The batching key includes the feature width, so every member
         # shares one width and the stacked result splits evenly.
@@ -1143,7 +1115,7 @@ class InferenceService:
         ``config.verify`` the oracle cross-check runs here in the
         parent, outside the worker's failure domain.
         """
-        keys = tuple(p.poison_key for p in batch if p.poison_key is not None)
+        keys = PoisonKeys(batch[0].key[0], [p.dense for p in batch])
 
         def run_on_pool():
             with rtrace.activate(*contexts):

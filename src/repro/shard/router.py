@@ -23,9 +23,9 @@ global graph.  A request executes as:
 
 The router implements the same execution protocol as a single
 ``ProcessWorkerPool`` (``execute`` / ``is_quarantined`` /
-``memory_pressure`` / ``supervisor.exhausted`` / ``snapshot``), so
-:class:`~repro.serve.service.InferenceService` drives it through the
-identical batch path as ``isolation="process"``.
+``quarantine_size`` / ``memory_pressure`` / ``supervisor.exhausted`` /
+``snapshot``), so :class:`~repro.serve.service.InferenceService` drives
+it through the identical batch path as ``isolation="process"``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -262,6 +263,10 @@ class ShardRouter:
         """Whether any shard pool has quarantined ``key`` as poison."""
         return any(pool.is_quarantined(key) for pool in self.pools)
 
+    def quarantine_size(self) -> int:
+        """Keys quarantined across the shard pools."""
+        return sum(pool.quarantine_size() for pool in self.pools)
+
     def memory_pressure(self) -> bool:
         """Whether any shard pool reports admission-level RSS pressure."""
         return any(pool.memory_pressure() for pool in self.pools)
@@ -331,7 +336,7 @@ class ShardRouter:
         matrix: CSRMatrix,
         stacked: np.ndarray,
         *,
-        keys: "tuple[str, ...]" = (),
+        keys: "Iterable[str]" = (),
         timeout: "float | None" = None,
     ) -> ShardResult:
         """Run ``matrix @ stacked`` across the shards (see module doc).
@@ -355,12 +360,11 @@ class ShardRouter:
         """
         if not self._started or self._closed:
             raise PoolError("shard router is not running")
-        for key in keys:
-            if self.is_quarantined(key):
-                raise QuarantinedError(
-                    "request content is quarantined after repeatedly "
-                    "killing shard workers"
-                )
+        if self.quarantine_size() and any(map(self.is_quarantined, keys)):
+            raise QuarantinedError(
+                "request content is quarantined after repeatedly "
+                "killing shard workers"
+            )
         started = time.monotonic()
         deadline = started + timeout if timeout is not None else None
         partition = self.partition_for(matrix)

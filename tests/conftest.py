@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph, regular_graph
+from repro.serve.dispatch import Dispatcher
 
 
 @pytest.fixture
@@ -53,3 +56,48 @@ def features(rng):
         return np.random.default_rng(99).random((n, d))
 
     return make
+
+
+class GatedDispatcher(Dispatcher):
+    """Holds every kernel call until :attr:`gate` is set.
+
+    :meth:`hold` parks a one-worker service's worker inside the kernel
+    on a blocker request; requests submitted next queue behind it, and
+    once ``gate`` is set each batch is exactly what was queued when the
+    worker freed up — no timing assumptions.
+    """
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self._entered = threading.Event()
+
+    def kernel(self, matrix, dense):
+        self._entered.set()
+        assert self.gate.wait(timeout=30.0), "gate never opened"
+        return super().kernel(matrix, dense)
+
+    def hold(self, service, matrix):
+        """Submit a blocker and return its future once it is executing."""
+        blocker = service.submit(matrix, np.ones((matrix.n_cols, 3)))
+        assert self._entered.wait(timeout=30.0), "blocker never executed"
+        return blocker
+
+    def backlog(self, service, requests):
+        """Queue ``(matrix, dense)`` requests behind a held blocker.
+
+        Opens the gate once every request is queued and returns their
+        responses in submission order.
+        """
+        blocker = self.hold(service, requests[0][0])
+        futures = [service.submit(matrix, dense) for matrix, dense in requests]
+        self.gate.set()
+        assert blocker.result(timeout=30.0).ok
+        return [future.result(timeout=30.0) for future in futures]
+
+
+@pytest.fixture
+def gated_dispatcher():
+    """A :class:`GatedDispatcher`, opened at teardown."""
+    dispatcher = GatedDispatcher()
+    yield dispatcher
+    dispatcher.gate.set()

@@ -39,14 +39,15 @@ def _proc_config():
 
 
 class TestServingPathsMatchScipy:
-    def test_thread_tier_column_stacked_batch(self):
+    def test_thread_tier_column_stacked_batch(self, gated_dispatcher):
         matrix = _matrix()
         operands = [_dense(matrix, seed) for seed in range(4)]
-        config = ServeConfig(max_batch=4, max_wait_ms=200.0, n_workers=1)
-        with InferenceService(config=config) as service:
-            futures = [service.submit(matrix, dense) for dense in operands]
-            responses = [f.result(timeout=30.0) for f in futures]
-        assert max(r.batch_size for r in responses) > 1
+        config = ServeConfig(max_batch=4, n_workers=1)
+        with InferenceService(gated_dispatcher, config) as service:
+            responses = gated_dispatcher.backlog(
+                service, [(matrix, dense) for dense in operands]
+            )
+        assert [r.batch_size for r in responses] == [4] * 4
         for dense, response in zip(operands, responses):
             assert response.ok, response.error
             assert np.array_equal(response.output, _floor(matrix, dense))

@@ -155,7 +155,7 @@ class TestStats:
 class TestServiceIntegration:
     def _service(self, manager):
         config = ServeConfig(
-            max_queue=32, max_batch=2, max_wait_ms=1.0, n_workers=1
+            max_queue=32, max_batch=2, n_workers=1
         )
         return InferenceService(config=config, epoch_manager=manager)
 

@@ -26,7 +26,7 @@ def _tiny_config(**overrides):
         datasets=("Cora", "Citeseer"),
         scale=0.1,
         overload_requests=16,
-        service=ServeConfig(max_queue=64, max_batch=4, max_wait_ms=1.0),
+        service=ServeConfig(max_queue=64, max_batch=4),
     )
     defaults.update(overrides)
     return BenchConfig(**defaults)
@@ -178,7 +178,6 @@ class TestCli:
                 "--dim", "8",
                 "--datasets", "Cora,Citeseer",
                 "--scale", "0.1",
-                "--max-wait-ms", "1.0",
                 "--bench-dir", str(bench_dir),
             ]
         )

@@ -219,7 +219,6 @@ class TestServiceProcessIsolation:
             config=ServeConfig(
                 max_queue=64,
                 max_batch=2,
-                max_wait_ms=1.0,
                 n_workers=2,
                 verify=True,
                 request_timeout=5.0,
@@ -316,3 +315,24 @@ class TestServiceProcessIsolation:
             other = dense + 1.0
             response = service.submit(matrix, other).result(timeout=30.0)
             assert response.ok, response.error
+
+    def test_healthy_request_never_hashes_a_poison_key(self, monkeypatch):
+        # A poison key is a pass over the whole dense operand: with an
+        # empty quarantine set and no worker deaths none is ever needed.
+        import repro.serve.procpool as procpool_module
+        import repro.serve.service as service_module
+
+        calls = []
+
+        def spy(fingerprint, dense):
+            calls.append(fingerprint)
+            return poison_key(fingerprint, dense)
+
+        monkeypatch.setattr(procpool_module, "poison_key", spy)
+        monkeypatch.setattr(service_module, "poison_key", spy)
+        matrix = _matrix(9)
+        dense = np.random.default_rng(9).random((matrix.n_cols, 4))
+        with self._service() as service:
+            response = service.submit(matrix, dense).result(timeout=30.0)
+        assert response.ok, response.error
+        assert calls == []

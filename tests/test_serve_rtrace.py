@@ -56,21 +56,17 @@ class TestTracePropagation:
             assert stage_sum == pytest.approx(total, abs=1e-9)
 
     def test_batched_requests_keep_distinct_ids_and_ledgers(
-        self, small_power_law, rng
+        self, small_power_law, rng, gated_dispatcher
     ):
-        config = ServeConfig(max_batch=8, max_wait_ms=50.0, n_workers=1)
+        config = ServeConfig(max_batch=8, n_workers=1)
         dense = rng.random((small_power_law.n_cols, 8))
-        with _service(config) as service:
-            blocker = service.submit(
-                small_power_law, rng.random((small_power_law.n_cols, 4))
+        with _service(config, gated_dispatcher) as service:
+            # Six same-key requests queue behind a held blocker and
+            # share one batch once it frees the worker.
+            responses = gated_dispatcher.backlog(
+                service, [(small_power_law, dense)] * 6
             )
-            futures = [
-                service.submit(small_power_law, dense) for _ in range(6)
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
-            blocker.result(timeout=10.0)
-        batched = [r for r in responses if r.batch_size > 1]
-        assert batched, "expected at least one multi-request batch"
+        assert [r.batch_size for r in responses] == [6] * 6
         ids = [r.trace_id for r in responses]
         assert len(set(ids)) == len(ids)
         # Ledgers never alias: per-request queue waits differ even when
@@ -84,7 +80,7 @@ class TestTracePropagation:
             assert probes == [f"probe_{i}"]
 
     def test_deadline_shed_attributed_to_queue(self, small_power_law, rng):
-        config = ServeConfig(max_batch=1, max_wait_ms=0.0, n_workers=1)
+        config = ServeConfig(max_batch=1, n_workers=1)
         dispatcher = _DelayedDispatcher(0.05)
         recorder = FlightRecorder()
         with _service(config, dispatcher, flight_recorder=recorder) as service:
@@ -115,7 +111,7 @@ class TestTracePropagation:
         self, small_power_law, rng
     ):
         config = ServeConfig(
-            max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=1, max_batch=1, n_workers=1
         )
         dispatcher = _DelayedDispatcher(0.05)
         recorder = FlightRecorder()
@@ -144,7 +140,7 @@ class TestSlowBackendAttribution:
     def test_slow_backend_blames_kernel_not_queue(
         self, small_power_law, rng
     ):
-        config = ServeConfig(max_batch=1, max_wait_ms=0.0, n_workers=1)
+        config = ServeConfig(max_batch=1, n_workers=1)
         dispatcher = _DelayedDispatcher(0.04)
         recorder = FlightRecorder(capacity=4)
         with _service(config, dispatcher, flight_recorder=recorder) as service:
@@ -165,7 +161,7 @@ class TestSlowBackendAttribution:
 class TestFlightRecorderUnderLoad:
     def test_bounded_under_overload(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=4, max_batch=2, max_wait_ms=1.0, n_workers=1
+            max_queue=4, max_batch=2, n_workers=1
         )
         recorder = FlightRecorder(capacity=4, failed_capacity=4)
         with _service(config, flight_recorder=recorder) as service:
@@ -219,7 +215,7 @@ class TestSloWiring:
 
         recorder = FlightRecorder()
         config = ServeConfig(
-            max_batch=1, max_wait_ms=0.0, n_workers=1, restart_budget=3
+            max_batch=1, n_workers=1, restart_budget=3
         )
         with _service(config, flight_recorder=recorder) as service:
             with faults.inject(seed=0, crash_worker=1.0):
@@ -230,7 +226,7 @@ class TestSloWiring:
         assert response.trace_id
         stages = response.attribution["stages"]
         # Never-executed work reconciles through queue + other.
-        assert set(stages) <= {"queue", "batch_form", "other"}
+        assert set(stages) <= {"queue", "other"}
         assert any(
             f["status"] == "error" for f in recorder.failures()
         )

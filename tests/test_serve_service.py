@@ -2,6 +2,7 @@
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestConfigValidation:
         [
             {"max_queue": 0},
             {"max_batch": 0},
-            {"max_wait_ms": -1.0},
+            {"restart_budget": -1},
             {"n_workers": 0},
         ],
     )
@@ -90,20 +91,20 @@ class TestRequestPath:
 
 
 class TestBatching:
-    def test_same_graph_requests_share_a_batch(self, small_power_law, rng):
-        config = ServeConfig(
-            max_queue=64, max_batch=4, max_wait_ms=100.0, n_workers=1
-        )
+    # Each test queues a backlog behind a request held in the kernel,
+    # so a batch is exactly the same-key requests queued when the
+    # worker frees up.
+    def test_same_graph_requests_share_a_batch(
+        self, small_power_law, rng, gated_dispatcher
+    ):
+        config = ServeConfig(max_queue=64, max_batch=4, n_workers=1)
         operands = [rng.random((small_power_law.n_cols, 4)) for _ in range(4)]
-        with _service(config) as service:
-            futures = [
-                service.submit(small_power_law, dense) for dense in operands
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(
+                service, [(small_power_law, dense) for dense in operands]
+            )
         assert all(r.ok for r in responses)
-        # All four were queued before the worker's first flush deadline,
-        # so at least one flush served multiple requests.
-        assert max(r.batch_size for r in responses) >= 2
+        assert [r.batch_size for r in responses] == [4] * 4
         # Distinct operands must come back unscrambled after the split.
         for dense, response in zip(operands, responses):
             assert np.allclose(
@@ -111,87 +112,103 @@ class TestBatching:
             )
 
     def test_distinct_graphs_never_share_a_batch(
-        self, small_power_law, small_structured, rng
+        self, small_power_law, small_structured, rng, gated_dispatcher
     ):
-        config = ServeConfig(
-            max_queue=64, max_batch=8, max_wait_ms=100.0, n_workers=1
-        )
-        with _service(config) as service:
-            futures = [
-                service.submit(
-                    matrix, rng.random((matrix.n_cols, 4))
-                )
-                for matrix in (small_power_law, small_structured) * 3
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
+        config = ServeConfig(max_queue=64, max_batch=8, n_workers=1)
+        requests = [
+            (matrix, rng.random((matrix.n_cols, 4)))
+            for matrix in (small_power_law, small_structured) * 3
+        ]
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(service, requests)
         assert all(r.ok for r in responses)
-        assert max(r.batch_size for r in responses) <= 3
+        # Interleaved graphs still split into one batch per graph.
+        assert [r.batch_size for r in responses] == [3] * 6
+        for (matrix, dense), response in zip(requests, responses):
+            assert np.allclose(response.output, matrix.multiply_dense(dense))
 
-    def test_distinct_widths_never_share_a_batch(self, small_power_law, rng):
+    def test_distinct_widths_never_share_a_batch(
+        self, small_power_law, rng, gated_dispatcher
+    ):
         # Regression: batching must key on the feature width too — mixed
         # widths cannot be column-stacked and split back evenly.
-        config = ServeConfig(
-            max_queue=64, max_batch=8, max_wait_ms=100.0, n_workers=1
-        )
+        config = ServeConfig(max_queue=64, max_batch=8, n_workers=1)
         operands = [
             rng.random((small_power_law.n_cols, width))
             for width in (4, 8, 4, 8)
         ]
-        with _service(config) as service:
-            futures = [
-                service.submit(small_power_law, dense) for dense in operands
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(
+                service, [(small_power_law, dense) for dense in operands]
+            )
         assert all(r.ok for r in responses)
-        # Two requests of each width: a batch can hold at most both
-        # same-width requests, never a mixed pair.
-        assert max(r.batch_size for r in responses) <= 2
+        # Two requests of each width: one batch per width, never mixed.
+        assert [r.batch_size for r in responses] == [2] * 4
         for dense, response in zip(operands, responses):
             assert response.output.shape[1] == dense.shape[1]
             assert np.allclose(
                 response.output, small_power_law.multiply_dense(dense)
             )
 
-    def test_batched_outputs_are_isolated(self, small_power_law, rng):
+    def test_batched_outputs_are_isolated(
+        self, small_power_law, rng, gated_dispatcher
+    ):
         # Regression: split outputs must own their data — a view into the
         # shared stacked batch result lets one client's in-place mutation
         # corrupt another client's reply.
-        config = ServeConfig(
-            max_queue=64, max_batch=4, max_wait_ms=100.0, n_workers=1
-        )
+        config = ServeConfig(max_queue=64, max_batch=4, n_workers=1)
         operands = [rng.random((small_power_law.n_cols, 4)) for _ in range(4)]
-        with _service(config) as service:
-            futures = [
-                service.submit(small_power_law, dense) for dense in operands
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
-        assert max(r.batch_size for r in responses) >= 2
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(
+                service, [(small_power_law, dense) for dense in operands]
+            )
+        assert [r.batch_size for r in responses] == [4] * 4
         responses[0].output[:] = 0.0
         for dense, response in zip(operands[1:], responses[1:]):
             assert np.allclose(
                 response.output, small_power_law.multiply_dense(dense)
             )
 
-    def test_max_batch_bounds_flush(self, small_power_law, rng):
-        config = ServeConfig(
-            max_queue=64, max_batch=2, max_wait_ms=200.0, n_workers=1
-        )
-        with _service(config) as service:
-            futures = [
-                service.submit(
-                    small_power_law, rng.random((small_power_law.n_cols, 4))
-                )
-                for _ in range(6)
-            ]
-            responses = [f.result(timeout=10.0) for f in futures]
+    def test_max_batch_bounds_flush(
+        self, small_power_law, rng, gated_dispatcher
+    ):
+        config = ServeConfig(max_queue=64, max_batch=2, n_workers=1)
+        requests = [
+            (small_power_law, rng.random((small_power_law.n_cols, 4)))
+            for _ in range(6)
+        ]
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(service, requests)
         assert all(r.ok for r in responses)
-        assert max(r.batch_size for r in responses) <= 2
+        assert [r.batch_size for r in responses] == [2] * 6
+
+    def test_lone_request_dispatches_with_frozen_clock(
+        self, small_power_law, rng, monkeypatch
+    ):
+        # Regression: batch formation must not wait on a clock.  With the
+        # service's clock frozen a request never ages, so a batch held
+        # open until a deadline would never dispatch.
+        import repro.serve.service as service_module
+
+        frozen = types.SimpleNamespace(
+            monotonic=lambda: 1000.0, perf_counter=time.perf_counter
+        )
+        dense = rng.random((small_power_law.n_cols, 4))
+        with _service(ServeConfig(n_workers=1)) as service:
+            monkeypatch.setattr(service_module, "time", frozen)
+            response = service.submit(small_power_law, dense).result(
+                timeout=5.0
+            )
+        assert response.ok
+        assert np.array_equal(
+            response.output, small_power_law.to_scipy() @ dense
+        )
 
 
 class TestLoadShedding:
     def test_overload_sheds_with_rejected_status(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=1, max_batch=1, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
         with _service(config, dispatcher=_CountingDispatcher(0.05)) as service:
@@ -213,7 +230,7 @@ class TestLoadShedding:
 
     def test_rejected_future_resolves_immediately(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=1, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=1, max_batch=1, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
         with _service(config, dispatcher=_CountingDispatcher(0.2)) as service:
@@ -230,7 +247,7 @@ class TestLoadShedding:
 class TestTimeouts:
     def test_slow_batch_times_out_as_error(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1,
+            max_queue=8, max_batch=1, n_workers=1,
             request_timeout=0.05,
         )
         dense = rng.random((small_power_law.n_cols, 4))
@@ -258,7 +275,7 @@ class TestLifecycle:
 
     def test_close_drains_pending_requests(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=64, max_batch=2, max_wait_ms=0.0, n_workers=1
+            max_queue=64, max_batch=2, n_workers=1
         )
         service = _service(config, dispatcher=_CountingDispatcher(0.01)).start()
         futures = [
@@ -310,7 +327,7 @@ class TestLifecycle:
         # close() must drain the batch the worker is already executing —
         # the client still gets its (correct) response, never an abort.
         config = ServeConfig(
-            max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=8, max_batch=1, n_workers=1
         )
         backend, calls = _counting_backend(delay=0.3)
         service = _service(config, dispatcher=backend).start()
@@ -356,7 +373,7 @@ class TestDeadlines:
         self, small_power_law, rng
     ):
         config = ServeConfig(
-            max_queue=64, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=64, max_batch=1, n_workers=1
         )
         backend, calls = _counting_backend(delay=0.1)
         with _service(config, dispatcher=backend) as service:
@@ -388,7 +405,7 @@ class TestDeadlines:
         # A batch already executing past every member's deadline resolves
         # as deadline_exceeded, not a generic timeout error.
         config = ServeConfig(
-            max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1
+            max_queue=8, max_batch=1, n_workers=1
         )
         dense = rng.random((small_power_law.n_cols, 4))
         with _service(config, dispatcher=_CountingDispatcher(1.0)) as service:
@@ -404,7 +421,7 @@ class TestWorkerCrashes:
         self, small_power_law, rng
     ):
         config = ServeConfig(
-            max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1,
+            max_queue=8, max_batch=1, n_workers=1,
             restart_budget=3,
         )
         dense = rng.random((small_power_law.n_cols, 4))
@@ -423,7 +440,7 @@ class TestWorkerCrashes:
 
     def test_exhausted_pool_rejects_and_abandons(self, small_power_law, rng):
         config = ServeConfig(
-            max_queue=8, max_batch=1, max_wait_ms=0.0, n_workers=1,
+            max_queue=8, max_batch=1, n_workers=1,
             restart_budget=0,
         )
         dense = rng.random((small_power_law.n_cols, 4))

@@ -44,7 +44,6 @@ def _service(**kwargs) -> InferenceService:
     config = ServeConfig(
         max_queue=32,
         max_batch=2,
-        max_wait_ms=1.0,
         n_workers=1,
         verify=True,
         request_timeout=10.0,
