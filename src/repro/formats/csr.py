@@ -181,10 +181,9 @@ class CSRMatrix:
                 which requests may share one batched execution).
         """
         attr = "_fingerprint_values" if include_values else "_fingerprint"
-        token = self._buffer_token(include_values)
-        cached = self.__dict__.get(attr)
-        if cached is not None and cached[0] == token:
-            return cached[1]
+        cached = self._memo(attr)
+        if cached is not None:
+            return cached
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(f"csr:{self.n_rows}:{self.n_cols}:".encode())
         if self.version is not None:
@@ -194,27 +193,37 @@ class CSRMatrix:
         if include_values:
             hasher.update(self.values.tobytes())
         digest = hasher.hexdigest()
-        object.__setattr__(self, attr, (token, digest))
+        self._remember(attr, digest, include_values)
         return digest
 
-    def _buffer_token(self, include_values: bool) -> tuple:
-        """Identity of the buffers a cached fingerprint was computed from.
+    def _memo(self, attr: str):
+        """The value memoised under ``attr``, or ``None`` if it is stale.
 
-        The arrays themselves are frozen read-only at construction, so
-        the only way content can change under a cached digest is a
-        *rebind* — a different buffer swapped in behind the dataclass
-        field.  Comparing ``(data pointer, nbytes)`` per array detects
-        exactly that without rehashing ``nnz`` bytes per call.
+        The arrays are frozen read-only at construction, so the only way
+        content can change under a memo is a *rebind* — a different
+        array swapped in behind the dataclass field.  An entry holds the
+        arrays it was computed from and hits only while every field is
+        still that same object.  Holding them also keeps their buffers
+        alive, so a freed buffer's address is never reused under it.
         """
-        arrays = (
-            (self.row_pointers, self.column_indices, self.values)
-            if include_values
-            else (self.row_pointers, self.column_indices)
-        )
-        return tuple(
-            (array.__array_interface__["data"][0], array.nbytes)
-            for array in arrays
-        )
+        cached = self.__dict__.get(attr)
+        if cached is None:
+            return None
+        arrays, value = cached
+        if (
+            arrays[0] is self.row_pointers
+            and arrays[1] is self.column_indices
+            and (len(arrays) == 2 or arrays[2] is self.values)
+        ):
+            return value
+        return None
+
+    def _remember(self, attr: str, value, include_values: bool) -> None:
+        """Memoise ``value`` against the arrays it was computed from."""
+        arrays = (self.row_pointers, self.column_indices)
+        if include_values:
+            arrays += (self.values,)
+        object.__setattr__(self, attr, (arrays, value))
 
     def with_values(self, values: np.ndarray) -> "CSRMatrix":
         """A sibling matrix sharing this structure with new values.
@@ -345,20 +354,30 @@ class CSRMatrix:
         )
 
     def to_scipy(self) -> "sp.csr_matrix":
-        """A ``scipy.sparse`` CSR view of this matrix.
+        """This matrix's ``scipy.sparse`` CSR view, built once (memoised).
 
         The view shares this matrix's (read-only) values buffer; scipy
-        may narrow the index arrays to ``int32``.  Duplicate entries are
-        kept as stored and summed by ``@``, like :meth:`multiply_dense`.
+        may narrow the index arrays to ``int32``, a one-off copy.  Its
+        index arrays are marked read-only too, so no caller can rewrite
+        the view every other caller shares (scipy's in-place
+        ``sort_indices`` raises on it).  The memo is checked like
+        :meth:`fingerprint`'s: a rebound array or a :meth:`with_values`
+        sibling gets its own view.  Duplicate entries are kept as stored
+        and summed by ``@``, like :meth:`multiply_dense`.
         ``to_scipy() @ dense`` is the one SpMM every serving and
-        inference path runs.  Not memoised: callers that reuse a view
-        keep it themselves.
+        inference path runs.
         """
-        return sp.csr_matrix(
-            (self.values, self.column_indices, self.row_pointers),
-            shape=self.shape,
-            copy=False,
-        )
+        view = self._memo("_scipy_view")
+        if view is None:
+            view = sp.csr_matrix(
+                (self.values, self.column_indices, self.row_pointers),
+                shape=self.shape,
+                copy=False,
+            )
+            view.indices.flags.writeable = False
+            view.indptr.flags.writeable = False
+            self._remember("_scipy_view", view, include_values=True)
+        return view
 
     def multiply_dense(self, dense: np.ndarray) -> np.ndarray:
         """Reference SpMM ``self @ dense`` used as ground truth in tests.

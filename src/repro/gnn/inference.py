@@ -7,10 +7,11 @@ inferences; in *online* mode every inference recomputes it.  The engine
 reports both wall-clock scheduling time and the modeled GPU scheduling
 overhead — the quantity Figure 8 plots.
 
-Each layer aggregates with scipy's CSR product over one view of the
-normalized adjacency (:meth:`~repro.formats.csr.CSRMatrix.to_scipy`),
-kept beside it while the engine serves that graph, and runs the cheaper
-of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count (:func:`choose_ordering`).
+Each layer aggregates with scipy's CSR product over the normalized
+adjacency's memoised view (:meth:`~repro.formats.csr.CSRMatrix.to_scipy`)
+and runs the cheaper of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count
+(:func:`choose_ordering`).  The modeled kernel cycles of a layer are
+computed once per schedule and width, so offline passes reuse them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from repro.core.schedule import MergePathSchedule
 from repro.core.scheduler import ScheduleCache, SchedulingMode
 from repro.core.thread_mapping import default_merge_path_cost
+from repro.formats import CSRMatrix
 from repro.obs import rtrace
 from repro.gpu.device import GPUDevice, quadro_rtx_6000
 from repro.gpu.kernels import mergepath_workload
@@ -111,11 +113,12 @@ class InferenceEngine:
     ) -> None:
         self.cache = ScheduleCache(mode=mode)
         self.device = device or quadro_rtx_6000()
-        # (graph, normalized adjacency, its scipy view) of the last graph
-        # served.  Matched with ``is``: an ``id()`` key would hand a new
-        # graph allocated at a collected graph's address the stale
-        # adjacency.
-        self._entry: "tuple[Graph, object, object] | None" = None
+        # (graph, normalized adjacency, modeled cycles) of the last graph
+        # served; the cycles map an SpMM width to ``(schedule, cycles)``.
+        # Graph and schedule are matched with ``is``: an ``id()`` key
+        # would hand a new object allocated at a collected one's address
+        # the stale entry.
+        self._entry: "tuple[Graph, CSRMatrix, dict] | None" = None
 
     def infer(self, model: GCN, graph: Graph, features: np.ndarray | None = None,
               *, ctx: "rtrace.RequestContext | None" = None
@@ -130,17 +133,17 @@ class InferenceEngine:
         with rtrace.activate(ctx):
             return self._infer(model, graph, features)
 
-    def _adjacency(self, graph: Graph):
-        """The graph's normalized adjacency and its scipy view."""
+    def _adjacency(self, graph: Graph) -> "tuple[CSRMatrix, dict]":
+        """The graph's normalized adjacency and its modeled-cycle memo."""
         entry = self._entry
         if entry is None or entry[0] is not graph:
-            adjacency = graph.normalized_adjacency()
-            entry = self._entry = (graph, adjacency, adjacency.to_scipy())
+            entry = self._entry = (graph, graph.normalized_adjacency(), {})
         return entry[1], entry[2]
 
     def _infer(self, model: GCN, graph: Graph,
                features: np.ndarray | None) -> InferenceReport:
-        adjacency, view = self._adjacency(graph)
+        adjacency, modeled = self._adjacency(graph)
+        view = adjacency.to_scipy()
         if features is None:
             if graph.features is None:
                 raise ValueError("graph carries no features; pass them explicitly")
@@ -182,13 +185,16 @@ class InferenceEngine:
                     output = view @ (hidden @ layer.weight)
                 else:
                     output = (view @ hidden) @ layer.weight
-            kernel_cycles += simulate(
-                mergepath_workload(
-                    adjacency, layer_plan.spmm_width, self.device,
-                    schedule=schedule,
-                ),
-                self.device,
-            ).cycles
+            width = layer_plan.spmm_width
+            cached = modeled.get(width)
+            if cached is None or cached[0] is not schedule:
+                cached = modeled[width] = (schedule, simulate(
+                    mergepath_workload(
+                        adjacency, width, self.device, schedule=schedule
+                    ),
+                    self.device,
+                ).cycles)
+            kernel_cycles += cached[1]
             hidden = layer._activation(output)  # noqa: SLF001 - same package
 
         return InferenceReport(

@@ -68,6 +68,7 @@ from repro.obs import rtrace
 from repro.resilience import faults
 from repro.serve.guard import WorkerSupervisor
 from repro.shm import (
+    AttachedCSR,
     SegmentChecksumError,
     _no_tracker_register,
     _quiet_close,
@@ -313,18 +314,17 @@ def _worker_entry(
     Deliberately minimal — pipe + numpy/scipy + segment attach, nothing
     else — so a ``fork``-started child never touches inherited parent
     state (locks, sockets, the obs registry).  Metrics collection is
-    switched off first thing for the same reason.  Each attached segment
-    keeps one scipy view of its matrix, built at attach time (values
-    stay in the shared pages; scipy may narrow the index arrays to
-    ``int32``, a one-off copy per attach); every batch runs as
-    ``csr @ stacked``.
+    switched off first thing for the same reason.  Every batch runs as
+    ``matrix.to_scipy() @ stacked`` on its attached segment's matrix,
+    whose memoised view is built on the first batch (values stay in the
+    shared pages; scipy may narrow the index arrays to ``int32``, a
+    one-off copy per attach).
     """
     try:
         obs.disable()
     except Exception:  # pragma: no cover - defensive
         pass
-    # Segment name -> (attached segment, scipy view of its matrix).
-    attached: "OrderedDict[str, tuple[object, object]]" = OrderedDict()
+    attached: "OrderedDict[str, AttachedCSR]" = OrderedDict()
     try:
         while True:
             if not conn.poll(heartbeat_interval):
@@ -344,17 +344,13 @@ def _worker_entry(
             _, job_id, meta, stacked, fault, delay_seconds, shm_io = message
             _apply_fault(fault, delay_seconds)
             try:
-                cached = attached.get(meta.name)
-                if cached is None:
-                    entry = attach_csr(meta, verify=True)
-                    cached = attached[meta.name] = (
-                        entry, entry.matrix.to_scipy()
-                    )
+                entry = attached.get(meta.name)
+                if entry is None:
+                    entry = attached[meta.name] = attach_csr(meta, verify=True)
                     while len(attached) > segment_cache_capacity:
-                        attached.popitem(last=False)[1][0].close()
+                        attached.popitem(last=False)[1].close()
                 else:
                     attached.move_to_end(meta.name)
-                entry, csr = cached
                 block = None
                 if shm_io is not None:
                     # shm operand/result transport: the parent staged the
@@ -372,7 +368,7 @@ def _worker_entry(
                     )
                 try:
                     started = time.perf_counter()
-                    output = csr @ stacked
+                    output = entry.matrix.to_scipy() @ stacked
                     kernel_seconds = time.perf_counter() - started
                     if block is not None:
                         view = np.ndarray(
@@ -394,14 +390,14 @@ def _worker_entry(
             except SegmentChecksumError as exc:
                 stale = attached.pop(meta.name, None)
                 if stale is not None:
-                    stale[0].close()
+                    stale.close()
                 conn.send(("error", job_id, "segment_corrupt", str(exc)))
             except Exception as exc:  # noqa: BLE001 - report, stay alive
                 conn.send(
                     ("error", job_id, "exec_error", f"{type(exc).__name__}: {exc}")
                 )
     finally:
-        for entry, _ in attached.values():
+        for entry in attached.values():
             entry.close()
         try:
             conn.close()

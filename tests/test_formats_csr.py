@@ -393,8 +393,46 @@ class TestToScipy:
     def test_shares_values_buffer(self, csr_small):
         view = csr_small.to_scipy()
         assert np.shares_memory(view.data, csr_small.values)
-        # Not memoised: each call is a fresh view over the same values.
-        assert csr_small.to_scipy() is not view
+        # Memoised: every call returns the one view over the same values.
+        assert csr_small.to_scipy() is view
+
+    def test_view_arrays_are_read_only(self, csr_small):
+        view = csr_small.to_scipy()
+        for array in (view.indices, view.indptr, view.data):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            view.indices[0] = 0
+        with pytest.raises(ValueError):
+            view.indptr[0] = 1
+
+    def test_with_values_sibling_gets_its_own_view(self, csr_small):
+        view = csr_small.to_scipy()
+        sibling = csr_small.with_values(csr_small.values * 3.0)
+        sibling_view = sibling.to_scipy()
+        assert sibling_view is not view
+        assert np.shares_memory(sibling_view.data, sibling.values)
+        np.testing.assert_array_equal(sibling_view.data, csr_small.values * 3.0)
+        dense = np.random.default_rng(1).random((csr_small.n_cols, 2))
+        np.testing.assert_allclose(
+            sibling_view @ dense, 3.0 * (view @ dense), rtol=1e-12, atol=0
+        )
+        assert csr_small.to_scipy() is view
+
+    def test_rebound_values_get_their_own_view(self, dense_small):
+        matrix = CSRMatrix.from_dense(dense_small)
+        view = matrix.to_scipy()
+        valued = matrix.fingerprint(include_values=True)
+        rebound = np.full_like(matrix.values, 5.0)
+        # Bypass the frozen dataclass the way a rebind would.
+        object.__setattr__(matrix, "values", rebound)
+        assert matrix.fingerprint(include_values=True) != valued
+        fresh = matrix.to_scipy()
+        assert fresh is not view
+        assert np.shares_memory(fresh.data, rebound)
+        dense = np.random.default_rng(2).random((matrix.n_cols, 3))
+        np.testing.assert_allclose(
+            fresh @ dense, matrix.multiply_dense(dense), rtol=1e-12, atol=0
+        )
 
     def test_matches_reference_with_empty_rows(self, csr_small):
         assert not csr_small.row_lengths[3] and not csr_small.row_lengths[7]

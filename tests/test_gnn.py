@@ -16,6 +16,7 @@ from repro.gnn import (
     sigmoid,
     spmm_backend,
 )
+from repro.gnn import inference as inference_module
 from repro.graphs import Graph
 
 
@@ -144,6 +145,48 @@ class TestInferenceEngine:
         assert first.schedule_computations == 1
         assert second.schedule_computations == 0
         assert second.modeled_schedule_cycles == 0.0
+
+    @pytest.mark.parametrize(
+        "mode, expected_calls",
+        [(SchedulingMode.OFFLINE, 2), (SchedulingMode.ONLINE, 6)],
+    )
+    def test_simulates_once_per_schedule_and_width(
+        self, tiny_graph, monkeypatch, mode, expected_calls
+    ):
+        # Widths 8 (aggregate-first) and 4 (transform-first): offline
+        # passes share one schedule, online ones build one per pass.
+        calls = []
+        original = inference_module.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference_module, "simulate", counting)
+        model = GCN.random([8, 16, 4], seed=0)
+        engine = InferenceEngine(mode=mode)
+        for _ in range(3):
+            engine.infer(model, tiny_graph)
+        assert len(calls) == expected_calls
+
+    @pytest.mark.parametrize("mode", list(SchedulingMode))
+    def test_modeled_fields_match_a_fresh_engine(self, tiny_graph, mode):
+        model = GCN.random([8, 16, 4], seed=0)
+        engine = InferenceEngine(mode=mode)
+        reports = [engine.infer(model, tiny_graph) for _ in range(3)]
+        fresh = InferenceEngine(mode=mode).infer(model, tiny_graph)
+        # Bit for bit: Figure 8 reads these fields.
+        assert [r.modeled_kernel_cycles for r in reports] == [
+            fresh.modeled_kernel_cycles
+        ] * 3
+        later = (
+            fresh.modeled_schedule_cycles
+            if mode is SchedulingMode.ONLINE
+            else 0.0
+        )
+        assert [r.modeled_schedule_cycles for r in reports] == [
+            fresh.modeled_schedule_cycles, later, later
+        ]
 
     def test_output_matches_plain_model(self, tiny_graph):
         model = GCN.random([8, 8, 8], seed=0, backend="reference")

@@ -1,12 +1,16 @@
 """Differential test: every serving path returns scipy's answer.
 
-Each path's output is compared with ``matrix.to_scipy() @ dense`` on the
-exact matrix the response was served against — bit for bit, since every
-path runs that one kernel.  The shard tier sums per-shard partial rows,
-which reorders the additions, so it is held to ``rtol=1e-12`` instead.
+Each path's output is compared with scipy's CSR product on the exact
+matrix the response was served against — bit for bit, since every path
+runs that one kernel.  The reference is built from fresh copies of the
+matrix's arrays, so it shares nothing with the memoised view
+(``CSRMatrix.to_scipy``) the paths serve from.  The shard tier sums
+per-shard partial rows, which reorders the additions, so it is held to
+``rtol=1e-12`` instead.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.gnn.inference import TRANSFORM_FIRST, InferenceEngine, choose_ordering
 from repro.gnn.models import GCN
@@ -28,7 +32,12 @@ def _dense(matrix, seed):
 
 
 def _floor(matrix, dense):
-    return matrix.to_scipy() @ dense
+    reference = sp.csr_matrix(
+        (matrix.values, matrix.column_indices, matrix.row_pointers),
+        shape=matrix.shape,
+        copy=True,
+    )
+    return reference @ dense
 
 
 def _proc_config():

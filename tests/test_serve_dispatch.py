@@ -1,6 +1,7 @@
 """Unit tests for the thread tier's dispatcher (one kernel + verified fallback)."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import build_schedule, execute_vectorized
 from repro.obs import rtrace
@@ -26,7 +27,16 @@ class TestScipyKernel:
         result = Dispatcher().execute(small_power_law, dense)
         assert result.backend == "scipy"
         assert not result.fallback_used and result.detected is None
-        assert np.array_equal(result.output, small_power_law.to_scipy() @ dense)
+        reference = sp.csr_matrix(
+            (
+                small_power_law.values,
+                small_power_law.column_indices,
+                small_power_law.row_pointers,
+            ),
+            shape=small_power_law.shape,
+            copy=True,
+        )
+        assert np.array_equal(result.output, reference @ dense)
 
     def test_verify_accepts_a_correct_product(self, small_power_law, rng):
         dense = rng.random((small_power_law.n_cols, 4))

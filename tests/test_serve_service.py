@@ -6,7 +6,10 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.formats import csr as csr_module
+from repro.graphs import power_law_graph
 from repro.resilience import faults
 from repro.serve.dispatch import Dispatcher
 from repro.serve.service import InferenceService, ServeConfig
@@ -14,6 +17,16 @@ from repro.serve.service import InferenceService, ServeConfig
 
 def _service(config=None, dispatcher=None):
     return InferenceService(dispatcher, config)
+
+
+def _reference(matrix, dense):
+    """scipy's product over fresh copies: shares nothing with the memo."""
+    fresh = sp.csr_matrix(
+        (matrix.values, matrix.column_indices, matrix.row_pointers),
+        shape=matrix.shape,
+        copy=True,
+    )
+    return fresh @ dense
 
 
 class _CountingDispatcher(Dispatcher):
@@ -59,7 +72,7 @@ class TestRequestPath:
         assert response.backend == "scipy"
         assert response.batch_size >= 1
         assert np.array_equal(
-            response.output, small_power_law.to_scipy() @ dense
+            response.output, _reference(small_power_law, dense)
         )
 
     def test_many_requests_all_correct(
@@ -76,6 +89,31 @@ class TestRequestPath:
         for (matrix, dense), response in zip(requests, responses):
             assert response.ok
             assert np.allclose(response.output, matrix.multiply_dense(dense))
+
+    def test_each_matrix_builds_one_scipy_view(self, monkeypatch, rng):
+        # Fresh matrices: the session fixtures may already hold a view.
+        graphs = [
+            power_law_graph(n_nodes=200, nnz=1_200, max_degree=40, seed=s)
+            for s in (1, 2)
+        ]
+        built = []
+        original = csr_module.sp.csr_matrix
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(csr_module.sp, "csr_matrix", counting)
+        with _service() as service:
+            for i in range(20):
+                matrix = graphs[i % 2]
+                dense = rng.random((matrix.n_cols, 4))
+                response = service.infer(matrix, dense, timeout=10.0)
+                assert response.ok
+                np.testing.assert_allclose(
+                    response.output, matrix.multiply_dense(dense), rtol=1e-12
+                )
+        assert len(built) == 2
 
     def test_rejects_bad_operand_shapes(self, small_power_law):
         with _service() as service:
@@ -201,7 +239,7 @@ class TestBatching:
             )
         assert response.ok
         assert np.array_equal(
-            response.output, small_power_law.to_scipy() @ dense
+            response.output, _reference(small_power_law, dense)
         )
 
 
