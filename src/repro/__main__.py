@@ -5,24 +5,11 @@ Subcommands:
 * ``obs-report`` — pretty-print the most recent exported run record
   (metric summary and kernel cycle breakdowns); see
   :mod:`repro.obs.report`.
-* ``chaos`` — run the fault-injection matrix and report detection
-  coverage (exit 1 on any silent failure); see
-  :mod:`repro.resilience.chaos` and ``docs/ROBUSTNESS.md``.
-* ``chaos-serve`` — inject faults (worker-thread crashes, bit-flipping
-  kernels, corrupted request matrices, expired deadlines, a slowed
-  kernel) into a live serving stack under Poisson load and verify the
-  failure-domain guards catch every one; see
-  :mod:`repro.resilience.chaos_serve`.
-* ``chaos-proc`` — attack the process-isolated execution tier (worker
-  SIGKILLs mid-batch, busy-loop hangs, heartbeat loss, memory hogs,
-  poison requests, torn shared-memory segments) and verify every
-  failure is contained with a terminal status, an explanatory health
-  cause, and zero oracle disagreements; see
-  :mod:`repro.resilience.chaos_proc`.
-* ``chaos-update`` — race live graph updates against the serving stack,
-  verifying every response against a reference pinned to its admitted
-  epoch and that caches invalidate exactly the retired epochs' keys; see
-  :mod:`repro.resilience.chaos_update`.
+* ``chaos`` — run the chaos table: corrupted inputs and execution
+  faults in the kernels, then faults injected into live services on the
+  thread, live-update, process and shard tiers.  Exit 1 on any silent
+  failure or missing demonstration; see :mod:`repro.resilience.chaos`
+  and ``docs/ROBUSTNESS.md``.
 * ``serve-bench`` — drive synthetic Zipf/Poisson traffic through the
   serving layer and record throughput, latency percentiles, per-stage
   latency attribution, SLO attainment and load-shedding statistics; see
@@ -35,10 +22,6 @@ Subcommands:
   record rows/s, speedup, halo bytes and partition imbalance in
   ``BENCH_shard.json``; see :mod:`repro.shard.bench` and
   ``docs/SHARDING.md``.
-* ``chaos-shard`` — kill shard workers mid-batch and exhaust shard
-  restart budgets, verifying failures stay contained to the victim
-  shard (sub-batch re-replay, per-shard health causes, correct
-  answers throughout); see :mod:`repro.resilience.chaos_shard`.
 * anything else delegates to :mod:`repro.experiments.harness`; run with
   ``--list`` to see the available experiments and their (measured or
   estimated) runtimes, and with ``--profile``/``--trace-out`` to collect
@@ -58,18 +41,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.resilience.chaos import main as chaos_main
 
         return chaos_main(argv[1:])
-    if argv and argv[0] == "chaos-serve":
-        from repro.resilience.chaos_serve import main as chaos_serve_main
-
-        return chaos_serve_main(argv[1:])
-    if argv and argv[0] == "chaos-proc":
-        from repro.resilience.chaos_proc import main as chaos_proc_main
-
-        return chaos_proc_main(argv[1:])
-    if argv and argv[0] == "chaos-update":
-        from repro.resilience.chaos_update import main as chaos_update_main
-
-        return chaos_update_main(argv[1:])
     if argv and argv[0] == "serve-bench":
         from repro.serve.loadgen import main as serve_main
 
@@ -82,10 +53,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.shard.bench import main as shard_main
 
         return shard_main(argv[1:])
-    if argv and argv[0] == "chaos-shard":
-        from repro.resilience.chaos_shard import main as chaos_shard_main
-
-        return chaos_shard_main(argv[1:])
     from repro.experiments.harness import main as harness_main
 
     return harness_main(argv)

@@ -137,8 +137,8 @@ class UpdatePlanner:
     from the base CSR's structure, multi-edges coalesced), so every
     generated batch satisfies :class:`DeltaCSR`'s strict existence
     semantics without peeking at the delta's internals.  Shared by the
-    load generator's ``--update-rate`` stream and the ``chaos-update``
-    injection suite.
+    load generator's ``--update-rate`` stream and the chaos matrix's
+    update rows.
 
     Args:
         base: The starting adjacency matrix (occupancy seed).

@@ -15,13 +15,11 @@ The safety net the reproduction's correctness claims rest on:
   exponential-backoff retries for the harness;
 * :mod:`repro.resilience.checkpoint` — JSON checkpoint/resume for
   experiment batches;
-* :mod:`repro.resilience.chaos` — the full injection matrix behind
-  ``python -m repro chaos``, reporting detection coverage;
-* :mod:`repro.resilience.chaos_serve` — the *serving* chaos matrix
-  behind ``python -m repro chaos-serve``: faults injected into a live
-  :class:`~repro.serve.service.InferenceService` under Poisson load,
-  exercising worker supervision, the verified fallback, deadlines and
-  the health surface.
+* :mod:`repro.resilience.chaos` — the chaos matrix behind
+  ``python -m repro chaos``: one table of faults across the kernel,
+  thread, update, process and shard tiers, every accepted output checked
+  against the reference, reporting coverage and what each guard
+  demonstrated.
 
 Submodules are imported lazily so that hot paths (the executors consult
 :func:`faults.active_plan` on every run) pull in only the fault-hook
@@ -61,14 +59,10 @@ _EXPORTS = {
     # chaos
     "ChaosReport": "repro.resilience.chaos",
     "run_chaos_matrix": "repro.resilience.chaos",
-    # chaos_serve
-    "ServeChaosReport": "repro.resilience.chaos_serve",
-    "run_serve_chaos": "repro.resilience.chaos_serve",
 }
 
 __all__ = sorted(_EXPORTS) + [
-    "chaos", "chaos_serve", "checkpoint", "corruption", "faults",
-    "oracles", "runtime",
+    "chaos", "checkpoint", "corruption", "faults", "oracles", "runtime",
 ]
 
 

@@ -39,13 +39,14 @@ outside its own failure domain*:
 The graph payload is never serialized per request: workers attach the
 published segment once per epoch and hold numpy views into the shared
 pages (:class:`~repro.shm.AttachedCSR.copied_bytes` stays 0, which the
-chaos suite asserts).  Only the per-request dense operands travel the
+chaos matrix asserts).  Only the per-request dense operands travel the
 pipe, and that transport cost is attributed to the ``ipc`` request-trace
 stage (:mod:`repro.obs.rtrace`).
 
 Wire-up: ``InferenceService(config=ServeConfig(isolation="process"))``
-builds and owns one of these pools; ``python -m repro chaos-proc``
-drives the containment matrix end to end.  See ``docs/ROBUSTNESS.md``.
+builds and owns one of these pools; the process rows of
+``python -m repro chaos`` drive the containment matrix end to end.
+See ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations

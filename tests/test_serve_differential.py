@@ -7,18 +7,30 @@ matrix's arrays, so it shares nothing with the memoised view
 (``CSRMatrix.to_scipy``) the paths serve from.  The shard tier sums
 per-shard partial rows, which reorders the additions, so it is held to
 ``rtol=1e-12`` instead.
+
+A hypothesis state machine then interleaves ``submit``, ``submit_ego``,
+``apply_updates`` and ``close`` on one epoch-managed thread-tier
+service.  Each ``ok`` response must equal the independent reference
+(``reference_spmm``) on its admitted epoch's matrix, or on the sampled
+subgraph for ego requests; every other response must be terminal and
+carry no output, and no future may outlive its timeout.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.gnn.inference import TRANSFORM_FIRST, InferenceEngine, choose_ordering
 from repro.gnn.models import GCN
 from repro.graphs import Graph
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
 from repro.graphs.generators import power_law_graph
+from repro.resilience.oracles import reference_spmm
 from repro.serve import GraphEpochManager, InferenceService, ServeConfig
 from repro.serve.procpool import ProcPoolConfig
+from repro.serve.service import DEADLINE_EXCEEDED, ERROR, REJECTED
 
 WIDTH = 6
 
@@ -124,3 +136,99 @@ class TestServingPathsMatchScipy:
                 hidden = _floor(adjacency, hidden) @ layer.weight
             hidden = layer._activation(hidden)
         assert np.array_equal(out, hidden)
+
+
+class EpochManagedServiceMachine(RuleBasedStateMachine):
+    """Random interleavings of requests, updates and shutdown."""
+
+    N_NODES = 80
+
+    def __init__(self):
+        super().__init__()
+        base = _matrix(seed=11)
+        self.manager = GraphEpochManager(DeltaCSR(base, compact_threshold=8))
+        self.planner = UpdatePlanner(base)
+        self.service = InferenceService(
+            config=ServeConfig(max_batch=4, n_workers=2),
+            epoch_manager=self.manager,
+        ).start()
+        snapshot = self.manager.current_snapshot()
+        self.epochs = {snapshot.epoch: snapshot.matrix}
+        self.features = _dense(base, 12)
+        # (subgraph matrix or None for the admitted epoch's, operand,
+        # epoch the sample was drawn from, future)
+        self.pending = []
+        self.closed = False
+
+    @rule(seed=st.integers(0, 2**16))
+    def submit(self, seed):
+        dense = _dense(self.manager.current_snapshot().matrix, seed)
+        if self.closed:
+            with pytest.raises(RuntimeError):
+                self.service.submit(None, dense)
+            return
+        self.pending.append((None, dense, None, self.service.submit(None, dense)))
+
+    @rule(node=st.integers(0, N_NODES - 1), seed=st.integers(0, 2**16))
+    def submit_ego(self, node, seed):
+        rng = np.random.default_rng(seed)
+        if self.closed:
+            with pytest.raises(RuntimeError):
+                self.service.submit_ego(node, self.features, rng=rng)
+            return
+        submission = self.service.submit_ego(
+            node, self.features, fanouts=(6, 3), rng=rng
+        )
+        sub = submission.subgraph
+        self.pending.append(
+            (sub.matrix, self.features[sub.nodes], submission.epoch,
+             submission.future)
+        )
+
+    @rule(size=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def apply_updates(self, size, seed):
+        batch = self.planner.batch(np.random.default_rng(seed), size)
+        snapshot = self.service.apply_updates(batch)
+        self.epochs[snapshot.epoch] = snapshot.matrix
+
+    @rule()
+    def close(self):
+        self.service.close()
+        self.closed = True
+        # close() drains the queue: nothing admitted may still be open.
+        assert all(future.done() for *_, future in self.pending)
+
+    @invariant()
+    def resolved_responses_match_their_epoch(self):
+        still_open = []
+        for entry in self.pending:
+            if entry[-1].done():
+                self._check(*entry[:-1], entry[-1].result())
+            else:
+                still_open.append(entry)
+        self.pending = still_open
+
+    def teardown(self):
+        self.service.close()
+        for *entry, future in self.pending:
+            self._check(*entry, future.result(timeout=10.0))
+
+    def _check(self, matrix, dense, sampled_epoch, response):
+        if not response.ok:
+            assert response.status in (REJECTED, ERROR, DEADLINE_EXCEEDED)
+            assert response.output is None
+            return
+        if matrix is None:
+            matrix = self.epochs[response.epoch]
+        else:
+            assert response.epoch == sampled_epoch
+        assert np.allclose(
+            response.output, reference_spmm(matrix, dense),
+            rtol=1e-9, atol=1e-9,
+        )
+
+
+EpochManagedServiceMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
+)
+TestEpochManagedService = EpochManagedServiceMachine.TestCase

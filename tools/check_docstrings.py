@@ -136,25 +136,6 @@ ALLOWLIST: "set[tuple[str, str]]" = {
     ("src/repro/obs/slo.py", "SLOTracker.routes"),
     ("src/repro/obs/trace.py", "TraceRecorder.events"),
     ("src/repro/obs/trace.py", "TraceRecorder.n_spans"),
-    ("src/repro/resilience/chaos.py", "ChaosCase.caught"),
-    ("src/repro/resilience/chaos.py", "ChaosCase.to_dict"),
-    ("src/repro/resilience/chaos.py", "ChaosReport.adversarial"),
-    ("src/repro/resilience/chaos.py", "ChaosReport.silent"),
-    ("src/repro/resilience/chaos.py", "ChaosReport.passed"),
-    ("src/repro/resilience/chaos.py", "ChaosReport.to_dict"),
-    ("src/repro/resilience/chaos.py", "ChaosReport.render"),
-    ("src/repro/resilience/chaos_proc.py", "ProcChaosReport.silent"),
-    ("src/repro/resilience/chaos_proc.py", "ProcChaosReport.coverage"),
-    ("src/repro/resilience/chaos_proc.py", "ProcChaosReport.to_dict"),
-    ("src/repro/resilience/chaos_proc.py", "ProcChaosReport.render"),
-    ("src/repro/resilience/chaos_serve.py", "ServeChaosReport.silent"),
-    ("src/repro/resilience/chaos_serve.py", "ServeChaosReport.coverage"),
-    ("src/repro/resilience/chaos_serve.py", "ServeChaosReport.to_dict"),
-    ("src/repro/resilience/chaos_serve.py", "ServeChaosReport.render"),
-    ("src/repro/resilience/chaos_update.py", "UpdateChaosReport.silent"),
-    ("src/repro/resilience/chaos_update.py", "UpdateChaosReport.coverage"),
-    ("src/repro/resilience/chaos_update.py", "UpdateChaosReport.to_dict"),
-    ("src/repro/resilience/chaos_update.py", "UpdateChaosReport.render"),
     ("src/repro/resilience/checkpoint.py", "BatchCheckpoint.done"),
     ("src/repro/resilience/corruption.py", "negative_column_index"),
     ("src/repro/resilience/corruption.py", "out_of_range_column_index"),

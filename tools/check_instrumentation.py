@@ -17,7 +17,7 @@ from traces and run records.  Opt-outs (e.g. trivial dispatchers) go in
 
 A second rule guards the failure-domain modules: everything in
 :data:`OBS_REQUIRED_MODULES` (worker supervision, health evaluation,
-the serving chaos matrix, the request-trace and SLO layers) must emit at least one ``repro.obs`` signal — a
+the chaos matrix, the request-trace and SLO layers) must emit at least one ``repro.obs`` signal — a
 ``counter``/``gauge``/``histogram``/``span``/``instant`` call on one of
 the :data:`_OBS_RECEIVERS` aliases or an ``@obs.instrumented``
 decorator.  A guard that trips invisibly defeats the point of having
@@ -54,9 +54,7 @@ OBS_REQUIRED_MODULES = (
     "src/repro/serve/guard.py",
     "src/repro/serve/health.py",
     "src/repro/serve/service.py",
-    "src/repro/resilience/chaos_serve.py",
-    "src/repro/resilience/chaos_update.py",
-    "src/repro/resilience/chaos_proc.py",
+    "src/repro/resilience/chaos.py",
     # Process isolation: segment publishes/attaches/checksum failures and
     # every pool-side kill/quarantine/republish must leave a signal, or a
     # reaped worker looks identical to one that never ran.
@@ -70,13 +68,12 @@ OBS_REQUIRED_MODULES = (
     "src/repro/sample/index.py",
     "src/repro/sample/sampler.py",
     "src/repro/sample/extract.py",
-    # Sharded serving: partition builds, replays, halo traffic, and the
-    # chaos demonstrations must all leave signals — a silent shard tier
-    # makes per-shard failure containment unverifiable.
+    # Sharded serving: partition builds, replays and halo traffic must
+    # all leave signals — a silent shard tier makes per-shard failure
+    # containment unverifiable.
     "src/repro/shard/partition.py",
     "src/repro/shard/router.py",
     "src/repro/shard/bench.py",
-    "src/repro/resilience/chaos_shard.py",
 )
 _OBS_CALLS = {"counter", "gauge", "histogram", "span", "instant", "instrumented"}
 # Receiver names a signal call may hang off: `obs.counter(...)` in
