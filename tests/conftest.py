@@ -49,6 +49,30 @@ def small_structured():
     return regular_graph(n_nodes=600, nnz=2_400, max_degree=8, seed=7)
 
 
+@pytest.fixture(scope="session")
+def chaos_report():
+    """The whole chaos table run once at seed 0, shared by the chaos tests."""
+    from repro.resilience.chaos import run_chaos_matrix
+
+    return run_chaos_matrix(seed=0)
+
+
+@pytest.fixture
+def replay_chaos(monkeypatch, chaos_report):
+    """Make ``python -m repro chaos`` report :func:`chaos_report`.
+
+    The CLI then exercises its flags, run record and exit code without
+    running the table again.
+    """
+    from repro.resilience import chaos
+
+    def run(seed):
+        assert seed == chaos_report.seed
+        return chaos_report
+
+    monkeypatch.setattr(chaos, "run_chaos_matrix", run)
+
+
 @pytest.fixture
 def features(rng):
     """Feature factory: features(n, d) -> dense operand."""
