@@ -12,6 +12,8 @@ This package implements:
   :mod:`repro.core.cost_tuning`.
 * **Section III-D** — online/offline schedule reuse in
   :mod:`repro.core.scheduler`.
+* The same decomposition on host threads — scipy's CSR kernel run on
+  merge-path row blocks — in :mod:`repro.core.parallel`.
 """
 
 from repro.core.merge_path import (
@@ -43,7 +45,7 @@ from repro.core.thread_mapping import (
 )
 from repro.core.scheduler import ScheduleCache, SchedulingMode
 from repro.core.cost_tuning import CostSweep, tune_merge_path_cost
-from repro.core.parallel import ParallelResult, execute_parallel
+from repro.core.parallel import RowBlocks, execute_row_blocks, row_blocks
 from repro.core.analysis import (
     LoadBalanceSummary,
     compare_strategies,
@@ -55,8 +57,8 @@ __all__ = [
     "CostSweep",
     "LoadBalanceSummary",
     "MergeCoordinate",
-    "ParallelResult",
     "MergePathSchedule",
+    "RowBlocks",
     "SIMD_LANES",
     "ScheduleCache",
     "ScheduleStatistics",
@@ -69,14 +71,15 @@ __all__ = [
     "compare_strategies",
     "default_merge_path_cost",
     "determine_thread_count",
-    "execute_parallel",
     "execute_reference",
+    "execute_row_blocks",
     "execute_vectorized",
     "map_threads_to_simd",
     "merge_path_length",
     "merge_path_search",
     "merge_path_spmm",
     "merge_path_splits",
+    "row_blocks",
     "schedule_for_cost",
     "summarize_merge_path",
     "tune_merge_path_cost",

@@ -7,19 +7,29 @@ inferences; in *online* mode every inference recomputes it.  The engine
 reports both wall-clock scheduling time and the modeled GPU scheduling
 overhead — the quantity Figure 8 plots.
 
-Each layer aggregates with scipy's CSR product over the normalized
-adjacency's memoised view (:meth:`~repro.formats.csr.CSRMatrix.to_scipy`)
-and runs the cheaper of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count
-(:func:`choose_ordering`).  The modeled kernel cycles of a layer are
-computed once per schedule and width, so offline passes reuse them.
+Each layer runs the cheaper of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count
+(:func:`choose_ordering`) on the normalized adjacency's merge-path row
+blocks (:mod:`repro.core.parallel`): the GEMM split by rows, the SpMM by
+blocks, and the activation applied to each block's rows as they become
+final, all on one thread pool with numpy's OpenBLAS held to one thread
+for the pass.  A graph too small to split runs one scipy call per layer.
+The modeled kernel cycles of a layer are computed once per schedule and
+width, so offline passes reuse them.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.parallel import (
+    block_count,
+    execute_row_blocks,
+    for_row_ranges,
+    single_blas_thread,
+)
 from repro.core.schedule import MergePathSchedule
 from repro.core.scheduler import ScheduleCache, SchedulingMode
 from repro.core.thread_mapping import default_merge_path_cost
@@ -28,6 +38,7 @@ from repro.obs import rtrace
 from repro.gpu.device import GPUDevice, quadro_rtx_6000
 from repro.gpu.kernels import mergepath_workload
 from repro.gpu.timing import scheduling_time, simulate
+from repro.gnn.layers import GCNLayer
 from repro.gnn.models import GCN
 from repro.graphs import Graph
 
@@ -77,6 +88,8 @@ class InferenceReport:
         modeled_kernel_cycles: Summed modeled GPU cycles of the SpMM calls.
         modeled_schedule_cycles: Modeled GPU cycles spent scheduling.
         wallclock_schedule_seconds: Actual schedule-construction time.
+        row_blocks: Merge-path row blocks each layer ran on
+            (:func:`~repro.core.parallel.block_count`).
     """
 
     output: np.ndarray
@@ -85,6 +98,7 @@ class InferenceReport:
     modeled_kernel_cycles: float
     modeled_schedule_cycles: float
     wallclock_schedule_seconds: float
+    row_blocks: int
 
     @property
     def scheduling_overhead(self) -> float:
@@ -143,7 +157,6 @@ class InferenceEngine:
     def _infer(self, model: GCN, graph: Graph,
                features: np.ndarray | None) -> InferenceReport:
         adjacency, modeled = self._adjacency(graph)
-        view = adjacency.to_scipy()
         if features is None:
             if graph.features is None:
                 raise ValueError("graph carries no features; pass them explicitly")
@@ -171,31 +184,33 @@ class InferenceEngine:
         graph_cost = default_merge_path_cost(
             max(plan.spmm_width for plan in layer_plans)
         )
-        for layer, layer_plan in zip(model.layers, layer_plans):
-            built_before = self.cache.schedule_computations
-            schedule: MergePathSchedule = self.cache.get(adjacency, graph_cost)
-            if self.cache.schedule_computations > built_before:
-                schedule_cycles += scheduling_time(
-                    schedule.n_threads,
-                    adjacency.n_rows + adjacency.nnz,
-                    self.device,
+        n_blocks = block_count(adjacency)
+        with single_blas_thread() if n_blocks > 1 else nullcontext():
+            for layer, layer_plan in zip(model.layers, layer_plans):
+                built_before = self.cache.schedule_computations
+                schedule: MergePathSchedule = self.cache.get(
+                    adjacency, graph_cost
                 )
-            with rtrace.stage("kernel", layer=layer_plan.ordering):
-                if layer_plan.ordering == TRANSFORM_FIRST:
-                    output = view @ (hidden @ layer.weight)
-                else:
-                    output = (view @ hidden) @ layer.weight
-            width = layer_plan.spmm_width
-            cached = modeled.get(width)
-            if cached is None or cached[0] is not schedule:
-                cached = modeled[width] = (schedule, simulate(
-                    mergepath_workload(
-                        adjacency, width, self.device, schedule=schedule
-                    ),
-                    self.device,
-                ).cycles)
-            kernel_cycles += cached[1]
-            hidden = layer._activation(output)  # noqa: SLF001 - same package
+                if self.cache.schedule_computations > built_before:
+                    schedule_cycles += scheduling_time(
+                        schedule.n_threads,
+                        adjacency.n_rows + adjacency.nnz,
+                        self.device,
+                    )
+                with rtrace.stage("kernel", layer=layer_plan.ordering):
+                    hidden = _run_layer(
+                        adjacency, hidden, layer, layer_plan.ordering, n_blocks
+                    )
+                width = layer_plan.spmm_width
+                cached = modeled.get(width)
+                if cached is None or cached[0] is not schedule:
+                    cached = modeled[width] = (schedule, simulate(
+                        mergepath_workload(
+                            adjacency, width, self.device, schedule=schedule
+                        ),
+                        self.device,
+                    ).cycles)
+                kernel_cycles += cached[1]
 
         return InferenceReport(
             output=hidden,
@@ -208,4 +223,40 @@ class InferenceEngine:
             wallclock_schedule_seconds=(
                 self.cache.total_scheduling_seconds - wall_before
             ),
+            row_blocks=n_blocks,
         )
+
+
+def _run_layer(adjacency: CSRMatrix, hidden: np.ndarray, layer: GCNLayer,
+               ordering: str, n_blocks: int) -> np.ndarray:
+    """``act(A X W)`` in ``ordering`` on ``n_blocks`` row blocks.
+
+    This thread allocates every array; the blocks write their rows in
+    place, so a pass holds no per-block temporaries.
+    """
+    weight = layer.weight
+    activate = layer._activation  # noqa: SLF001 - same package
+    if ordering == TRANSFORM_FIRST:
+        transformed = np.empty((hidden.shape[0], weight.shape[1]))
+
+        def transform(lo: int, hi: int) -> None:
+            np.matmul(hidden[lo:hi], weight, out=transformed[lo:hi])
+
+        def finish(product: np.ndarray, lo: int, hi: int) -> None:
+            rows = product[lo:hi]
+            activate(rows, out=rows)
+
+        for_row_ranges(hidden.shape[0], n_blocks, transform)
+        return execute_row_blocks(
+            adjacency, transformed, n_blocks, epilogue=finish
+        )
+
+    aggregated = execute_row_blocks(adjacency, hidden, n_blocks)
+    output = np.empty((adjacency.n_rows, weight.shape[1]))
+
+    def transform_rows(lo: int, hi: int) -> None:
+        rows = output[lo:hi]
+        activate(np.matmul(aggregated[lo:hi], weight, out=rows), out=rows)
+
+    for_row_ranges(adjacency.n_rows, n_blocks, transform_rows)
+    return output

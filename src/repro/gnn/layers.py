@@ -20,18 +20,24 @@ from repro.formats import CSRMatrix
 SpMMFn = Callable[[CSRMatrix, np.ndarray], np.ndarray]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear activation."""
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """Rectified linear activation (into ``out`` when given)."""
+    return np.maximum(x, 0.0, out=out)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic activation."""
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """Logistic activation, ``1 / (1 + exp(-x))`` (into ``out`` when given)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
+def _identity(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    if out is None or out is x:
+        return x
+    np.copyto(out, x)
+    return out
 
 
 def _mergepath(matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
@@ -57,7 +63,7 @@ BACKENDS: dict[str, SpMMFn] = {
     "reference": _reference,
 }
 
-ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+ACTIVATIONS: dict[str, Callable[..., np.ndarray]] = {
     "relu": relu,
     "sigmoid": sigmoid,
     "none": _identity,

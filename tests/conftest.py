@@ -74,6 +74,22 @@ def replay_chaos(monkeypatch, chaos_report):
 
 
 @pytest.fixture
+def blocked(monkeypatch):
+    """Make every engine pass run on ``k`` row blocks: ``blocked(k)``.
+
+    Patches the host's CPU count and the per-block threshold, whatever
+    the host, so tests can force any block count.
+    """
+    from repro.core import parallel
+
+    def force(k: int) -> None:
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: k)
+        monkeypatch.setattr(parallel, "MIN_BLOCK_ITEMS", 1)
+
+    return force
+
+
+@pytest.fixture
 def features(rng):
     """Feature factory: features(n, d) -> dense operand."""
     def make(n: int, d: int) -> np.ndarray:

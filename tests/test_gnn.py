@@ -17,6 +17,7 @@ from repro.gnn import (
     spmm_backend,
 )
 from repro.gnn import inference as inference_module
+from repro.gnn.layers import ACTIVATIONS
 from repro.graphs import Graph
 
 
@@ -34,6 +35,19 @@ class TestActivations:
     def test_sigmoid_range(self):
         out = sigmoid(np.array([-100.0, 0.0, 100.0]))
         assert out[0] < 1e-6 and out[1] == 0.5 and out[2] > 1 - 1e-6
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_in_place_matches_fresh(self, name):
+        # The engine activates each block's rows in place.
+        activate = ACTIVATIONS[name]
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        fresh = activate(x.copy())
+        in_place = x.copy()
+        assert activate(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, fresh)
+        separate = np.empty_like(x)
+        assert activate(x, out=separate) is separate
+        np.testing.assert_array_equal(separate, fresh)
 
 
 class TestBackends:
