@@ -59,7 +59,7 @@ STAGES = (
     "kernel",       # the SpMM itself
     "verify",       # output-oracle cross-check
     "fallback",     # verified_spmm recovery path
-    "ipc",          # process-pool transport: pickle, pipe, wakeups
+    "ipc",          # process-pool transport: shm copies, pipe wake-ups
     "scatter",      # per-request copy-out / per-shard operand slicing
     "halo",         # shard-tier gather: partial boundary-row summation
     "other",        # residual stamped at finalization

@@ -39,7 +39,9 @@ run's seed alone, so they do not depend on which rows ran before it.
 
 Exit status 0 requires zero silent cases and every demonstration in
 :data:`MINIMUMS` — proof that each guard actually fired — with zero
-graph bytes copied per request.  The run appends a ``BENCH_chaos.json``
+graph bytes copied per request and no process or shard row whose pool
+sent or received a pipe message over 4 KiB (operands and products
+travel through shared memory).  The run appends a ``BENCH_chaos.json``
 run record.
 """
 
@@ -92,6 +94,15 @@ KERNEL, THREAD, UPDATE, PROCESS, SHARD = (
     "kernel", "thread", "update", "process", "shard",
 )
 TIERS = (KERNEL, THREAD, UPDATE, PROCESS, SHARD)
+
+# Largest pipe message a pool may carry: an exec message is ~420 B, so
+# anything past this limit means an array travelled the pipe.
+_MESSAGE_LIMIT = 4 << 10
+
+#: Demonstrations a passing run must leave at zero: graph bytes copied
+#: per request, and process or shard rows whose pool's largest pipe
+#: message passed ``_MESSAGE_LIMIT``.
+_MUST_BE_ZERO = ("per_request_graph_bytes_copied", "oversized_message_rows")
 
 #: How often each guard must have demonstrably fired in a passing run.
 MINIMUMS = {
@@ -177,14 +188,16 @@ class ChaosReport:
 
     @property
     def missing(self) -> "list[str]":
-        """Demonstrations below their minimum, and any graph copy."""
+        """Demonstrations below their minimum or above zero where they
+        must stay at zero (:data:`_MUST_BE_ZERO`)."""
         missing = [
             f"{key} < {minimum}"
             for key, minimum in MINIMUMS.items()
             if self.demonstrations[key] < minimum
         ]
-        if self.demonstrations["per_request_graph_bytes_copied"]:
-            missing.append("per_request_graph_bytes_copied > 0")
+        for key in _MUST_BE_ZERO:
+            if self.demonstrations[key]:
+                missing.append(f"{key} > 0")
         return missing
 
     @property
@@ -193,8 +206,7 @@ class ChaosReport:
         return not self.silent and not self.missing
 
     def _demonstrated(self) -> "dict[str, int]":
-        keys = set(MINIMUMS) | set(self.demonstrations)
-        keys.add("per_request_graph_bytes_copied")
+        keys = set(MINIMUMS) | set(self.demonstrations) | set(_MUST_BE_ZERO)
         return {key: self.demonstrations[key] for key in sorted(keys)}
 
     def to_dict(self) -> dict:
@@ -967,13 +979,21 @@ def _proc_service(**proc_overrides) -> InferenceService:
 
 
 def _absorb_pool(run: _Run, pool) -> None:
-    """Credit a pool's restarts, republished segments and graph copies."""
+    """Credit a pool's restarts, republished segments and pipe use."""
     snapshot = pool.snapshot()
     run.demos["worker_restarts"] += snapshot["supervisor"].get("restarts", 0)
     run.demos["segments_republished"] += snapshot["segments"]["republished"]
-    run.demos["per_request_graph_bytes_copied"] += snapshot["zero_copy"][
+    _absorb_zero_copy(run, snapshot["zero_copy"])
+
+
+def _absorb_zero_copy(run: _Run, zero_copy: dict) -> None:
+    """Credit graph bytes copied and flag an oversized pipe message."""
+    run.demos["per_request_graph_bytes_copied"] += zero_copy[
         "per_request_graph_bytes_copied"
     ]
+    run.demos["oversized_message_rows"] += int(
+        zero_copy["max_message_bytes"] > _MESSAGE_LIMIT
+    )
 
 
 def _health_note(service: InferenceService) -> "tuple[bool, str]":
@@ -1265,9 +1285,7 @@ def _shard_proc_config(**overrides) -> ProcPoolConfig:
 
 
 def _absorb_router(run: _Run, router: ShardRouter) -> None:
-    run.demos["per_request_graph_bytes_copied"] += router.snapshot()[
-        "zero_copy"
-    ]["per_request_graph_bytes_copied"]
+    _absorb_zero_copy(run, router.snapshot()["zero_copy"])
 
 
 def _kill_busy_shard_worker(router: ShardRouter) -> bool:

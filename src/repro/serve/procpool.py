@@ -36,12 +36,18 @@ outside its own failure domain*:
   on), republished from the parent's pristine copy, and every worker's
   stale attach cache is flushed by respawn.
 
-The graph payload is never serialized per request: workers attach the
-published segment once per epoch and hold numpy views into the shared
-pages (:class:`~repro.shm.AttachedCSR.copied_bytes` stays 0, which the
-chaos matrix asserts).  Only the per-request dense operands travel the
-pipe, and that transport cost is attributed to the ``ipc`` request-trace
-stage (:mod:`repro.obs.rtrace`).
+Nothing but control messages travels the pipe.  Workers attach each
+published graph segment once per epoch and hold numpy views into the
+shared pages (:class:`~repro.shm.AttachedCSR.copied_bytes` stays 0,
+which the chaos matrix asserts).  Each worker slot owns one
+shared-memory block, created by the pool and replaced only when a batch
+needs more bytes than it holds: the parent copies the batch's dense
+operand into it, the worker keeps it mapped across requests and writes
+its product beside the operand, and the parent copies the product out
+before :meth:`ProcessWorkerPool.execute` returns.  The largest pipe
+message is kept as ``snapshot()["zero_copy"]["max_message_bytes"]``;
+the two copies and the wake-ups are attributed to the ``ipc``
+request-trace stage (:mod:`repro.obs.rtrace`).
 
 Wire-up: ``InferenceService(config=ServeConfig(isolation="process"))``
 builds and owns one of these pools; the process rows of
@@ -57,6 +63,7 @@ import os
 import threading
 import time
 from multiprocessing import shared_memory
+from multiprocessing.reduction import ForkingPickler
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -144,12 +151,6 @@ class ProcPoolConfig:
             respawn latency in the low milliseconds; workers run a
             deliberately minimal loop (pipe + numpy/scipy) so inherited
             parent state is never touched.
-        result_transport: How worker outputs return to the parent:
-            ``"pipe"`` (pickled over the worker pipe, default) or
-            ``"shm"`` (written into a parent-owned shared-memory block,
-            skipping the pickle/pipe round-trip — what the shard tier
-            uses, where per-shard partial outputs dominate the IPC
-            bill).
     """
 
     n_workers: int = 2
@@ -164,7 +165,6 @@ class ProcPoolConfig:
     restart_budget: int = 8
     restart_window: "float | None" = 60.0
     start_method: str = "fork"
-    result_transport: str = "pipe"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -194,22 +194,16 @@ class ProcPoolConfig:
             raise ValueError(
                 f"unknown start_method {self.start_method!r}"
             )
-        if self.result_transport not in ("pipe", "shm"):
-            raise ValueError(
-                "result_transport must be 'pipe' or 'shm', "
-                f"got {self.result_transport!r}"
-            )
 
 
 @dataclass
 class ProcResult:
     """One successful pool execution (mirrors ``DispatchResult`` fields).
 
-    Under ``result_transport="shm"`` the ``output`` array is a
-    zero-copy view of a pool-owned shared-memory block; consumers that
-    are done with it should call :meth:`release` so the warm block (and
-    its faulted-in pages) can serve the next request.  ``release`` is
-    always safe to call and a no-op for pipe-transported results.
+    ``output`` is an array the caller owns: :meth:`ProcessWorkerPool.
+    execute` copies the product out of the worker's shared-memory block
+    before it returns, so no result aliases a block that a later request
+    overwrites.
     """
 
     output: np.ndarray
@@ -219,14 +213,6 @@ class ProcResult:
     ipc_seconds: float = 0.0
     copied_bytes: int = 0
     worker_id: int = -1
-    _release_cb: "object | None" = field(default=None, repr=False, compare=False)
-
-    def release(self) -> None:
-        """Return a shm-backed output block to its pool (idempotent)."""
-        callback, self._release_cb = self._release_cb, None
-        if callback is not None:
-            self.output = None
-            callback()
 
 
 def poison_key(matrix_fingerprint: str, dense: np.ndarray) -> str:
@@ -280,6 +266,17 @@ def rss_bytes(pid: "int | None" = None) -> int:
         return 0
 
 
+def _unlink_block(block: "shared_memory.SharedMemory | None") -> None:
+    """Unlink and unmap a slot block (a live view defers the unmap)."""
+    if block is None:
+        return
+    try:
+        block.unlink()
+    except FileNotFoundError:  # pragma: no cover - defensive
+        pass
+    _quiet_close(block)
+
+
 # ----------------------------------------------------------------------
 # Worker subprocess
 # ----------------------------------------------------------------------
@@ -319,13 +316,17 @@ def _worker_entry(
     ``matrix.to_scipy() @ stacked`` on its attached segment's matrix,
     whose memoised view is built on the first batch (values stay in the
     shared pages; scipy may narrow the index arrays to ``int32``, a
-    one-off copy per attach).
+    one-off copy per attach).  The operand is read from the slot's
+    block and the product copied in beside it; the block stays mapped
+    until an exec message names a new one.
     """
     try:
         obs.disable()
     except Exception:  # pragma: no cover - defensive
         pass
     attached: "OrderedDict[str, AttachedCSR]" = OrderedDict()
+    block: "shared_memory.SharedMemory | None" = None
+    words: "np.ndarray | None" = None  # the block as float64 words
     try:
         while True:
             if not conn.poll(heartbeat_interval):
@@ -342,7 +343,8 @@ def _worker_entry(
                 return
             if message[0] != "exec":  # pragma: no cover - protocol guard
                 continue
-            _, job_id, meta, stacked, fault, delay_seconds, shm_io = message
+            _, job_id, meta, staged, fault, delay_seconds = message
+            block_name, shape, out_offset = staged
             _apply_fault(fault, delay_seconds)
             try:
                 entry = attached.get(meta.name)
@@ -352,41 +354,24 @@ def _worker_entry(
                         attached.popitem(last=False)[1].close()
                 else:
                     attached.move_to_end(meta.name)
-                block = None
-                if shm_io is not None:
-                    # shm operand/result transport: the parent staged the
-                    # dense operand in a pool-owned block; read it as a
-                    # zero-copy view, write the result back beside it,
-                    # and send only the (tiny) completion message down
-                    # the pipe.
-                    block_name, in_shape, out_shape, out_offset = shm_io
+                if block is None or block.name != block_name:
+                    # The parent grew the slot's block: map the new one.
+                    if block is not None:
+                        _quiet_close(block)
                     with _no_tracker_register():
                         block = shared_memory.SharedMemory(
                             name=block_name, create=False
                         )
-                    stacked = np.ndarray(
-                        in_shape, dtype=np.float64, buffer=block.buf
-                    )
-                try:
-                    started = time.perf_counter()
-                    output = entry.matrix.to_scipy() @ stacked
-                    kernel_seconds = time.perf_counter() - started
-                    if block is not None:
-                        view = np.ndarray(
-                            out_shape,
-                            dtype=np.float64,
-                            buffer=block.buf,
-                            offset=out_offset,
-                        )
-                        view[...] = output
-                        del view
-                        output = None
-                finally:
-                    if block is not None:
-                        del stacked
-                        _quiet_close(block)
+                    words = np.frombuffer(block.buf, dtype=np.float64)
+                stacked = words[: shape[0] * shape[1]].reshape(shape)
+                started = time.perf_counter()
+                output = entry.matrix.to_scipy() @ stacked
+                kernel_seconds = time.perf_counter() - started
+                words[out_offset : out_offset + output.size].reshape(
+                    output.shape
+                )[...] = output
                 conn.send(
-                    ("result", job_id, output, kernel_seconds, entry.copied_bytes)
+                    ("result", job_id, kernel_seconds, entry.copied_bytes)
                 )
             except SegmentChecksumError as exc:
                 stale = attached.pop(meta.name, None)
@@ -398,6 +383,8 @@ def _worker_entry(
                     ("error", job_id, "exec_error", f"{type(exc).__name__}: {exc}")
                 )
     finally:
+        if block is not None:
+            _quiet_close(block)
         for entry in attached.values():
             entry.close()
         try:
@@ -416,18 +403,32 @@ class _Job:
     # poison-reason death.
     keys: "Iterable[str]"
     event: threading.Event = field(default_factory=threading.Event)
-    result: "ProcResult | None" = None
+    # (kernel seconds, graph bytes copied) once the worker has written
+    # the product into its slot's block.
+    reply: "tuple[float, int] | None" = None
     error: "tuple[str, str] | None" = None  # (kind, message)
     crash_reason: "str | None" = None
 
 
 class _Slot:
-    """Parent-side state of one worker subprocess."""
+    """Parent-side state of one worker subprocess.
+
+    ``block`` is the slot's shared-memory block and ``words`` the
+    parent's float64 view of it; both are swapped under the pool lock.
+    ``job`` is held from acquire until the product is copied out.  The
+    view comes from ``np.frombuffer``, which holds a buffer export on
+    the mapping: unlinking the block while a thread still copies through
+    the view then leaves the pages mapped until the view is released
+    (an ``np.ndarray(buffer=...)`` view holds no export, and closing
+    the block under it would unmap pages the thread is reading).
+    """
 
     def __init__(self, worker_id: int, proc, conn, now: float) -> None:
         self.worker_id = worker_id
         self.proc = proc
         self.conn = conn
+        self.block: "shared_memory.SharedMemory | None" = None
+        self.words: "np.ndarray | None" = None
         self.job: "_Job | None" = None
         self.busy_deadline: "float | None" = None
         self.last_beat = now
@@ -494,13 +495,7 @@ class ProcessWorkerPool:
         self.executed = 0
         self.republished = 0
         self.max_request_copied_bytes = 0
-        # Reusable shm output blocks (result_transport="shm"): keeping
-        # blocks warm across requests avoids re-faulting their pages in
-        # on every execute.  All blocks ever created stay tracked so
-        # close() can unlink them even if a consumer never released.
-        self._out_lock = threading.Lock()
-        self._out_free: "list[shared_memory.SharedMemory]" = []
-        self._out_all: "dict[str, shared_memory.SharedMemory]" = {}
+        self.max_message_bytes = 0
         self.supervisor = WorkerSupervisor(
             self._spawn_worker,
             self.config.n_workers,
@@ -529,7 +524,7 @@ class ProcessWorkerPool:
         return self
 
     def close(self) -> None:
-        """Kill workers, release segments and shm blocks (idempotent)."""
+        """Kill workers, unlink segments and slot blocks (idempotent)."""
         with self._cond:
             if self._closed:
                 return
@@ -558,16 +553,8 @@ class ProcessWorkerPool:
             self._segments.clear()
         for segment in segments:
             segment.close()
-        with self._out_lock:
-            blocks = list(self._out_all.values())
-            self._out_all.clear()
-            self._out_free.clear()
-        for block in blocks:
-            _quiet_close(block)
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - defensive
-                pass
+        for slot in slots:
+            self._drop_block(slot)
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self.start()
@@ -616,9 +603,11 @@ class ProcessWorkerPool:
         """Drain one worker's pipe until it dies; then run the death path."""
         while True:
             try:
-                message = slot.conn.recv()
+                payload = slot.conn.recv_bytes()
             except (EOFError, OSError):
                 break
+            self._note_message(len(payload))
+            message = ForkingPickler.loads(payload)
             kind = message[0]
             if kind == "beat":
                 with self._cond:
@@ -626,25 +615,20 @@ class ProcessWorkerPool:
                     slot.reported_rss = message[1]
                 continue
             if kind == "result":
-                _, job_id, output, kernel_seconds, copied = message
+                _, job_id, kernel_seconds, copied = message
                 with self._cond:
                     job = slot.job
                     if job is None or job.job_id != job_id:
                         continue  # reply for a job already failed over
-                    job.result = ProcResult(
-                        output=output,
-                        kernel_seconds=kernel_seconds,
-                        copied_bytes=copied,
-                        worker_id=slot.worker_id,
-                    )
-                    slot.job = None
+                    # The slot stays held until execute() has copied the
+                    # product out of its block.
+                    job.reply = (kernel_seconds, copied)
                     slot.busy_deadline = None
                     slot.last_beat = time.monotonic()
                     self.executed += 1
                     self.max_request_copied_bytes = max(
                         self.max_request_copied_bytes, copied
                     )
-                    self._cond.notify_all()
                 job.event.set()
                 obs.counter("serve.procpool.batches").inc()
                 continue
@@ -675,8 +659,12 @@ class ProcessWorkerPool:
             self._slots.pop(slot.worker_id, None)
             job = slot.job
             slot.job = None
+            if job is not None and job.reply is not None:
+                job = None  # its product was written before the death
             reason = slot.kill_reason or "crash"
             self._cond.notify_all()
+        # EOF means the worker has exited, so nothing writes the block.
+        self._drop_block(slot)
         slot.proc.join(1.0)
         try:
             slot.conn.close()
@@ -928,6 +916,50 @@ class ProcessWorkerPool:
                     )
                 self._cond.wait(timeout=self.config.heartbeat_interval)
 
+    def _stage(
+        self, slot: _Slot, stacked: np.ndarray, n_words: int
+    ) -> "tuple[str, np.ndarray] | None":
+        """Copy ``stacked`` into ``slot``'s block, growing it if needed.
+
+        A block smaller than ``n_words`` float64 words is replaced by one
+        of exactly that size, and the old one is unlinked; the worker
+        maps the new name on its next batch.  Returns the block's name
+        and the parent's view of it, or ``None`` when the slot's worker
+        died (or the pool closed) meanwhile.
+        """
+        with self._cond:
+            block, words = slot.block, slot.words
+        if words is None or words.size < n_words:
+            block = shared_memory.SharedMemory(create=True, size=n_words * 8)
+            with self._cond:
+                live = not (slot.dead or self._closed)
+                if live:
+                    stale, slot.block = slot.block, block
+                    words = slot.words = np.frombuffer(
+                        block.buf, dtype=np.float64, count=n_words
+                    )
+                _unlink_block(stale if live else block)
+            if not live:
+                return None
+        words[: stacked.size].reshape(stacked.shape)[...] = stacked
+        return block.name, words
+
+    def _drop_block(self, slot: _Slot) -> None:
+        """Unlink ``slot``'s block (a view still held keeps it mapped).
+
+        Unlinked under the lock, so a racing caller that finds the block
+        gone (``close()`` against the death path) returns only after the
+        name has left ``/dev/shm``.
+        """
+        with self._cond:
+            block, slot.block, slot.words = slot.block, None, None
+            _unlink_block(block)
+
+    def _note_message(self, nbytes: int) -> None:
+        if nbytes > self.max_message_bytes:
+            with self._cond:
+                self.max_message_bytes = max(self.max_message_bytes, nbytes)
+
     def execute(
         self,
         matrix: CSRMatrix,
@@ -941,8 +973,9 @@ class ProcessWorkerPool:
         Args:
             matrix: Sparse operand; published to (or reused from) the
                 shared-segment cache — never serialized per request.
-            stacked: Column-stacked dense operands of the batch (the
-                only per-request payload on the pipe).
+            stacked: Column-stacked dense operands of the batch (2-D);
+                copied into the acquired slot's shared-memory block,
+                never onto the pipe.
             keys: Poison keys of the batch's members (see
                 :func:`poison_key`; a lazy :class:`PoisonKeys` is read
                 only when needed); worker deaths strike them and a
@@ -959,10 +992,12 @@ class ProcessWorkerPool:
                 past budget, RSS guard) or the pool is exhausted.
             PoolError: Transport/execution errors (terminal ``error``).
 
-        On success the call attributes the worker-reported kernel time
-        to the ``kernel`` request-trace stage and the remaining wall
-        time (pickle, pipe, wakeups) to ``ipc`` for every active
-        request context.
+        The product is copied out of the slot's block into an array the
+        caller owns before the slot is released.  The call attributes
+        the worker-reported kernel time to the ``kernel`` request-trace
+        stage and the remaining wall time (staging the operand, copying
+        the product into and out of the block, pipe wake-ups) to ``ipc``
+        for every active request context.
         """
         if self.quarantine_size() and any(map(self.is_quarantined, keys)):
             raise QuarantinedError(
@@ -976,91 +1011,9 @@ class ProcessWorkerPool:
             self.config.hang_timeout,
         )
         segment = self.segment_for(matrix)
-        out_block: "shared_memory.SharedMemory | None" = None
-        shm_io = None
         out_shape = (matrix.n_rows, int(stacked.shape[1]))
-        if self.config.result_transport == "shm":
-            # One pool-owned block per in-flight call carries both the
-            # staged dense operand and the worker's result, reused
-            # across requests so its pages stay faulted in; a retried
-            # attempt reuses it (same matrix, same operand), and the
-            # worker only ever attaches — the pool keeps ownership.
-            stacked = np.ascontiguousarray(stacked, dtype=np.float64)
-            out_offset = (stacked.nbytes + 63) & ~63
-            out_nbytes = out_shape[0] * out_shape[1] * 8
-            out_block = self._out_acquire(max(1, out_offset + out_nbytes))
-            staged = np.ndarray(
-                stacked.shape, dtype=np.float64, buffer=out_block.buf
-            )
-            staged[...] = stacked
-            del staged
-            shm_io = (out_block.name, stacked.shape, out_shape, out_offset)
-            stacked = None  # metadata-only exec message
-        try:
-            return self._execute_attempts(
-                matrix, stacked, segment, keys, started, deadline, budget,
-                out_block, out_shape, shm_io,
-            )
-        except BaseException:
-            if out_block is not None:
-                # A worker SIGKILLed mid-write may still hold a mapping;
-                # never recycle a block a dying writer might touch.
-                self._out_discard(out_block)
-            raise
-
-    def _out_acquire(self, nbytes: int) -> shared_memory.SharedMemory:
-        """Pop a warm output block of at least ``nbytes`` (or create)."""
-        with self._out_lock:
-            for index, block in enumerate(self._out_free):
-                if block.size >= nbytes:
-                    return self._out_free.pop(index)
-        block = shared_memory.SharedMemory(create=True, size=nbytes)
-        with self._out_lock:
-            self._out_all[block.name] = block
-        return block
-
-    def _out_release(self, block: shared_memory.SharedMemory) -> None:
-        """Return a block to the warm free list (bounded by pool width)."""
-        overflow = None
-        with self._out_lock:
-            if block.name not in self._out_all:
-                return  # pool closed meanwhile; block already unlinked
-            if len(self._out_free) >= self.config.n_workers + 2:
-                overflow = block
-                del self._out_all[block.name]
-            else:
-                self._out_free.append(block)
-        if overflow is not None:
-            _quiet_close(overflow)
-            try:
-                overflow.unlink()
-            except FileNotFoundError:  # pragma: no cover - defensive
-                pass
-
-    def _out_discard(self, block: shared_memory.SharedMemory) -> None:
-        """Unlink a block that must not be recycled."""
-        with self._out_lock:
-            self._out_all.pop(block.name, None)
-        _quiet_close(block)
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - defensive
-            pass
-
-    def _execute_attempts(
-        self,
-        matrix: CSRMatrix,
-        stacked: np.ndarray,
-        segment,
-        keys: "Iterable[str]",
-        started: float,
-        deadline: "float | None",
-        budget: float,
-        out_block: "shared_memory.SharedMemory | None",
-        out_shape: "tuple[int, int]",
-        shm_io: "tuple | None" = None,
-    ) -> ProcResult:
-        """Acquire/send/wait attempt loop behind :meth:`execute`."""
+        out_offset = (stacked.size + 7) & ~7  # 64-byte aligned product
+        out_end = out_offset + out_shape[0] * out_shape[1]
         attempts = 0
         while True:
             attempts += 1
@@ -1073,14 +1026,22 @@ class ProcessWorkerPool:
             delay_seconds = (
                 plan.delay_proc_seconds if plan is not None else 0.0
             )
-            with self._cond:
-                slot.busy_deadline = time.monotonic() + budget
-            try:
-                slot.conn.send(
-                    ("exec", job.job_id, segment.meta, stacked, fault,
-                     delay_seconds, shm_io)
+            staged = self._stage(slot, stacked, max(1, out_end))
+            if staged is not None:
+                block_name, words = staged
+                payload = ForkingPickler.dumps(
+                    ("exec", job.job_id, segment.meta,
+                     (block_name, stacked.shape, out_offset),
+                     fault, delay_seconds)
                 )
-            except (BrokenPipeError, OSError):
+                self._note_message(len(payload))
+                with self._cond:
+                    slot.busy_deadline = time.monotonic() + budget
+                try:
+                    slot.conn.send_bytes(payload)
+                except (BrokenPipeError, OSError):
+                    staged = None
+            if staged is None:
                 # Worker died between acquire and send; its death path
                 # respawns it — just try another slot.
                 with self._cond:
@@ -1096,27 +1057,26 @@ class ProcessWorkerPool:
             # so this wait always ends; the slack covers reap + EOF
             # delivery.
             job.event.wait(budget + 10.0 * self.config.heartbeat_interval + 5.0)
-            if job.result is not None:
-                if out_block is not None and job.result.output is None:
-                    job.result.output = np.ndarray(
-                        out_shape,
-                        dtype=np.float64,
-                        buffer=out_block.buf,
-                        offset=shm_io[3],
-                    )
-                    job.result._release_cb = (
-                        lambda block=out_block: self._out_release(block)
-                    )
-                wall = time.monotonic() - started
-                job.result.ipc_seconds = max(
-                    0.0, wall - job.result.kernel_seconds
+            if job.reply is not None:
+                kernel_seconds, copied = job.reply
+                output = words[out_offset:out_end].reshape(out_shape).copy()
+                with self._cond:
+                    if slot.job is job:
+                        slot.job = None
+                        self._cond.notify_all()
+                ipc_seconds = max(
+                    0.0, time.monotonic() - started - kernel_seconds
                 )
-                rtrace.attribute("kernel", job.result.kernel_seconds)
-                rtrace.attribute("ipc", job.result.ipc_seconds)
-                obs.histogram("serve.procpool.ipc_seconds").observe(
-                    job.result.ipc_seconds
+                rtrace.attribute("kernel", kernel_seconds)
+                rtrace.attribute("ipc", ipc_seconds)
+                obs.histogram("serve.procpool.ipc_seconds").observe(ipc_seconds)
+                return ProcResult(
+                    output=output,
+                    kernel_seconds=kernel_seconds,
+                    ipc_seconds=ipc_seconds,
+                    copied_bytes=copied,
+                    worker_id=slot.worker_id,
                 )
-                return job.result
             if job.error is not None:
                 kind, message = job.error
                 if kind == "segment_corrupt":
@@ -1128,6 +1088,12 @@ class ProcessWorkerPool:
                         f"segment corrupt after republish: {message}"
                     )
                 raise PoolError(f"worker execution error: {message}")
+            if job.crash_reason is None:  # pragma: no cover - reaper failed
+                # The worker still holds the slot and may yet write its
+                # block: it must die before the slot is handed out again.
+                with self._cond:
+                    slot.kill_reason = slot.kill_reason or "hang-timeout"
+                slot.proc.kill()
             reason = job.crash_reason or "hang-timeout"
             if reason == "segment-flush" and attempts <= 2:
                 # The worker was killed to flush stale attach caches
@@ -1160,6 +1126,7 @@ class ProcessWorkerPool:
             }
             executed = self.executed
             max_copied = self.max_request_copied_bytes
+            max_message = self.max_message_bytes
             idle = sum(
                 1
                 for s in self._slots.values()
@@ -1191,5 +1158,6 @@ class ProcessWorkerPool:
             },
             "zero_copy": {
                 "per_request_graph_bytes_copied": max_copied,
+                "max_message_bytes": max_message,
             },
         }

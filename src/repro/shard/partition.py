@@ -94,8 +94,8 @@ class PartitionStats:
         halo_fraction: ``halo_rows`` over rows with any nonzero.
         distinct_rows: Rows with any nonzero (>= 1 contributing shard).
         gather_rows: Sum of per-shard present rows — output rows
-            crossing the pipe on the gather pass, counting each halo
-            row once per contributing shard.
+            copied back on the gather pass, counting each halo row once
+            per contributing shard.
     """
 
     n_shards: int
@@ -113,7 +113,7 @@ class PartitionStats:
     def halo_bytes(self, width: int) -> int:
         """Extra gather traffic (bytes) versus a halo-free partition.
 
-        Each boundary row crosses the pipe once per contributing shard;
+        Each boundary row is copied back once per contributing shard;
         a perfect partition would move every nonzero output row exactly
         once.  The surplus copies, times the dense row footprint, price
         the halo exchange for a ``width``-column request.

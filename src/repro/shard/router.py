@@ -72,12 +72,6 @@ class ShardConfig:
             distinct graph fingerprint; LRU beyond this — live-graph
             epochs arrive with fresh fingerprints and age old ones out).
         seed: Tie-breaking seed for the edge-cut strategy.
-        result_transport: How per-shard partial outputs return to the
-            router (``"shm"`` default — boundary-heavy partitions ship
-            close to ``n_shards`` full outputs per request, so skipping
-            the pickle/pipe round-trip is the difference between halo
-            exchange scaling and drowning; ``"pipe"`` for the classic
-            transport).
     """
 
     n_shards: int = 2
@@ -86,7 +80,6 @@ class ShardConfig:
     replay_budget: int = 2
     partition_cache_capacity: int = 4
     seed: int = 0
-    result_transport: str = "shm"
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -110,11 +103,6 @@ class ShardConfig:
                 "partition_cache_capacity must be >= 1, "
                 f"got {self.partition_cache_capacity}"
             )
-        if self.result_transport not in ("pipe", "shm"):
-            raise ValueError(
-                "result_transport must be 'pipe' or 'shm', "
-                f"got {self.result_transport!r}"
-            )
 
 
 @dataclass
@@ -128,7 +116,8 @@ class ShardResult:
         kernel_seconds: Slowest shard's worker-reported kernel time
             (the shards run concurrently, so the max gates the batch).
         ipc_seconds: Parallel-section wall time beyond the slowest
-            kernel: pipe transport, scheduling, slower-shard skew.
+            kernel: the shared-memory copies, pipe wake-ups, scheduling
+            and slower-shard skew.
         scatter_seconds: Operand slicing into per-shard blocks.
         halo_seconds: Halo gather (partial-row summation).
         halo_bytes: Extra gather traffic attributable to boundary rows
@@ -197,9 +186,7 @@ class ShardRouter:
         self.config = config or ShardConfig()
         template = proc_config or ProcPoolConfig()
         self._proc_config = replace(
-            template,
-            n_workers=self.config.workers_per_shard,
-            result_transport=self.config.result_transport,
+            template, n_workers=self.config.workers_per_shard
         )
         self.pools: "list[ProcessWorkerPool]" = []
         self._lock = threading.Lock()
@@ -442,9 +429,6 @@ class ShardRouter:
 
         failure = self._classify_failures(errors)
         if failure is not None:
-            for result in results:
-                if result is not None:
-                    result.release()
             raise failure
 
         with self._lock:
@@ -464,11 +448,6 @@ class ShardRouter:
                 width,
             )
         halo_seconds = time.perf_counter() - halo_started
-        for result in results:
-            if result is not None:
-                # Gather summed out of the shm views; hand the warm
-                # blocks back to the shard pools for the next request.
-                result.release()
 
         kernel_seconds = max(
             (results[shard].kernel_seconds for shard in active),
@@ -601,13 +580,13 @@ class ShardRouter:
                 ),
             },
             "zero_copy": {
-                "per_request_graph_bytes_copied": max(
-                    (
-                        snap["zero_copy"]["per_request_graph_bytes_copied"]
-                        for snap in shard_snapshots
-                    ),
+                key: max(
+                    (snap["zero_copy"][key] for snap in shard_snapshots),
                     default=0,
-                ),
+                )
+                for key in (
+                    "per_request_graph_bytes_copied", "max_message_bytes"
+                )
             },
             "shards": shard_snapshots,
         }

@@ -189,6 +189,28 @@ class TestChaosMatrix:
         copied.demonstrations["per_request_graph_bytes_copied"] = 1
         assert not copied.passed
 
+    def test_an_array_on_a_pool_pipe_fails_the_run(self, report):
+        assert report.demonstrations["oversized_message_rows"] == 0
+        for tier in (PROCESS, SHARD):
+            fresh = ChaosReport(
+                seed=0,
+                cases=list(report.cases),
+                demonstrations=Counter(report.demonstrations),
+            )
+            row = next(r for r in SCENARIOS if r.tier == tier)
+            run = chaos._Run(row, 0, fresh)
+            chaos._absorb_zero_copy(
+                run,
+                {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4096},
+            )
+            assert fresh.passed
+            chaos._absorb_zero_copy(
+                run,
+                {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4097},
+            )
+            assert fresh.missing == ["oversized_message_rows > 0"]
+            assert not fresh.passed
+
     def test_coverage_counts_every_case(self, report):
         degenerate = next(c for c in report.cases if c.outcome == "ok")
         silent = ChaosCase("nan-values", KERNEL, "oracle", SILENT, "accepted")

@@ -13,8 +13,14 @@ A hypothesis state machine then interleaves ``submit``, ``submit_ego``,
 service.  Each ``ok`` response must equal the independent reference
 (``reference_spmm``) on its admitted epoch's matrix, or on the sampled
 subgraph for ego requests; every other response must be terminal and
-carry no output, and no future may outlive its timeout.
+carry no output, and no future may outlive its timeout.  A subclass
+runs the same rules on the process tier, plus ``kill_worker``, which
+SIGKILLs a live worker; its teardown finds no shared-memory block or
+segment of the pool left behind.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ from repro.graphs.delta import DeltaCSR, UpdatePlanner
 from repro.graphs.generators import power_law_graph
 from repro.resilience.oracles import reference_spmm
 from repro.serve import GraphEpochManager, InferenceService, ServeConfig
-from repro.serve.procpool import ProcPoolConfig
+from repro.serve.procpool import WORKER_CRASHED, ProcPoolConfig
 from repro.serve.service import DEADLINE_EXCEEDED, ERROR, REJECTED
 
 WIDTH = 6
@@ -142,16 +148,15 @@ class EpochManagedServiceMachine(RuleBasedStateMachine):
     """Random interleavings of requests, updates and shutdown."""
 
     N_NODES = 80
+    # Terminal statuses a response without output may carry.
+    FAILURES = (REJECTED, ERROR, DEADLINE_EXCEEDED)
 
     def __init__(self):
         super().__init__()
         base = _matrix(seed=11)
         self.manager = GraphEpochManager(DeltaCSR(base, compact_threshold=8))
         self.planner = UpdatePlanner(base)
-        self.service = InferenceService(
-            config=ServeConfig(max_batch=4, n_workers=2),
-            epoch_manager=self.manager,
-        ).start()
+        self.service = self._service().start()
         snapshot = self.manager.current_snapshot()
         self.epochs = {snapshot.epoch: snapshot.matrix}
         self.features = _dense(base, 12)
@@ -213,9 +218,15 @@ class EpochManagedServiceMachine(RuleBasedStateMachine):
         for *entry, future in self.pending:
             self._check(*entry, future.result(timeout=10.0))
 
+    def _service(self):
+        return InferenceService(
+            config=ServeConfig(max_batch=4, n_workers=2),
+            epoch_manager=self.manager,
+        )
+
     def _check(self, matrix, dense, sampled_epoch, response):
         if not response.ok:
-            assert response.status in (REJECTED, ERROR, DEADLINE_EXCEEDED)
+            assert response.status in self.FAILURES
             assert response.output is None
             return
         if matrix is None:
@@ -232,3 +243,65 @@ EpochManagedServiceMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=20, deadline=None
 )
 TestEpochManagedService = EpochManagedServiceMachine.TestCase
+
+
+class ProcessTierServiceMachine(EpochManagedServiceMachine):
+    """The same interleavings on the process tier, with worker kills."""
+
+    # A batch on a killed worker answers worker_crashed, or
+    # deadline_exceeded if its deadline passed meanwhile.
+    FAILURES = EpochManagedServiceMachine.FAILURES + (WORKER_CRASHED,)
+
+    def __init__(self):
+        self.kills = 0
+        self.shm_before = set(os.listdir("/dev/shm"))
+        super().__init__()
+
+    def _service(self):
+        return InferenceService(
+            config=ServeConfig(max_batch=4, n_workers=2, isolation="process"),
+            epoch_manager=self.manager,
+            proc_config=ProcPoolConfig(
+                n_workers=2,
+                heartbeat_interval=0.02,
+                heartbeat_timeout=2.0,
+                hang_timeout=10.0,
+                # Kills are the machine's, not the requests': never
+                # quarantine a request for them.
+                poison_threshold=1000,
+                restart_budget=1000,
+            ),
+        )
+
+    @rule()
+    def kill_worker(self):
+        if self.closed:
+            return
+        pool = self.service._proc_pool
+        with pool._cond:
+            pids = [
+                slot.proc.pid
+                for slot in pool._slots.values()
+                if not slot.dead and slot.proc.is_alive()
+            ]
+        if pids:
+            self.kills += 1
+            try:
+                os.kill(pids[0], signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # an earlier kill's victim, reaped since the scan
+
+    def teardown(self):
+        super().teardown()
+        assert set(os.listdir("/dev/shm")) - self.shm_before == set()
+
+    def _check(self, matrix, dense, sampled_epoch, response):
+        if response.status == WORKER_CRASHED:
+            assert self.kills, "a worker crashed that no rule killed"
+        super()._check(matrix, dense, sampled_epoch, response)
+
+
+ProcessTierServiceMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=20, deadline=None
+)
+TestProcessTierService = ProcessTierServiceMachine.TestCase

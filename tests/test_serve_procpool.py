@@ -2,10 +2,13 @@
 
 import os
 import signal
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.formats import CSRMatrix
 from repro.graphs.generators import power_law_graph
@@ -48,6 +51,30 @@ def _wait_for(predicate, timeout=5.0, interval=0.005):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def _floor(matrix, dense):
+    """scipy's product on fresh copies of the matrix's arrays."""
+    reference = sp.csr_matrix(
+        (matrix.values, matrix.column_indices, matrix.row_pointers),
+        shape=matrix.shape,
+        copy=True,
+    )
+    return reference @ dense
+
+
+def _blocks(pool):
+    """Live slot blocks by worker id."""
+    with pool._cond:
+        return {
+            slot.worker_id: slot.block
+            for slot in pool._slots.values()
+            if slot.block is not None
+        }
+
+
+def _in_dev_shm(name):
+    return os.path.exists(f"/dev/shm/{name}")
 
 
 class TestConfigValidation:
@@ -211,6 +238,128 @@ class TestProcessWorkerPool:
 
         with pytest.raises(PoolError):
             pool.execute(matrix, np.ones((matrix.n_cols, 1)))
+
+
+class TestSlotBlocks:
+    """Each worker slot owns one block for its operand and product."""
+
+    def test_mixed_traffic_keeps_one_grown_block_per_slot(self):
+        graphs = (
+            _matrix(10),
+            power_law_graph(n_nodes=90, nnz=500, max_degree=16, seed=11),
+        )
+        widths = (2, 5, 8)
+        before = set(os.listdir("/dev/shm"))
+        largest: "dict[int, int]" = {}  # worker id -> batch bytes
+
+        with ProcessWorkerPool(_config(hang_timeout=10.0)) as pool:
+
+            def client(index):
+                rng = np.random.default_rng(index)
+                runs = []
+                for k in range(15):
+                    matrix = graphs[(index + k) % 2]
+                    dense = rng.random((matrix.n_cols, widths[k % 3]))
+                    result = pool.execute(matrix, dense)
+                    assert np.array_equal(result.output, _floor(matrix, dense))
+                    runs.append(
+                        (result.worker_id, dense.nbytes + result.output.nbytes)
+                    )
+                return runs
+
+            # Four callers on two workers, switching threads every
+            # microsecond: a block handed to two batches at once, or read
+            # after its slot moved on, shows as a wrong product.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(4) as threads:
+                    for runs in threads.map(client, range(4), timeout=60.0):
+                        for worker_id, nbytes in runs:
+                            largest[worker_id] = max(
+                                largest.get(worker_id, 0), nbytes
+                            )
+            finally:
+                sys.setswitchinterval(interval)
+            blocks = _blocks(pool)
+            with pool._seg_lock:
+                segments = {seg.name for seg in pool._segments.values()}
+            created = set(os.listdir("/dev/shm")) - before - segments
+            assert pool.snapshot()["executed"] == 60
+            # Growth unlinks the old block, so at most one per slot lives.
+            assert created == {block.name for block in blocks.values()}
+            assert 1 <= len(blocks) <= pool.config.n_workers
+            for worker_id, block in blocks.items():
+                assert block.size >= largest[worker_id]
+        assert set(os.listdir("/dev/shm")) - before == set()
+
+    def test_output_outlives_later_requests_on_the_slot(self):
+        matrix = _matrix(12)
+        rng = np.random.default_rng(12)
+        dense = rng.random((matrix.n_cols, 4))
+        with ProcessWorkerPool(_config(n_workers=1)) as pool:
+            first = pool.execute(matrix, dense)
+            # Same block twice, then a wider batch that grows it.
+            for width in (4, 4, 9):
+                pool.execute(matrix, rng.random((matrix.n_cols, width)))
+            assert first.output.base is None
+            assert np.array_equal(first.output, _floor(matrix, dense))
+
+    def test_dropped_block_stays_mapped_under_a_held_view(self):
+        # What a worker's death does while execute() is still copying
+        # through the slot's view: the name goes, the pages stay.
+        matrix = _matrix(14)
+        dense = np.random.default_rng(14).random((matrix.n_cols, 3))
+        with ProcessWorkerPool(_config(n_workers=1)) as pool:
+            pool.execute(matrix, dense)
+            with pool._cond:
+                (slot,) = pool._slots.values()
+            words, name = slot.words, slot.block.name
+            pool._drop_block(slot)
+            assert not _in_dev_shm(name)
+            staged = words[: dense.size].reshape(dense.shape)
+            assert np.array_equal(staged, dense)
+            assert np.array_equal(pool.execute(matrix, dense).output,
+                                  _floor(matrix, dense))
+
+    def test_killed_workers_block_is_unlinked(self):
+        matrix = _matrix(13)
+        dense = np.random.default_rng(13).random((matrix.n_cols, 3))
+        with ProcessWorkerPool(_config(n_workers=1)) as pool:
+            pool.execute(matrix, dense)
+            with pool._cond:
+                (slot,) = pool._slots.values()
+            old_name = slot.block.name
+            assert _in_dev_shm(old_name)
+            os.kill(slot.proc.pid, signal.SIGKILL)
+            assert _wait_for(lambda: not _in_dev_shm(old_name))
+            result = pool.execute(matrix, dense)
+            assert np.array_equal(result.output, _floor(matrix, dense))
+            (block,) = _blocks(pool).values()
+            assert block.name != old_name
+            assert _in_dev_shm(block.name)
+
+
+class TestPipeCarriesNoArrays:
+    @pytest.mark.parametrize("isolation", ["process", "shard"])
+    def test_five_megabyte_operand_stays_off_the_pipe(self, isolation):
+        matrix = power_law_graph(
+            n_nodes=20_000, nnz=60_000, max_degree=200, seed=14
+        )
+        dense = np.random.default_rng(14).random((matrix.n_cols, 32))
+        assert dense.nbytes == 5_120_000
+        config = ServeConfig(
+            isolation=isolation, n_workers=1, num_shards=2,
+            request_timeout=30.0,
+        )
+        with InferenceService(
+            config=config, proc_config=_config(n_workers=1, hang_timeout=30.0)
+        ) as service:
+            response = service.submit(matrix, dense).result(timeout=60.0)
+            snapshot = service.health().snapshot
+        assert response.ok, response.error
+        pool = snapshot["procpool" if isolation == "process" else "shards"]
+        assert 0 < pool["zero_copy"]["max_message_bytes"] < 4096
 
 
 class TestServiceProcessIsolation:

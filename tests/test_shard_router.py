@@ -64,21 +64,11 @@ class TestShardConfig:
             {"workers_per_shard": 0},
             {"replay_budget": -1},
             {"partition_cache_capacity": 0},
-            {"result_transport": "SHM"},
-            {"result_transport": "tcp"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ShardConfig(**kwargs)
-
-    def test_defaults_pick_the_fast_path(self):
-        config = ShardConfig()
-        assert config.result_transport == "shm"
-
-    def test_router_forwards_transport_to_pools(self):
-        router = ShardRouter(ShardConfig(result_transport="pipe"))
-        assert router._proc_config.result_transport == "pipe"
 
 
 class TestExecution:
@@ -96,11 +86,11 @@ class TestExecution:
         assert result.shards_used == 3
         assert result.copied_bytes == 0
 
-    def test_repeated_executes_and_pipe_transport_agree(self):
+    def test_repeated_executes_agree(self):
         matrix = _matrix(seed=2)
         dense = np.random.default_rng(2).random((matrix.n_cols, 4))
         expected = matrix.multiply_dense(dense)
-        config = ShardConfig(n_shards=2, result_transport="pipe")
+        config = ShardConfig(n_shards=2)
         with ShardRouter(config, proc_config=_proc_config()) as router:
             for _ in range(3):
                 result = router.execute(matrix, dense)
@@ -260,33 +250,20 @@ class TestReplay:
             assert router.supervisor.exhausted
 
 
-class TestResultRelease:
-    def test_router_returns_warm_blocks_to_the_shard_pools(self):
-        matrix = _matrix()
-        dense = np.ones((matrix.n_cols, 2))
-        with ShardRouter(
-            ShardConfig(n_shards=1), proc_config=_proc_config()
-        ) as router:
-            pool = router.pools[0]
-            router.execute(matrix, dense)
-            # The router released the per-shard results after gather, so
-            # the pool's free list holds the warm block for reuse.
-            with pool._out_lock:
-                assert len(pool._out_free) >= 1
-
-    def test_shm_result_release_is_idempotent(self):
-        from repro.serve.procpool import ProcessWorkerPool
-
+class TestSlotBlocks:
+    def test_close_unlinks_every_shard_pools_blocks(self):
         matrix = _matrix()
         dense = np.ones((matrix.n_cols, 3))
-        config = _proc_config(n_workers=1, result_transport="shm")
-        with ProcessWorkerPool(config) as pool:
-            result = pool.execute(matrix, dense)
-            assert np.allclose(
-                result.output, matrix.multiply_dense(dense), atol=1e-9
-            )
-            result.release()
-            assert result.output is None
-            result.release()  # second release is a no-op
-            with pool._out_lock:
-                assert len(pool._out_free) == 1
+        with ShardRouter(
+            ShardConfig(n_shards=2), proc_config=_proc_config()
+        ) as router:
+            router.execute(matrix, dense)
+            names = [
+                slot.block.name
+                for pool in router.pools
+                for slot in list(pool._slots.values())
+                if slot.block is not None
+            ]
+            assert len(names) == 2
+            assert all(os.path.exists(f"/dev/shm/{name}") for name in names)
+        assert not [n for n in names if os.path.exists(f"/dev/shm/{n}")]
