@@ -11,7 +11,10 @@ drives scipy's own CSR kernel rather than re-implementing it:
 :func:`execute_row_blocks` runs ``csr_matvecs`` — the call scipy's
 ``csr @ dense`` makes — on every block at once, on one process-wide
 thread pool.  Each block writes straight into its own rows of one output
-array that the calling thread allocated.
+array that the calling thread allocated (or the caller passed in).  One
+block is a single ``csr_matvecs`` call on the matrix's own arrays: no
+scipy view is built, no index array is narrowed, and the product is
+scipy's bit for bit.  Every serving path runs its SpMM this way.
 
 A cut that falls inside a row no longer than the even share is moved
 back to that row's start, so such a row is never split and a block
@@ -220,6 +223,7 @@ def execute_row_blocks(
     dense: np.ndarray,
     n_blocks: "int | None" = None,
     *,
+    out: "np.ndarray | None" = None,
     epilogue: "Callable[[np.ndarray, int, int], None] | None" = None,
 ) -> np.ndarray:
     """``matrix @ dense`` with ``n_blocks`` merge-path row blocks at once.
@@ -228,13 +232,21 @@ def execute_row_blocks(
         matrix: The sparse operand.
         dense: Dense operand, ``(n_cols, width)``.
         n_blocks: Blocks to run; defaults to :func:`block_count`.  One
-            block is a single ``matrix.to_scipy() @ dense`` call.
+            block is a single ``csr_matvecs`` call on the matrix's own
+            arrays — the call ``matrix.to_scipy() @ dense`` ends in,
+            with none of its view building.  When scipy no longer
+            exports the kernel, every call is one ``to_scipy() @ dense``
+            and counts ``core.parallel.scipy_fallbacks``.
+        out: Where to write the product: a C-contiguous float64
+            ``(n_rows, width)`` array, zeroed before the kernel runs.
+            Defaults to a new array.
         epilogue: Called as ``epilogue(product, lo, hi)`` once for every
             output row, when rows ``lo:hi`` are final — on the thread
             that finished them, so it must write only those rows.
 
     Returns:
-        The dense product; without split rows, scipy's answer bit for bit.
+        The dense product (``out`` when given); without split rows,
+        scipy's answer bit for bit.
     """
     if n_blocks is None:
         n_blocks = block_count(matrix)
@@ -243,18 +255,39 @@ def execute_row_blocks(
     dense = np.ascontiguousarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != matrix.n_cols:
         raise ValueError(f"dimension mismatch: {matrix.shape} @ {dense.shape}")
-    view = matrix.to_scipy()
+    n_cols, width = matrix.n_cols, dense.shape[1]
+    if out is None:
+        # Blocks zero their own rows: a calloc of the whole product may
+        # be served from the heap, and zeroing it here would be serial.
+        product = np.empty((matrix.n_rows, width))
+    elif (
+        out.shape != (matrix.n_rows, width)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be C-contiguous float64 of shape "
+            f"{(matrix.n_rows, width)}, got {out.dtype} {out.shape}"
+        )
+    else:
+        product = out
     if n_blocks == 1 or _csr_matvecs is None:
-        product = view @ dense
+        if _csr_matvecs is None:
+            obs.counter("core.parallel.scipy_fallbacks").inc()
+            product[...] = matrix.to_scipy() @ dense
+        else:
+            product[...] = 0.0
+            _csr_matvecs(
+                matrix.n_rows, n_cols, width, matrix.row_pointers,
+                matrix.column_indices, matrix.values, dense.ravel(),
+                product.ravel(),
+            )
         if epilogue is not None:
             epilogue(product, 0, matrix.n_rows)
         return product
 
+    view = matrix.to_scipy()
     plan = row_blocks(matrix, n_blocks)
-    n_cols, width = matrix.n_cols, dense.shape[1]
-    # Each block zeroes its own rows: a calloc of the whole product may be
-    # served from the heap, and zeroing it here would be serial.
-    product = np.empty((matrix.n_rows, width))
     carries = np.zeros((n_blocks, width)) if len(plan.split_rows) else None
     operand = dense.ravel()
     indices, data = view.indices, view.data

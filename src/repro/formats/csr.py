@@ -364,8 +364,12 @@ class CSRMatrix:
         :meth:`fingerprint`'s: a rebound array or a :meth:`with_values`
         sibling gets its own view.  Duplicate entries are kept as stored
         and summed by ``@``, like :meth:`multiply_dense`.
-        ``to_scipy() @ dense`` is the one SpMM every serving and
-        inference path runs.
+        No serving path builds it: their SpMM calls scipy's kernel on
+        this matrix's own arrays
+        (:func:`~repro.core.parallel.execute_row_blocks` with one
+        block).  The engine's row blocks slice its narrowed index
+        arrays, and it is the fallback when scipy stops exporting the
+        kernel.
         """
         view = self._memo("_scipy_view")
         if view is None:

@@ -44,8 +44,9 @@ def reference_spmm(matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     """Independent reference product for the output oracle.
 
     The chunked scatter-add :meth:`CSRMatrix.multiply_dense`, which
-    shares no code with the serving kernel (``to_scipy() @ dense``), so
-    the oracle never compares scipy with itself.  Duplicate indices are
+    shares no code with the serving kernel (scipy's ``csr_matvecs``,
+    called by :func:`~repro.core.parallel.execute_row_blocks`), so the
+    oracle never compares scipy with itself.  Duplicate indices are
     summed, matching the executors' semantics.
     """
     return matrix.multiply_dense(np.asarray(dense, dtype=np.float64))

@@ -1,14 +1,18 @@
 """Seeded k-hop fanout neighbor sampling.
 
 :class:`FanoutSampler` grows an ego network around one seed node the
-way GraphSAGE-style minibatch trainers do: hop ``h`` draws at most
-``fanouts[h]`` neighbors *without replacement* from every frontier
-node's neighbor list, the union of fresh draws becomes the next
-frontier, and already-visited nodes are never re-added.  Sampling is a
-pure function of ``(graph, seed, fanouts, rng state)`` — two samplers
-holding generators seeded identically produce byte-identical node sets,
-which is what lets the bench verify every served subgraph against a
-SciPy oracle after the fact.
+way GraphSAGE-style minibatch trainers do: hop ``h`` draws a uniform
+subset of ``min(fanouts[h], degree)`` neighbors *without replacement*
+from every frontier node's neighbor list, the union of fresh draws
+becomes the next frontier, and already-visited nodes are never
+re-added.  Each hop takes all its random numbers from one
+``rng.random`` call and picks every frontier node's subset from its
+share of them with Floyd's algorithm: ``fanout`` draws per node and no
+per-node generator call, so the walk costs a few Python steps per pick.
+Sampling is a pure function of ``(graph, seed, fanouts, rng state)`` —
+two samplers holding generators seeded identically produce
+byte-identical node sets, which is what lets the bench verify every
+served subgraph against a SciPy oracle after the fact.
 
 :class:`ZipfSeedGenerator` models the serving-side request skew: seed
 popularity follows a Zipf law over nodes ranked by degree, so hubs are
@@ -72,34 +76,46 @@ class FanoutSampler:
         self.fanouts = fanouts
 
     def sample(self, seed: int, rng: np.random.Generator) -> SampleResult:
-        """One ego walk from ``seed``; consumes ``rng`` deterministically."""
+        """One ego walk from ``seed``; consumes ``rng`` deterministically.
+
+        Each hop makes one ``rng.random(len(frontier) * fanout)`` call
+        (none for a non-positive fanout); frontier node ``i`` uses draws
+        ``i * fanout`` onwards.
+        """
         seed = int(seed)
         if not 0 <= seed < self.index.n_nodes:
             raise ValueError(
                 f"seed {seed} out of range [0, {self.index.n_nodes})"
             )
+        pointers = self.index.csc.col_pointers
+        neighbor_ids = self.index.csc.row_indices
         visited = {seed}
         ordered = [seed]
         frontier = [seed]
         hop_counts = [1]
         for fanout in self.fanouts:
-            fresh: "list[int]" = []
-            for node in frontier:
-                neighbor_ids, _ = self.index.neighbors(node)
-                if len(neighbor_ids) == 0:
-                    continue
-                if 0 < fanout < len(neighbor_ids):
-                    picks = rng.choice(
-                        neighbor_ids, size=fanout, replace=False
-                    )
+            draws = (
+                rng.random(len(frontier) * fanout).tolist()
+                if fanout > 0
+                else []
+            )
+            # Positions in ``neighbor_ids`` of every pick this hop, in
+            # frontier order, so one gather serves the whole hop.
+            positions: "list[int]" = []
+            for slot, node in enumerate(frontier):
+                start = int(pointers[node])
+                degree = int(pointers[node + 1]) - start
+                if 0 < fanout < degree:
+                    share = draws[slot * fanout : (slot + 1) * fanout]
+                    positions += [start + o for o in _floyd(degree, share)]
                 else:
-                    picks = neighbor_ids
-                for neighbor in picks:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        ordered.append(neighbor)
-                        fresh.append(neighbor)
+                    positions += range(start, start + degree)
+            fresh: "list[int]" = []
+            for neighbor in neighbor_ids[positions].tolist():
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    ordered.append(neighbor)
+                    fresh.append(neighbor)
             hop_counts.append(len(fresh))
             if not fresh:
                 break
@@ -111,6 +127,25 @@ class FanoutSampler:
             hop_counts=tuple(hop_counts),
             fanouts=self.fanouts,
         )
+
+
+def _floyd(degree: int, draws: "list[float]") -> "list[int]":
+    """A uniform ``k = len(draws)``-subset of ``range(degree)`` (Floyd).
+
+    Step ``i`` maps its draw to ``t``, uniform over ``range(j)`` with
+    ``j = degree - k + i + 1``, and takes ``j - 1`` instead when ``t``
+    is already taken, which leaves every ``k``-subset equally likely.
+    Offsets are returned in the order taken.
+    """
+    taken: "set[int]" = set()
+    offsets = []
+    for j, draw in enumerate(draws, start=degree - len(draws) + 1):
+        offset = int(draw * j)
+        if offset in taken:
+            offset = j - 1
+        taken.add(offset)
+        offsets.append(offset)
+    return offsets
 
 
 def sample_ego(

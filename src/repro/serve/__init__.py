@@ -8,9 +8,10 @@ The ROADMAP's request path on top of the one-shot experiment harness:
   per-request deadlines and per-batch timeouts, and a
   ``HEALTHY/DEGRADED/UNHEALTHY`` health surface.
 * :mod:`repro.serve.dispatch` — :class:`Dispatcher`: every thread-tier
-  batch as scipy's CSR product (``matrix.to_scipy() @ dense``), with
+  batch as one call of scipy's CSR kernel on the matrix's own arrays
+  (:func:`~repro.core.parallel.execute_row_blocks` with one block), with
   forced fallback to the verified executor on any kernel or oracle
-  failure.
+  failure, and each phase's seconds returned for the request ledgers.
 * :mod:`repro.serve.guard` — :class:`WorkerSupervisor`, the worker
   pool's failure-domain guard.
 * :mod:`repro.serve.procpool` — :class:`ProcessWorkerPool`: the
@@ -18,7 +19,9 @@ The ROADMAP's request path on top of the one-shot experiment harness:
   zero-copy to shared-memory CSR segments (:mod:`repro.shm`), with a
   heartbeat reaper that SIGKILLs hung workers, crash containment to the
   affected batch (terminal ``worker_crashed`` status), poison-request
-  quarantine, and RSS-based memory guards.
+  quarantine, and RSS-based memory guards.  Workers run the same
+  one-block kernel call, writing into their slot's shared-memory block,
+  and exit when their parent dies.
 * :mod:`repro.serve.epoch` — :class:`GraphEpochManager`: RCU-style
   epoch management for live graph updates (atomic snapshot install,
   read leases pinning in-flight epochs, precise cache invalidation of

@@ -1,14 +1,21 @@
 """The thread tier's SpMM: one library kernel behind a verified fallback.
 
-:class:`Dispatcher` runs every batch as ``matrix.to_scipy() @ dense`` —
-scipy's CSR product, the CPU analogue of the paper's cuSPARSE baseline
-and the floor every serving layer is measured against.  The kernel call
-is charged to the ``kernel`` request-trace stage.  With ``verify`` the
-output is cross-checked against the independent reference
+:class:`Dispatcher` runs every batch as scipy's CSR kernel
+(``csr_matvecs``, the call ``csr @ dense`` ends in) on the matrix's own
+arrays, through the one-block path of
+:func:`~repro.core.parallel.execute_row_blocks` — scipy's answer bit for
+bit, with no view built per request.  scipy's CSR product is the CPU
+analogue of the paper's cuSPARSE baseline and the floor every serving
+layer is measured against.  With ``verify`` the output is cross-checked
+against the independent reference
 (:func:`~repro.resilience.oracles.check_output`); any exception — a
 failed check or a crashed kernel — degrades to
 :func:`~repro.resilience.oracles.verified_spmm`, so a dispatched batch
 always returns a verified product.
+
+Each phase is timed from two clock reads and returned in
+:attr:`DispatchResult.stages`; the service adds those seconds to every
+batch member's ledger.  Nothing here opens a request-trace stage.
 
 ``InferenceService(dispatcher=...)`` is the seam for slow, failing or
 corrupting kernels: subclass :class:`Dispatcher` and override
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.core.parallel import execute_row_blocks
 from repro.formats import CSRMatrix
-from repro.obs import rtrace
 from repro.resilience.oracles import check_output, verified_spmm
 
 
@@ -39,6 +46,9 @@ class DispatchResult:
         fallback_used: Whether :func:`verified_spmm` produced the output.
         detected: Oracle/exception description that forced the fallback.
         latency_seconds: Measured wall time, including any fallback.
+        stages: Seconds of each phase that ran — ``kernel``, then
+            ``verify`` under ``verify=True``, then ``fallback`` when the
+            kernel or the check failed — as ``perf_counter`` deltas.
     """
 
     output: np.ndarray
@@ -46,11 +56,13 @@ class DispatchResult:
     fallback_used: bool
     detected: "str | None"
     latency_seconds: float
+    stages: "dict[str, float]"
 
 
 class Dispatcher:
     """Runs one SpMM through :meth:`kernel`, falling back on any failure.
 
+    :meth:`kernel` is one ``execute_row_blocks(matrix, dense, 1)`` call.
     Stateless and safe to call from concurrent serve workers.
     """
 
@@ -59,7 +71,7 @@ class Dispatcher:
 
     def kernel(self, matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
         """The product ``matrix @ dense`` (override to inject faults)."""
-        return matrix.to_scipy() @ dense
+        return execute_row_blocks(matrix, dense, 1)
 
     def execute(
         self,
@@ -81,24 +93,32 @@ class Dispatcher:
         """
         dense = np.asarray(dense, dtype=np.float64)
         detected: "str | None" = None
-        started = time.perf_counter()
+        stages: "dict[str, float]" = {}
+        started = mark = time.perf_counter()
         try:
-            with rtrace.stage("kernel", backend=self.backend):
-                output = self.kernel(matrix, dense)
+            output = self.kernel(matrix, dense)
+            now = time.perf_counter()
+            stages["kernel"], mark = now - mark, now
             if verify:
-                with rtrace.stage("verify"):
-                    check_output(matrix, dense, output, rtol=rtol, atol=atol)
+                check_output(matrix, dense, output, rtol=rtol, atol=atol)
+                now = time.perf_counter()
+                stages["verify"], mark = now - mark, now
         except Exception as exc:
+            # The failed phase keeps the seconds it ran for.
+            now = time.perf_counter()
+            stages["verify" if "kernel" in stages else "kernel"] = now - mark
+            mark = now
             detected = f"{type(exc).__name__}: {exc}"
             obs.counter("serve.dispatch.fallbacks", backend=self.backend).inc()
-            with rtrace.stage("fallback", backend=self.backend):
-                output = verified_spmm(matrix, dense, rtol=rtol, atol=atol).output
-        seconds = time.perf_counter() - started
+            output = verified_spmm(matrix, dense, rtol=rtol, atol=atol).output
+            now = time.perf_counter()
+            stages["fallback"], mark = now - mark, now
         obs.counter("serve.dispatch.requests", backend=self.backend).inc()
         return DispatchResult(
             output=output,
             backend=self.backend,
             fallback_used=detected is not None,
             detected=detected,
-            latency_seconds=seconds,
+            latency_seconds=mark - started,
+            stages=stages,
         )

@@ -71,6 +71,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import obs
+from repro.core.parallel import execute_row_blocks
 from repro.formats import CSRMatrix
 from repro.obs import rtrace
 from repro.resilience import faults
@@ -312,23 +313,31 @@ def _worker_entry(
     Deliberately minimal — pipe + numpy/scipy + segment attach, nothing
     else — so a ``fork``-started child never touches inherited parent
     state (locks, sockets, the obs registry).  Metrics collection is
-    switched off first thing for the same reason.  Every batch runs as
-    ``matrix.to_scipy() @ stacked`` on its attached segment's matrix,
-    whose memoised view is built on the first batch (values stay in the
-    shared pages; scipy may narrow the index arrays to ``int32``, a
-    one-off copy per attach).  The operand is read from the slot's
-    block and the product copied in beside it; the block stays mapped
-    until an exec message names a new one.
+    switched off first thing for the same reason.  Every batch is one
+    ``execute_row_blocks(matrix, stacked, 1, out=...)`` call on its
+    attached segment's matrix: scipy's CSR kernel reads the index and
+    value arrays in the shared pages as they are (no scipy view, no
+    ``int32`` index copy) and writes the product straight into the
+    slot's block beside the operand.  The block stays mapped until an
+    exec message names a new one.
+
+    The worker returns once its parent is gone — ``os.getppid()`` no
+    longer the pid it started under, checked at every heartbeat poll —
+    so a parent killed without ``close()`` leaves no orphan holding
+    whatever the parent shared with it open.
     """
     try:
         obs.disable()
     except Exception:  # pragma: no cover - defensive
         pass
+    parent = os.getppid()
     attached: "OrderedDict[str, AttachedCSR]" = OrderedDict()
     block: "shared_memory.SharedMemory | None" = None
     words: "np.ndarray | None" = None  # the block as float64 words
     try:
         while True:
+            if os.getppid() != parent:
+                return
             if not conn.poll(heartbeat_interval):
                 try:
                     conn.send(("beat", rss_bytes()))
@@ -364,12 +373,13 @@ def _worker_entry(
                         )
                     words = np.frombuffer(block.buf, dtype=np.float64)
                 stacked = words[: shape[0] * shape[1]].reshape(shape)
+                matrix = entry.matrix
+                product = words[
+                    out_offset : out_offset + matrix.n_rows * shape[1]
+                ].reshape(matrix.n_rows, shape[1])
                 started = time.perf_counter()
-                output = entry.matrix.to_scipy() @ stacked
+                execute_row_blocks(matrix, stacked, 1, out=product)
                 kernel_seconds = time.perf_counter() - started
-                words[out_offset : out_offset + output.size].reshape(
-                    output.shape
-                )[...] = output
                 conn.send(
                     ("result", job_id, kernel_seconds, entry.copied_bytes)
                 )

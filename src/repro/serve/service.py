@@ -38,6 +38,10 @@ needs on top of the one-shot experiment harness:
   :mod:`repro.serve.health`.
 
 Every stage emits ``repro.obs`` counters and spans (``serve.service.*``).
+Each request's latency ledger (:mod:`repro.obs.rtrace`) is built from
+clock reads the thread tier already makes: the queue wait at batch
+start, the dispatcher's phase seconds, the copy-out of a batched reply,
+and the residual as ``other`` — no per-stage context managers.
 """
 
 from __future__ import annotations
@@ -1060,16 +1064,6 @@ class InferenceService:
                 batch, queue_waits, started, contexts, matrix, stacked, width
             )
             return
-
-        def dispatch_batch():
-            # Activation happens *inside* the callable: call_with_timeout
-            # may run it on a separate timeout-pool thread, and request
-            # contexts propagate explicitly, never via thread inheritance.
-            with rtrace.activate(*contexts):
-                return self.dispatcher.execute(
-                    matrix, stacked, verify=self.config.verify
-                )
-
         try:
             with obs.span(
                 "serve.service.batch",
@@ -1079,7 +1073,10 @@ class InferenceService:
                 trace_ids=",".join(c.trace_id for c in contexts),
             ):
                 result = call_with_timeout(
-                    dispatch_batch, self._batch_timeout(batch, started)
+                    lambda: self.dispatcher.execute(
+                        matrix, stacked, verify=self.config.verify
+                    ),
+                    self._batch_timeout(batch, started),
                 )
         except ExperimentTimeoutError as exc:
             self._fail_timed_out_batch(batch, queue_waits, started, exc)
@@ -1089,6 +1086,11 @@ class InferenceService:
                 batch, queue_waits, started, f"{type(exc).__name__}: {exc}"
             )
             return
+        # The dispatcher timed its phases; every member waited on all of
+        # them, so each ledger gets the full seconds.
+        for ctx in contexts:
+            for stage, seconds in result.stages.items():
+                ctx.ledger.add(stage, seconds)
         self._complete_batch(batch, queue_waits, started, result, width)
 
     def _execute_batch_proc(
@@ -1213,26 +1215,23 @@ class InferenceService:
             time.monotonic() - started
         )
         for i, (pending, wait) in enumerate(zip(batch, queue_waits)):
-            with rtrace.activate(pending.ctx):
-                with rtrace.stage("scatter"):
-                    if len(batch) == 1:
-                        # The whole result belongs to this request — no copy.
-                        output = result.output
-                    else:
-                        # Copy the slice: a view into the stacked batch
-                        # result would let one client's mutation corrupt
-                        # another's reply and pin the full batch array
-                        # for every response.
-                        output = result.output[
-                            :, i * width : (i + 1) * width
-                        ].copy()
+            ledger = pending.ctx.ledger
+            if len(batch) == 1:
+                # The whole result belongs to this request — no copy.
+                output = result.output
+            else:
+                # Copy the slice: a view into the stacked batch result
+                # would let one client's mutation corrupt another's reply
+                # and pin the full batch array for every response.
+                copy_started = time.perf_counter()
+                output = result.output[:, i * width : (i + 1) * width].copy()
+                ledger.add("scatter", time.perf_counter() - copy_started)
             obs.counter("serve.service.completed").inc()
             self._record_miss(False)
             # Stamp the residual (timeout-pool hand-off, loop overhead)
             # so the ledger's stage sum reconciles exactly with the
             # request's end-to-end latency.
             total = time.monotonic() - pending.enqueued_at
-            ledger = pending.ctx.ledger
             ledger.add(
                 "other",
                 max(0.0, total + pending.pre_seconds - ledger.total()),

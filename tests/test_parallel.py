@@ -133,6 +133,97 @@ class TestRowBlockSplit:
         assert row_blocks(small_power_law, 2) is not row_blocks(small_power_law, 3)
 
 
+def _one_block_cases():
+    rng = np.random.default_rng(7)
+    # Row 0 stores column 2 three times around a cancelling pair, so the
+    # summation order shows in the last bits.
+    duplicates = CSRMatrix.from_arrays(
+        [0, 4, 4, 6], [2, 2, 1, 2, 0, 0],
+        [0.1, 1e16, 3.0, -1e16, 0.7, 0.3], n_cols=3,
+    )
+    empty_rows = CSRMatrix.from_arrays(
+        [0, 0, 3, 3, 3, 5, 5], [1, 0, 4, 2, 2], rng.random(5), n_cols=5
+    )
+    no_entries = CSRMatrix(
+        n_rows=4, n_cols=3, row_pointers=np.zeros(5, np.int64),
+        column_indices=np.zeros(0, np.int64), values=np.zeros(0),
+    )
+    wide = CSRMatrix.from_arrays(
+        [0, 3, 5, 9], [0, 3, 1, 2, 2, 0, 1, 2, 3], rng.normal(size=9),
+        n_cols=4,
+    )
+    return {
+        "duplicate entries": (duplicates, rng.normal(size=(3, 4))),
+        "empty rows": (empty_rows, rng.normal(size=(5, 3))),
+        "nnz 0": (no_entries, rng.normal(size=(3, 2))),
+        "width 1": (wide, rng.normal(size=(4, 1))),
+        "Fortran operand": (wide, np.asfortranarray(rng.normal(size=(4, 5)))),
+    }
+
+
+class TestOneBlock:
+    """``execute_row_blocks(matrix, dense, 1)``: one direct kernel call."""
+
+    @pytest.mark.parametrize("case", sorted(_one_block_cases()))
+    def test_equals_scipy_bit_for_bit(self, case):
+        matrix, dense = _one_block_cases()[case]
+        np.testing.assert_array_equal(
+            execute_row_blocks(matrix, dense, 1), matrix.to_scipy() @ dense
+        )
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_zeroes_a_caller_output_holding_garbage(
+        self, small_power_law, n_blocks
+    ):
+        dense = np.random.default_rng(1).normal(size=(small_power_law.n_cols, 6))
+        out = np.full((small_power_law.n_rows, 6), np.nan)
+        product = execute_row_blocks(small_power_law, dense, n_blocks, out=out)
+        assert product is out
+        np.testing.assert_array_equal(
+            out, execute_row_blocks(small_power_law, dense, n_blocks)
+        )
+        if n_blocks == 1:
+            np.testing.assert_array_equal(
+                out, fresh_product(small_power_law, dense)
+            )
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((4, 2)), np.zeros((3, 2), np.float32),
+         np.zeros((2, 3)).T],
+        ids=["shape", "dtype", "order"],
+    )
+    def test_rejects_an_unusable_output(self, out):
+        matrix = CSRMatrix.from_arrays([0, 1, 2, 3], [0, 1, 2])
+        with pytest.raises(ValueError, match="out must be"):
+            execute_row_blocks(matrix, np.ones((3, 2)), 1, out=out)
+
+    def test_builds_no_scipy_view(self, monkeypatch):
+        matrix = CSRMatrix.from_arrays([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0])
+
+        def no_view(self):
+            raise AssertionError("the one-block call built a scipy view")
+
+        monkeypatch.setattr(CSRMatrix, "to_scipy", no_view)
+        execute_row_blocks(matrix, np.ones((2, 3)), 1)
+
+    def test_missing_kernel_falls_back_and_is_counted(
+        self, small_power_law, monkeypatch
+    ):
+        dense = np.random.default_rng(2).normal(size=(small_power_law.n_cols, 4))
+        expected = fresh_product(small_power_law, dense)
+        monkeypatch.setattr(parallel, "_csr_matvecs", None)
+        out = np.full((small_power_law.n_rows, 4), np.nan)
+        with obs.profiled() as session:
+            into = execute_row_blocks(small_power_law, dense, 1, out=out)
+            blocked = execute_row_blocks(small_power_law, dense, 2)
+        assert into is out
+        np.testing.assert_array_equal(into, expected)
+        np.testing.assert_array_equal(blocked, expected)
+        fallbacks = session.registry.counter("core.parallel.scipy_fallbacks")
+        assert fallbacks.value == 2
+
+
 class TestParallelExecutor:
     @pytest.mark.parametrize("n_workers", [1, 2, 4, 8])
     def test_matches_serial_executor(self, small_power_law, n_workers, features):

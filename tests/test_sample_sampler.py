@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
@@ -100,6 +102,116 @@ class TestFanoutSampler:
             FanoutSampler(index, (3,)).sample(
                 10_000, np.random.default_rng(0)
             )
+
+
+def _star(degree: int) -> CSRMatrix:
+    """Node 0 aggregates from nodes ``1..degree``; nothing else has edges."""
+    pointers = np.full(degree + 2, degree, dtype=np.int64)
+    pointers[0] = 0
+    return CSRMatrix.from_arrays(pointers, np.arange(1, degree + 1))
+
+
+@st.composite
+def _walks(draw):
+    """A random square graph (duplicates allowed), fanouts and a seed."""
+    n = draw(st.integers(1, 14))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=9),
+            min_size=n, max_size=n,
+        )
+    )
+    matrix = CSRMatrix.from_arrays(
+        np.concatenate(([0], np.cumsum([len(r) for r in rows]))),
+        np.array([c for r in rows for c in r], dtype=np.int64),
+        n_cols=n,
+    )
+    fanouts = tuple(draw(st.lists(st.integers(-1, 6), min_size=1, max_size=3)))
+    return matrix, fanouts, draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32))
+
+
+class _CountingRng:
+    """A generator that records the size of every ``random`` call."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+class TestSamplerLaw:
+    def test_each_neighbor_picked_uniformly(self):
+        # 5 of 20 neighbors: each is in the subset with probability 1/4,
+        # and each pair with C(18, 3) / C(20, 5).
+        walks, degree, fanout = 20_000, 20, 5
+        sampler = FanoutSampler(NeighborIndex(_star(degree)), (fanout,))
+        rng = np.random.default_rng(2024)
+        singles = np.zeros(degree + 1)
+        pairs = np.zeros((degree + 1, degree + 1))
+        for _ in range(walks):
+            picks = sampler.sample(0, rng).nodes[1:]
+            assert len(picks) == fanout
+            singles[picks] += 1
+            pairs[np.ix_(picks, picks)] += 1
+        p_single = fanout / degree
+        sd = np.sqrt(p_single * (1 - p_single) / walks)
+        assert np.all(np.abs(singles[1:] / walks - p_single) < 5 * sd)
+        p_pair = (fanout * (fanout - 1)) / (degree * (degree - 1))
+        sd = np.sqrt(p_pair * (1 - p_pair) / walks)
+        off_diagonal = pairs[1:, 1:][~np.eye(degree, dtype=bool)]
+        assert np.all(np.abs(off_diagonal / walks - p_pair) < 5 * sd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk=_walks())
+    def test_hops_follow_edges_within_fanout(self, walk):
+        matrix, fanouts, seed, rng_seed = walk
+        result = FanoutSampler(NeighborIndex(matrix), fanouts).sample(
+            seed, np.random.default_rng(rng_seed)
+        )
+        pointers, columns = matrix.row_pointers, matrix.column_indices
+
+        def neighbors(node):
+            return columns[pointers[node] : pointers[node + 1]].tolist()
+
+        nodes = result.nodes.tolist()
+        assert nodes[0] == seed and len(set(nodes)) == len(nodes)
+        # Hop h's frontier is nodes[bounds[h - 1]:bounds[h]].
+        bounds = [0, *np.cumsum(result.hop_counts).tolist()]
+        for hop, fanout in enumerate(fanouts[: len(bounds) - 2], start=1):
+            frontier = nodes[bounds[hop - 1] : bounds[hop]]
+            fresh = nodes[bounds[hop] : bounds[hop + 1]]
+            # Fresh nodes come in frontier order: walk the frontier and
+            # charge each to the current node while it is a neighbor
+            # and that node has picks left.
+            current, charged = 0, 0
+            for node in fresh:
+                while current < len(frontier) and (
+                    node not in neighbors(frontier[current])
+                    or 0 < fanout <= charged
+                ):
+                    current, charged = current + 1, 0
+                assert current < len(frontier), (node, frontier)
+                charged += 1
+            # A fanout at or above a node's degree keeps every neighbor.
+            seen = set(nodes[: bounds[hop + 1]])
+            for node in frontier:
+                if fanout <= 0 or len(neighbors(node)) <= fanout:
+                    assert set(neighbors(node)) <= seen
+
+    def test_one_draw_per_hop(self, index):
+        rng = _CountingRng(3)
+        fanouts = (4, 3, -1, 2)
+        result = FanoutSampler(index, fanouts).sample(0, rng)
+        # hop_counts[h] is the size of hop h + 1's frontier.
+        expected = [
+            size * fanout
+            for size, fanout in zip(result.hop_counts, fanouts)
+            if fanout > 0 and size
+        ]
+        assert rng.sizes == expected
 
 
 class TestSampleEgo:

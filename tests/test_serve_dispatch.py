@@ -1,6 +1,7 @@
 """Unit tests for the thread tier's dispatcher (one kernel + verified fallback)."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.core import build_schedule, execute_vectorized
@@ -45,11 +46,26 @@ class TestScipyKernel:
         assert result.latency_seconds > 0
 
     def test_kernel_time_lands_in_kernel_stage(self, small_power_law, rng):
+        dense = rng.random((small_power_law.n_cols, 4))
+        result = Dispatcher().execute(small_power_law, dense)
+        assert set(result.stages) == {"kernel"}
+        assert 0.0 < result.stages["kernel"] <= result.latency_seconds
+
+    def test_verify_time_lands_in_verify_stage(self, small_power_law, rng):
+        dense = rng.random((small_power_law.n_cols, 4))
+        result = Dispatcher().execute(small_power_law, dense, verify=True)
+        assert set(result.stages) == {"kernel", "verify"}
+        assert sum(result.stages.values()) == pytest.approx(
+            result.latency_seconds, abs=1e-9
+        )
+
+    def test_opens_no_request_trace_stage(self, small_power_law, rng):
+        # The service adds the returned seconds to its ledgers itself.
         ctx = rtrace.RequestContext.new(request_id=1, route="test")
         dense = rng.random((small_power_law.n_cols, 4))
         with rtrace.activate(ctx):
-            Dispatcher().execute(small_power_law, dense)
-        assert set(ctx.ledger.stages()) == {"kernel"}
+            Dispatcher().execute(small_power_law, dense, verify=True)
+        assert ctx.ledger.stages() == {}
 
 
 class TestVerifiedFallback:
@@ -60,6 +76,12 @@ class TestVerifiedFallback:
         assert "kernel exploded" in result.detected
         assert np.allclose(
             result.output, small_power_law.multiply_dense(dense)
+        )
+        # The crashed kernel keeps the seconds it ran; the rest is the
+        # fallback's.
+        assert set(result.stages) == {"kernel", "fallback"}
+        assert sum(result.stages.values()) == pytest.approx(
+            result.latency_seconds, abs=1e-9
         )
 
     def test_fault_injection_still_returns_correct_result(
@@ -81,3 +103,4 @@ class TestVerifiedFallback:
         assert result.fallback_used
         assert result.detected is not None
         assert np.allclose(result.output, reference)
+        assert set(result.stages) == {"kernel", "verify", "fallback"}

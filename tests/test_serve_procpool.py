@@ -1,7 +1,9 @@
 """Tests for the process-isolated worker pool and its service wiring."""
 
 import os
+import select
 import signal
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -338,6 +340,67 @@ class TestSlotBlocks:
             (block,) = _blocks(pool).values()
             assert block.name != old_name
             assert _in_dev_shm(block.name)
+
+
+#: Builds a two-worker pool, serves one request, writes the worker pids to
+#: ``argv[1]`` and SIGKILLs itself, so the pool never closes.
+_ORPHANING_PARENT = """
+import os, signal, sys
+import numpy as np
+from repro.formats import CSRMatrix
+from repro.serve.procpool import ProcessWorkerPool, ProcPoolConfig
+
+pool = ProcessWorkerPool(ProcPoolConfig(n_workers=2)).start()
+pool.execute(CSRMatrix.identity(4), np.ones((4, 2)))
+with pool._cond:
+    pids = [slot.proc.pid for slot in pool._slots.values()]
+with open(sys.argv[1], "w") as handle:
+    handle.write(" ".join(map(str, pids)))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+class TestKilledParent:
+    def test_workers_exit_and_release_inherited_pipes(self, tmp_path):
+        pid_file = tmp_path / "pids"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        # The workers inherit the write end from the parent; only their
+        # exit lets the read end see EOF.
+        read_fd, write_fd = os.pipe()
+        try:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", _ORPHANING_PARENT, str(pid_file)],
+                env=env, pass_fds=(write_fd,),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            os.close(write_fd)
+            assert parent.wait(timeout=60) == -signal.SIGKILL
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(pids) == 2
+            assert _wait_for(
+                lambda: not any(map(_running, pids)), timeout=2.0
+            ), [pid for pid in pids if _running(pid)]
+            readable, _, _ = select.select([read_fd], [], [], 2.0)
+            assert readable and os.read(read_fd, 1) == b""
+        finally:
+            os.close(read_fd)
+            for pid in pids if "pids" in locals() else ():
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestPipeCarriesNoArrays:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.serve.dispatch import Dispatcher
@@ -20,6 +21,11 @@ from repro.serve.service import InferenceService, ServeConfig
 
 def _service(config=None, dispatcher=None, **kwargs):
     return InferenceService(dispatcher, config, **kwargs)
+
+
+class _CrashingDispatcher(Dispatcher):
+    def kernel(self, matrix, dense):
+        raise RuntimeError("kernel exploded")
 
 
 class _DelayedDispatcher(Dispatcher):
@@ -54,6 +60,67 @@ class TestTracePropagation:
             total = response.queue_seconds + response.service_seconds
             stage_sum = sum(response.attribution["stages"].values())
             assert stage_sum == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "dispatcher, verify, stage",
+        [(None, True, "verify"), (_CrashingDispatcher(), False, "fallback")],
+        ids=["verify", "crashing-kernel"],
+    )
+    def test_ledger_reconciles_with_each_dispatch_stage(
+        self, small_power_law, rng, dispatcher, verify, stage
+    ):
+        with _service(ServeConfig(verify=verify), dispatcher) as service:
+            responses = [
+                service.infer(
+                    small_power_law,
+                    rng.random((small_power_law.n_cols, 4)),
+                    timeout=10.0,
+                )
+                for _ in range(3)
+            ]
+        for response in responses:
+            assert response.ok
+            stages = response.attribution["stages"]
+            assert {"queue", "kernel", stage, "other"} <= set(stages)
+            # A batch of one copies nothing out.
+            assert "scatter" not in stages
+            total = response.queue_seconds + response.service_seconds
+            assert sum(stages.values()) == pytest.approx(total, abs=1e-9)
+
+    def test_batched_copy_out_lands_in_scatter(
+        self, small_power_law, rng, gated_dispatcher
+    ):
+        config = ServeConfig(max_batch=8, n_workers=1)
+        dense = rng.random((small_power_law.n_cols, 4))
+        with _service(config, gated_dispatcher) as service:
+            responses = gated_dispatcher.backlog(
+                service, [(small_power_law, dense)] * 4
+            )
+        for response in responses:
+            assert response.batch_size == 4
+            stages = response.attribution["stages"]
+            assert {"queue", "kernel", "scatter", "other"} <= set(stages)
+            total = response.queue_seconds + response.service_seconds
+            assert sum(stages.values()) == pytest.approx(total, abs=1e-9)
+
+    def test_batch_span_names_members_without_stage_spans(
+        self, small_power_law, rng, gated_dispatcher
+    ):
+        config = ServeConfig(max_batch=8, n_workers=1)
+        dense = rng.random((small_power_law.n_cols, 4))
+        with obs.profiled() as session:
+            with _service(config, gated_dispatcher) as service:
+                responses = gated_dispatcher.backlog(
+                    service, [(small_power_law, dense)] * 3
+                )
+        spans = [e for e in session.trace.events if e["ph"] == "X"]
+        batches = [
+            e["args"]["trace_ids"].split(",")
+            for e in spans
+            if e["name"] == "serve.service.batch"
+        ]
+        assert [r.trace_id for r in responses] in batches
+        assert not [e for e in spans if e["name"].startswith("rtrace.")]
 
     def test_batched_requests_keep_distinct_ids_and_ledgers(
         self, small_power_law, rng, gated_dispatcher

@@ -90,12 +90,14 @@ class TestRequestPath:
             assert response.ok
             assert np.allclose(response.output, matrix.multiply_dense(dense))
 
-    def test_each_matrix_builds_one_scipy_view(self, monkeypatch, rng):
-        # Fresh matrices: the session fixtures may already hold a view.
+    def test_thread_tier_builds_no_scipy_view(self, monkeypatch, rng):
+        # The kernel runs on the matrix's own arrays: neither a plain
+        # request nor an ego subgraph builds a scipy view.
         graphs = [
             power_law_graph(n_nodes=200, nnz=1_200, max_degree=40, seed=s)
             for s in (1, 2)
         ]
+        expected = []
         built = []
         original = csr_module.sp.csr_matrix
 
@@ -110,10 +112,21 @@ class TestRequestPath:
                 dense = rng.random((matrix.n_cols, 4))
                 response = service.infer(matrix, dense, timeout=10.0)
                 assert response.ok
-                np.testing.assert_allclose(
-                    response.output, matrix.multiply_dense(dense), rtol=1e-12
-                )
-        assert len(built) == 2
+                expected.append((response.output, matrix, dense))
+            features = rng.random((graphs[0].n_cols, 4))
+            ego = service.submit_ego(
+                3, features, matrix=graphs[0], rng=np.random.default_rng(0)
+            )
+            assert ego.result(timeout=10.0).ok
+        assert built == []
+        monkeypatch.undo()
+        for output, matrix, dense in expected:
+            assert np.array_equal(output, _reference(matrix, dense))
+        sub = ego.subgraph.matrix
+        assert np.array_equal(
+            ego.result().output,
+            _reference(sub, features[ego.subgraph.nodes]),
+        )
 
     def test_rejects_bad_operand_shapes(self, small_power_law):
         with _service() as service:
