@@ -62,6 +62,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import obs
+from repro.core import ScheduleCache
 from repro.formats import CSRMatrix
 from repro.formats.validation import validate_csr
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
@@ -69,7 +70,6 @@ from repro.graphs.generators import power_law_graph
 from repro.obs import rtrace
 from repro.resilience import corruption, faults, oracles
 from repro.resilience.oracles import reference_spmm
-from repro.sample.index import NeighborIndexCache
 from repro.serve.dispatch import Dispatcher
 from repro.serve.epoch import GraphEpochManager
 from repro.serve.health import DEGRADED, HEALTHY, UNHEALTHY, HealthPolicy
@@ -832,61 +832,66 @@ def _update_stream(run: _Run) -> "tuple[str, str]":
 def _precise_invalidation(run: _Run) -> "tuple[str, str]":
     """Retirement drops exactly the retired epoch's keys — no global flush.
 
-    Runs against the neighbor-index cache, the cache ego serving
-    registers with the epoch manager.
+    Runs against a :class:`ScheduleCache`, a cache keyed on
+    version-precise fingerprints that registers with the epoch manager.
     """
     base = _base_matrix(run.seed + 5)
     bystander = _base_matrix(run.seed + 6)
-    indexes = NeighborIndexCache(capacity=16)
+    schedules = ScheduleCache(max_entries=16)
     manager = GraphEpochManager(
-        DeltaCSR(base, compact_threshold=3), caches=(indexes,)
+        DeltaCSR(base, compact_threshold=3), caches=(schedules,)
     )
     problems: "list[str]" = []
 
     def retained(matrix: CSRMatrix) -> bool:
         # A hit proves the entry survived; a miss would rebuild it.
-        hits = indexes.hits
-        indexes.get(matrix)
-        return indexes.hits == hits + 1
+        built = schedules.schedule_computations
+        schedules.get(matrix, cost=256)
+        return schedules.schedule_computations == built
 
-    indexes.get(bystander)
+    schedules.get(bystander, cost=256)
     snapshot0 = manager.current_snapshot()
-    indexes.get(snapshot0.matrix)
+    schedules.get(snapshot0.matrix, cost=256)
 
     lease = manager.acquire()  # an in-flight request pins epoch 0
     planner = UpdatePlanner(base)
     urng = np.random.default_rng(run.seed + 505)
     snapshot1 = run.apply(manager, planner.batch(urng, 1))
-    indexes.get(snapshot1.matrix)
+    schedules.get(snapshot1.matrix, cost=256)
     if not retained(snapshot0.matrix):
-        problems.append("leased epoch's index was dropped while in flight")
+        problems.append("leased epoch's schedule was dropped while in flight")
 
+    entries = schedules.entries
     lease.release()  # drains the last lease -> epoch 0 retires
-    if indexes.invalidations != 1:
+    dropped = entries - schedules.entries
+    if dropped != 1:
         problems.append(
-            f"epoch 0 retirement dropped {indexes.invalidations} "
-            "index(es), expected exactly 1"
+            f"epoch 0 retirement dropped {dropped} schedule(s), "
+            "expected exactly 1"
         )
     if not retained(snapshot1.matrix):
-        problems.append("live epoch's index was dropped at retirement")
+        problems.append("live epoch's schedule was dropped at retirement")
     if not retained(bystander):
-        problems.append("bystander index was flushed by epoch retirement")
+        problems.append("bystander schedule was flushed by epoch retirement")
 
     # Crossing the compaction threshold rebases the delta and retires
-    # epoch 1 (no lease holds it): exactly its index must drop.
+    # epoch 1 (no lease holds it): exactly its schedule must drop.
+    entries = schedules.entries
     snapshot2 = run.apply(manager, planner.batch(urng, 2))
     if not snapshot2.compacted:
         problems.append(
             "expected the threshold-3 log to compact (log was "
             f"{snapshot2.log_size})"
         )
-    dropped = indexes.invalidations
+    dropped += entries - schedules.entries
     if dropped != 2:
         problems.append(
-            f"expected 2 precisely invalidated indexes, stats report {dropped}"
+            f"expected 2 precisely invalidated schedules, saw {dropped}"
         )
     if not retained(bystander):
-        problems.append("bystander index was flushed by compaction retirement")
+        problems.append(
+            "bystander schedule was flushed by compaction retirement"
+        )
     stats = manager.stats()
     run.demos["retired_epochs"] += stats["retired_epochs"]
     run.demos["compactions"] += stats["compactions"]
@@ -894,7 +899,7 @@ def _precise_invalidation(run: _Run) -> "tuple[str, str]":
     if problems:
         return SILENT, "; ".join(problems)
     return DETECTED, (
-        f"{dropped} retired-epoch index(es) dropped; bystander and "
+        f"{dropped} retired-epoch schedule(s) dropped; bystander and "
         "live-epoch entries retained"
     )
 
@@ -1530,7 +1535,7 @@ SCENARIOS: "tuple[Scenario, ...]" = (
     ),
     Scenario(
         UPDATE, "epoch retirement and compaction",
-        "neighbor-index cache with a bystander entry",
+        "schedule cache with a bystander entry",
         {"retirement/precise-invalidation": "epoch"}, _precise_invalidation,
     ),
     Scenario(

@@ -4,7 +4,7 @@ The :mod:`repro.sample` package turns the full-graph serving pipeline
 into a GraphBolt-style minibatch one:
 
 * :mod:`~repro.sample.index` — CSC-backed neighbor lookups over the
-  live graph, cached per (epoch-precise) fingerprint;
+  live graph, memoised on each snapshot's matrix;
 * :mod:`~repro.sample.sampler` — seeded k-hop fanout sampling plus
   Zipf seed popularity;
 * :mod:`~repro.sample.extract` — compact relabeled subgraph extraction
@@ -24,9 +24,7 @@ from repro.sample.index import (
     PULL,
     PUSH,
     NeighborIndex,
-    NeighborIndexCache,
-    get_neighbor_index_cache,
-    set_neighbor_index_cache,
+    neighbor_index,
 )
 from repro.sample.sampler import (
     FanoutSampler,
@@ -41,12 +39,10 @@ __all__ = [
     "EgoSubgraph",
     "FanoutSampler",
     "NeighborIndex",
-    "NeighborIndexCache",
     "SampleResult",
     "ZipfSeedGenerator",
     "extract_subgraph",
     "gather_features",
-    "get_neighbor_index_cache",
+    "neighbor_index",
     "sample_ego",
-    "set_neighbor_index_cache",
 ]

@@ -10,10 +10,14 @@ extracted matrix inherits the parent's epoch :attr:`~CSRMatrix.version`
 stamp, so epoch-pinned verification works on subgraphs exactly as it
 does on full graphs.
 
-Extraction is fully vectorized: one gather of the selected rows' index
-ranges, one lookup-table relabeling pass, one bincount for the new row
-pointers — ``O(sum(degree(nodes)))`` work, independent of the full
-graph's size beyond the lookup table.
+Extraction runs the compiled routines behind scipy's own
+``A[nodes][:, nodes]`` and ``sort_indices()`` — ``csr_row_index``,
+``csr_column_index1``, ``csr_column_index2`` and ``csr_sort_indices`` —
+on the parent's int64 arrays, with no scipy matrix built: ``O(sum of
+the selected rows' lengths)`` work plus one zeroed column-offset array
+the size of the parent's columns.  When scipy stops exporting any of
+them, every call takes the public route instead and counts
+``sample.extract.scipy_fallbacks``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,17 @@ import numpy as np
 
 from repro import obs
 from repro.formats import CSRMatrix
+
+try:  # the routines behind scipy's ``A[rows][:, cols]``; private, so they may move
+    from scipy.sparse._sparsetools import (
+        csr_column_index1 as _csr_column_index1,
+        csr_column_index2 as _csr_column_index2,
+        csr_row_index as _csr_row_index,
+        csr_sort_indices as _csr_sort_indices,
+    )
+except ImportError:  # pragma: no cover - depends on the scipy release
+    _csr_row_index = _csr_column_index1 = None
+    _csr_column_index2 = _csr_sort_indices = None
 
 INDEX_DTYPE = np.int64
 
@@ -66,23 +81,64 @@ class EgoSubgraph:
         }
 
 
-def _gather_row_ranges(
-    matrix: CSRMatrix, nodes: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Flat nnz indices of the selected rows, plus per-row lengths."""
-    starts = matrix.row_pointers[nodes]
-    lengths = matrix.row_pointers[nodes + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=INDEX_DTYPE), lengths
-    # arange over the concatenated ranges without a Python loop:
-    # position k inside row r maps to starts[r] + k.
-    ends = np.cumsum(lengths)
-    offsets = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(
-        ends - lengths, lengths
+def _induced(
+    matrix: CSRMatrix, nodes: np.ndarray, order: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``matrix[nodes][:, nodes]``'s sorted CSR arrays, as scipy computes them.
+
+    ``order`` is ``argsort(nodes)``; ``nodes`` are valid and distinct.
+    """
+    k, n_cols = len(nodes), matrix.n_cols
+    pointers = matrix.row_pointers
+    # The selected rows, gathered whole (scipy's ``A[nodes]``).
+    rows_pointers = np.zeros(k + 1, dtype=INDEX_DTYPE)
+    np.add.accumulate(
+        pointers[nodes + 1] - pointers[nodes], out=rows_pointers[1:]
     )
-    flat = np.repeat(starts, lengths) + offsets
-    return flat, lengths
+    gathered = int(rows_pointers[-1])
+    rows_columns = np.empty(gathered, dtype=INDEX_DTYPE)
+    rows_values = np.empty(gathered)
+    _csr_row_index(
+        k, nodes, pointers, matrix.column_indices, matrix.values,
+        rows_columns, rows_values,
+    )
+    # Their entries in selected columns, relabeled to local ids (``[:, nodes]``).
+    column_offsets = np.zeros(n_cols, dtype=INDEX_DTYPE)
+    sub_pointers = np.empty(k + 1, dtype=INDEX_DTYPE)
+    _csr_column_index1(
+        k, nodes, k, n_cols, rows_pointers, rows_columns, column_offsets,
+        sub_pointers,
+    )
+    nnz = int(sub_pointers[-1])
+    sub_columns = np.empty(nnz, dtype=INDEX_DTYPE)
+    sub_values = np.empty(nnz)
+    _csr_column_index2(
+        order, column_offsets, gathered, rows_columns, rows_values,
+        sub_columns, sub_values,
+    )
+    _csr_sort_indices(k, sub_pointers, sub_columns, sub_values)
+    return sub_pointers, sub_columns, sub_values
+
+
+def _add_missing_diagonal(
+    pointers: np.ndarray, columns: np.ndarray, values: np.ndarray, value: float
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Insert a ``value`` diagonal entry into every row that lacks one.
+
+    Each entry goes where it keeps its row's columns sorted.
+    """
+    n = len(pointers) - 1
+    rows = np.repeat(np.arange(n), np.diff(pointers))
+    missing = np.ones(n, dtype=bool)
+    missing[rows[columns == rows]] = False
+    targets = np.flatnonzero(missing)
+    before = np.bincount(rows[columns < rows], minlength=n)
+    at = pointers[targets] + before[targets]
+    return (
+        pointers + np.concatenate(([0], np.cumsum(missing))),
+        np.insert(columns, at, targets),
+        np.insert(values, at, value),
+    )
 
 
 def extract_subgraph(
@@ -106,8 +162,10 @@ def extract_subgraph(
         self_loop_value: Value of inserted diagonal entries.
 
     The result carries the parent's :attr:`~CSRMatrix.version` stamp.
-    Column indices are sorted within each row, so the output is
-    byte-identical to a sorted SciPy extraction.
+    Column indices are sorted within each row: the arrays are scipy's
+    ``A[nodes][:, nodes]`` after ``sort_indices()``, byte for byte when
+    no row repeats a column (repeated entries may come in another
+    order, the same operator).
     """
     nodes = np.ascontiguousarray(nodes, dtype=INDEX_DTYPE)
     if matrix.n_rows != matrix.n_cols:
@@ -116,49 +174,34 @@ def extract_subgraph(
         raise ValueError(f"nodes must be 1-D, got shape {nodes.shape}")
     if len(nodes) == 0:
         raise ValueError("cannot extract an empty subgraph")
-    if len(nodes) and (nodes.min() < 0 or nodes.max() >= matrix.n_rows):
+    order = nodes.argsort()
+    ordered = nodes[order]
+    if ordered[0] < 0 or ordered[-1] >= matrix.n_rows:
         raise ValueError(
             f"node ids must lie in [0, {matrix.n_rows})"
         )
-    n_local = len(nodes)
-    # Global -> local lookup table; -1 marks nodes outside the sample.
-    lookup = np.full(matrix.n_cols, -1, dtype=INDEX_DTYPE)
-    lookup[nodes] = np.arange(n_local, dtype=INDEX_DTYPE)
-    if np.count_nonzero(lookup >= 0) != n_local:
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):
         raise ValueError("node ids must be distinct")
 
-    flat, lengths = _gather_row_ranges(matrix, nodes)
-    local_cols = lookup[matrix.column_indices[flat]]
-    keep = local_cols >= 0
-    local_rows = np.repeat(
-        np.arange(n_local, dtype=INDEX_DTYPE), lengths
-    )[keep]
-    local_cols = local_cols[keep]
-    local_vals = matrix.values[flat][keep]
-
+    if None in (
+        _csr_row_index, _csr_column_index1, _csr_column_index2,
+        _csr_sort_indices,
+    ):
+        obs.counter("sample.extract.scipy_fallbacks").inc()
+        view = matrix.to_scipy()[nodes][:, nodes]
+        view.sort_indices()
+        arrays = (view.indptr, view.indices, view.data)
+    else:
+        arrays = _induced(matrix, nodes, order)
     if add_self_loops:
-        has_diag = np.zeros(n_local, dtype=bool)
-        has_diag[local_rows[local_rows == local_cols]] = True
-        missing = np.flatnonzero(~has_diag).astype(INDEX_DTYPE)
-        if len(missing):
-            local_rows = np.concatenate([local_rows, missing])
-            local_cols = np.concatenate([local_cols, missing])
-            local_vals = np.concatenate(
-                [local_vals, np.full(len(missing), self_loop_value)]
-            )
-
-    # Canonical CSR layout: row-major, columns sorted within each row.
-    order = np.lexsort((local_cols, local_rows))
-    counts = np.bincount(local_rows, minlength=n_local)
-    row_pointers = np.concatenate(
-        ([0], np.cumsum(counts))
-    ).astype(INDEX_DTYPE)
+        arrays = _add_missing_diagonal(*arrays, self_loop_value)
+    pointers, columns, values = arrays
     sub = CSRMatrix(
-        n_rows=n_local,
-        n_cols=n_local,
-        row_pointers=row_pointers,
-        column_indices=local_cols[order],
-        values=local_vals[order],
+        n_rows=len(nodes),
+        n_cols=len(nodes),
+        row_pointers=pointers,
+        column_indices=columns,
+        values=values,
         version=matrix.version,
     )
     obs.counter("sample.extract.subgraphs").inc()

@@ -16,18 +16,16 @@ For the opposite direction ("which nodes does ``v`` feed?", the push
 view) the index falls back to a real :meth:`CSRMatrix.to_csc`
 conversion, which costs one ``O(nnz log nnz)`` sort.
 
-Indexes are cached process-wide by content fingerprint
-(:class:`NeighborIndexCache`).  Fingerprints mix in the graph epoch
-(PR 7), so the cache is epoch-aware for free, and the cache exposes
-``invalidate_fingerprint`` so a
-:class:`~repro.serve.epoch.GraphEpochManager` can retire exactly one
-epoch's index when its last lease drains.
+Each matrix builds its index once per direction:
+:func:`neighbor_index` memoises it on the
+:class:`~repro.formats.csr.CSRMatrix` itself, the way
+:meth:`~repro.formats.csr.CSRMatrix.to_scipy` memoises its view, so an
+epoch's index lives exactly as long as that epoch's snapshot and
+finding it hashes nothing.  The index holds only arrays, never its
+matrix, so a retired snapshot is freed by reference counting alone.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -61,7 +59,6 @@ class NeighborIndex:
             raise ValueError(
                 f"adjacency must be square, got {matrix.shape}"
             )
-        self.matrix = matrix
         self.direction = direction
         if direction == PULL:
             # Zero-copy reinterpretation: column v of this CSC is row v
@@ -81,11 +78,6 @@ class NeighborIndex:
     @property
     def n_nodes(self) -> int:
         return self.csc.n_cols
-
-    @property
-    def fingerprint(self) -> str:
-        """The underlying matrix's (version-mixed) structure fingerprint."""
-        return self.matrix.fingerprint()
 
     @property
     def degrees(self) -> np.ndarray:
@@ -108,80 +100,15 @@ class NeighborIndex:
         )
 
 
-class NeighborIndexCache:
-    """Thread-safe LRU cache of neighbor indexes keyed by fingerprint.
+def neighbor_index(matrix: CSRMatrix, direction: str = PULL) -> NeighborIndex:
+    """``matrix``'s index in ``direction``, built once (memoised on it).
 
-    Fingerprints are version-precise (PR 7), so one live graph holds one
-    entry per epoch; ``invalidate_fingerprint`` lets the epoch manager
-    retire exactly the entries of a drained epoch.
+    The memo is checked like :meth:`CSRMatrix.to_scipy`'s view, so a
+    rebound array gets a fresh index.
     """
-
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.RLock()
-        self._indexes: "OrderedDict[tuple[str, str], NeighborIndex]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(self, matrix: CSRMatrix, direction: str = PULL) -> NeighborIndex:
-        """The cached index for ``matrix``, building it on miss."""
-        key = (matrix.fingerprint(), direction)
-        with self._lock:
-            index = self._indexes.get(key)
-            if index is not None:
-                self._indexes.move_to_end(key)
-                self.hits += 1
-                obs.counter("sample.index.hits").inc()
-                return index
-            self.misses += 1
-            obs.counter("sample.index.misses").inc()
-            index = NeighborIndex(matrix, direction)
-            self._indexes[key] = index
-            while len(self._indexes) > self.capacity:
-                self._indexes.popitem(last=False)
-                obs.counter("sample.index.evictions").inc()
-            return index
-
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every index of one (epoch-precise) fingerprint."""
-        with self._lock:
-            stale = [key for key in self._indexes if key[0] == fingerprint]
-            for key in stale:
-                del self._indexes[key]
-            if stale:
-                self.invalidations += len(stale)
-                obs.counter("sample.index.invalidations").inc(len(stale))
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._indexes.clear()
-            self.hits = 0
-            self.misses = 0
-            self.invalidations = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._indexes)
-
-
-_default_cache = NeighborIndexCache()
-_default_lock = threading.Lock()
-
-
-def get_neighbor_index_cache() -> NeighborIndexCache:
-    """The process-wide neighbor-index cache (shared by serve and bench)."""
-    return _default_cache
-
-
-def set_neighbor_index_cache(cache: NeighborIndexCache) -> NeighborIndexCache:
-    """Install a new process-wide index cache; returns the previous one."""
-    global _default_cache
-    with _default_lock:
-        previous, _default_cache = _default_cache, cache
-    return previous
+    memo = f"_neighbor_index_{direction}"
+    index = matrix._memo(memo)  # noqa: SLF001 - the matrix's own memo
+    if index is None:
+        index = NeighborIndex(matrix, direction)
+        matrix._remember(memo, index, include_values=True)  # noqa: SLF001
+    return index

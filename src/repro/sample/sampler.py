@@ -31,11 +31,7 @@ from repro.sample.extract import (
     EgoSubgraph,
     extract_subgraph,
 )
-from repro.sample.index import (
-    PULL,
-    NeighborIndex,
-    get_neighbor_index_cache,
-)
+from repro.sample.index import PULL, NeighborIndex, neighbor_index
 
 INDEX_DTYPE = np.int64
 
@@ -159,14 +155,15 @@ def sample_ego(
 ) -> EgoSubgraph:
     """Sample + extract in one call: the ego subgraph around ``seed``.
 
-    Uses the process-wide :class:`~repro.sample.index.NeighborIndexCache`
-    so repeated calls against the same (epoch of the) graph reuse one
-    index.  ``rng`` defaults to a generator seeded by the seed node,
+    Walks ``matrix``'s memoised index
+    (:func:`~repro.sample.index.neighbor_index`), so repeated calls
+    against the same (epoch of the) graph build one index and hash
+    nothing.  ``rng`` defaults to a generator seeded by the seed node,
     making the default path deterministic per seed.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    index = get_neighbor_index_cache().get(matrix, direction)
+    index = neighbor_index(matrix, direction)
     sampler = FanoutSampler(index, tuple(fanouts))
     with obs.span("sample.ego"):
         result = sampler.sample(seed, rng)

@@ -83,8 +83,10 @@ class GraphEpochManager:
             :class:`CSRMatrix` to wrap in one.
         caches: Objects to keep coherent: each exposes
             ``invalidate_fingerprint(fp) -> int`` (ScheduleCache,
-            NeighborIndexCache, ShardRouter) and is invalidated at
-            retirement.
+            ShardRouter) and is invalidated at retirement.  State
+            memoised on a snapshot's matrix, such as its neighbor
+            index, needs no registration: it is freed with the
+            snapshot.
         compact_threshold: Forwarded to a :class:`DeltaCSR` built from a
             bare matrix (ignored when ``source`` already is one).
     """

@@ -49,7 +49,7 @@ from repro.graphs.delta import DeltaCSR, UpdatePlanner
 from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.resilience.oracles import reference_spmm
-from repro.sample import ZipfSeedGenerator, get_neighbor_index_cache
+from repro.sample import ZipfSeedGenerator
 from repro.serve.dispatch import Dispatcher
 from repro.serve.epoch import GraphEpochManager
 from repro.serve.service import InferenceService, ServeConfig
@@ -744,17 +744,12 @@ def run_bench(config: BenchConfig) -> dict:
     epoch_manager = None
     if config.update_rate > 0:
         # The hottest dataset becomes a live graph: requests against it
-        # pin their admitted epoch while the update stream mutates it,
-        # and for ego runs the neighbor-index cache is invalidated
-        # epoch-precisely.
+        # pin their admitted epoch while the update stream mutates it.
+        # Ego runs register no cache: each snapshot's matrix memoises
+        # its own neighbor index, which retires with the snapshot.
         hot = load_traffic_matrices(config)[0]
         epoch_manager = GraphEpochManager(
-            DeltaCSR(hot, compact_threshold=config.compact_threshold),
-            caches=(
-                (get_neighbor_index_cache(),)
-                if config.workload == "ego"
-                else ()
-            ),
+            DeltaCSR(hot, compact_threshold=config.compact_threshold)
         )
     with InferenceService(
         config=config.service,

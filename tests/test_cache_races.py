@@ -1,8 +1,7 @@
 """Threaded stress tests: cache coherence under concurrent live updates.
 
-Satellite of the live-graph mutation work: hammer the caches that
-register with a GraphEpochManager — ScheduleCache and NeighborIndexCache
-— from reader threads while a writer applies update batches
+Hammer a cache that registers with a GraphEpochManager — ScheduleCache —
+from reader threads while a writer applies update batches
 (invalidation races against get/put/evict under LRU pressure).  Every
 read is verified against the dense reference for the *exact matrix the
 reader used*, so any cross-epoch or cross-matrix aliasing shows up as a
@@ -17,7 +16,6 @@ import pytest
 from repro.core import ScheduleCache, execute_vectorized
 from repro.graphs import power_law_graph
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
-from repro.sample import PUSH, NeighborIndexCache
 from repro.serve import GraphEpochManager
 
 DIM = 8
@@ -39,18 +37,16 @@ def bystanders():
     ]
 
 
-def _run_race(base, bystanders, read_one):
-    """Drive readers + one updater.
+def _run_race(base, bystanders, capacity=4):
+    """Drive readers + one updater over a ``capacity``-entry cache.
 
-    Returns the collected problems, the manager, both caches and every
+    Returns the collected problems, the manager, the cache and every
     installed epoch's fingerprint, in install order.
     """
-    # Tiny capacities force evictions to interleave with invalidations.
-    schedules = ScheduleCache(max_entries=4)
-    indexes = NeighborIndexCache(capacity=4)
+    # A tiny capacity forces evictions to interleave with invalidations.
+    schedules = ScheduleCache(max_entries=capacity)
     manager = GraphEpochManager(
-        DeltaCSR(base, compact_threshold=8),
-        caches=(schedules, indexes),
+        DeltaCSR(base, compact_threshold=8), caches=(schedules,)
     )
     planner = UpdatePlanner(base)
     installed = [manager.current_snapshot().fingerprint]
@@ -84,16 +80,11 @@ def _run_race(base, bystanders, read_one):
             for i in range(ROUNDS):
                 if rng.random() < 0.5:
                     with manager.acquire() as lease:
-                        read_one(
-                            (schedules, indexes), lease.matrix, dense, problems
-                        )
+                        _read(schedules, lease.matrix, dense, problems)
                 else:
                     matrix = bystanders[i % len(bystanders)]
-                    read_one(
-                        (schedules, indexes),
-                        matrix,
-                        small[matrix.fingerprint()],
-                        problems,
+                    _read(
+                        schedules, matrix, small[matrix.fingerprint()], problems
                     )
         except Exception as exc:  # pragma: no cover - failure path
             problems.append(f"reader[{seed}]: {exc!r}")
@@ -109,57 +100,41 @@ def _run_race(base, bystanders, read_one):
     assert not any(t.is_alive() for t in (writer, *readers)), (
         "race test deadlocked"
     )
-    return problems, manager, (schedules, indexes), installed
+    return problems, manager, schedules, installed
 
 
-def _check(expected, got, label, problems):
-    if not np.allclose(got, expected, atol=1e-9):
-        problems.append(f"{label}: output mismatch")
-
-
-def _read_index(indexes, matrix, problems):
-    """The cached push index must be exactly ``matrix``'s transpose."""
-    index = indexes.get(matrix, PUSH)
-    _check(matrix.to_dense(), index.csc.to_dense(), "index", problems)
+def _read(schedules, matrix, dense, problems):
+    """The cached schedule must compute exactly ``matrix @ dense``."""
+    out, _ = execute_vectorized(schedules.get(matrix, COST), dense)
+    if not np.allclose(out, matrix.multiply_dense(dense), atol=1e-9):
+        problems.append("schedule: output mismatch")
 
 
 class TestCacheRaces:
     def test_registered_caches_stay_coherent(self, base, bystanders):
-        def read_one(caches, matrix, dense, problems):
-            schedules, indexes = caches
-            schedule = schedules.get(matrix, COST)
-            out, _ = execute_vectorized(schedule, dense)
-            _check(matrix.multiply_dense(dense), out, "schedule", problems)
-            _read_index(indexes, matrix, problems)
-
-        problems, manager, caches, installed = _run_race(
-            base, bystanders, read_one
-        )
+        problems, manager, schedules, installed = _run_race(base, bystanders)
         assert problems == [], problems[:10]
         stats = manager.stats()
         assert stats["leases"] == 0
         # With no lease left, every superseded epoch has retired, and no
-        # retired epoch's key survived the race in either cache.
+        # retired epoch's key survived the race.
         retired = set(installed) - {manager.current_snapshot().fingerprint}
         assert len(retired) == stats["retired_epochs"] >= 1
-        schedules, indexes = caches
         for fp in retired:
             assert schedules.invalidate_fingerprint(fp) == 0
-            assert indexes.invalidate_fingerprint(fp) == 0
-        # The small caches never grew past their bounds.
+        # The small cache never grew past its bound.
         assert schedules.entries <= 4
-        assert len(indexes) <= 4
 
     def test_precise_invalidation_under_eviction_pressure(
         self, base, bystanders
     ):
-        # Index-cache-only variant: bystander traffic may evict a live
-        # epoch's index at any moment while retirement drops others.
-        def read_one(caches, matrix, dense, problems):
-            _read_index(caches[1], matrix, problems)
-
-        problems, manager, caches, _ = _run_race(base, bystanders, read_one)
+        # With room for one schedule, bystander traffic evicts a live
+        # epoch's schedule at almost every read while retirement drops
+        # others; every read stays exact.
+        problems, manager, schedules, _ = _run_race(
+            base, bystanders, capacity=1
+        )
         assert problems == [], problems[:10]
-        indexes = caches[1]
-        assert indexes.hits + indexes.misses > 0
+        assert schedules.evictions > 0
+        assert schedules.entries <= 1
         assert manager.stats()["compactions"] >= 1

@@ -4,14 +4,18 @@
 These tests pin that equivalence over arbitrary square CSR structures
 (including duplicate entries, empty rows, and explicit zeros), the
 local→global mapping contract, the add-only-where-missing self-loop
-semantics, and the PR 7 version-stamp propagation.
+semantics, the version-stamp propagation, byte-exact agreement with a
+sorted scipy extraction when no row repeats a column, and the counted
+fallback to scipy's public indexing.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.formats import CSRMatrix
+from repro.sample import extract
 from repro.sample.extract import extract_subgraph, gather_features
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
@@ -43,9 +47,26 @@ def square_csr(draw, max_nodes=16, max_row_nnz=8):
     )
 
 
+def _first_of_each_entry(matrix):
+    """``matrix`` without repeated ``(row, column)`` entries, order kept."""
+    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_lengths)
+    keys = rows * matrix.n_cols + matrix.column_indices
+    keep = np.sort(np.unique(keys, return_index=True)[1])
+    counts = np.bincount(rows[keep], minlength=matrix.n_rows)
+    return CSRMatrix(
+        n_rows=matrix.n_rows,
+        n_cols=matrix.n_cols,
+        row_pointers=np.concatenate(([0], np.cumsum(counts))),
+        column_indices=matrix.column_indices[keep],
+        values=matrix.values[keep],
+    )
+
+
 @st.composite
-def matrix_and_nodes(draw):
+def matrix_and_nodes(draw, repeats=True):
     matrix = draw(square_csr())
+    if not repeats:
+        matrix = _first_of_each_entry(matrix)
     count = draw(st.integers(1, matrix.n_rows))
     nodes = draw(
         st.permutations(range(matrix.n_rows)).map(
@@ -112,6 +133,50 @@ def test_canonical_layout_and_version(case):
             sub.row_pointers[row]:sub.row_pointers[row + 1]
         ]
         assert np.all(np.diff(cols) >= 0)
+
+
+@given(case=matrix_and_nodes(repeats=False))
+@settings(max_examples=80, deadline=None)
+def test_arrays_equal_sorted_scipy_extraction_without_repeats(case):
+    matrix, nodes = case
+    sub = extract_subgraph(matrix, nodes)
+    oracle = scipy_sparse.csr_matrix(
+        (matrix.values, matrix.column_indices, matrix.row_pointers),
+        shape=matrix.shape,
+    )[nodes][:, nodes]
+    oracle.sort_indices()
+    np.testing.assert_array_equal(sub.row_pointers, oracle.indptr)
+    np.testing.assert_array_equal(sub.column_indices, oracle.indices)
+    np.testing.assert_array_equal(sub.values, oracle.data)
+
+
+@given(case=matrix_and_nodes(), add_self_loops=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_missing_routines_fall_back_to_scipy_and_are_counted(
+    case, add_self_loops
+):
+    matrix, nodes = case
+    compiled = extract_subgraph(matrix, nodes, add_self_loops=add_self_loops)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in (
+            "_csr_row_index", "_csr_column_index1", "_csr_column_index2",
+            "_csr_sort_indices",
+        ):
+            patch.setattr(extract, name, None)
+        with obs.profiled() as session:
+            fallback = extract_subgraph(
+                matrix, nodes, add_self_loops=add_self_loops
+            )
+            extract_subgraph(matrix, nodes)
+    assert session.registry.counter("sample.extract.scipy_fallbacks").value == 2
+    for got, want in (
+        (fallback.row_pointers, compiled.row_pointers),
+        (fallback.column_indices, compiled.column_indices),
+        (fallback.values, compiled.values),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert fallback.version == compiled.version
 
 
 class TestExtractEdgeCases:

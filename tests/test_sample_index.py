@@ -1,17 +1,14 @@
-"""Unit tests for the CSC-backed neighbor index and its epoch-aware cache."""
+"""Unit tests for the CSC-backed neighbor index and its per-matrix memo."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.formats import CSRMatrix
-from repro.sample.index import (
-    PULL,
-    PUSH,
-    NeighborIndex,
-    NeighborIndexCache,
-    get_neighbor_index_cache,
-    set_neighbor_index_cache,
-)
+from repro.graphs.delta import EdgeUpdate
+from repro.sample.index import PULL, PUSH, NeighborIndex, neighbor_index
 from repro.serve.epoch import GraphEpochManager
 
 
@@ -64,12 +61,6 @@ class TestNeighborIndex:
         assert index.n_nodes == 4
         assert np.array_equal(index.degrees, adjacency.row_lengths)
 
-    def test_fingerprint_tracks_version(self, adjacency):
-        assert (
-            NeighborIndex(adjacency.with_version(3)).fingerprint
-            != NeighborIndex(adjacency).fingerprint
-        )
-
     def test_rejects_bad_inputs(self, adjacency):
         with pytest.raises(ValueError, match="direction"):
             NeighborIndex(adjacency, "sideways")
@@ -78,103 +69,96 @@ class TestNeighborIndex:
             NeighborIndex(rect)
 
 
-class TestNeighborIndexCache:
-    def test_hit_miss_accounting(self, adjacency):
-        cache = NeighborIndexCache()
-        first = cache.get(adjacency)
-        assert cache.get(adjacency) is first
-        assert (cache.hits, cache.misses) == (1, 1)
-        # The push view is a distinct entry under the same fingerprint.
-        cache.get(adjacency, PUSH)
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert len(cache) == 2
+def _freed_without_gc(drop) -> bool:
+    """Whether ``drop()`` frees what it releases by reference counting."""
+    gc.disable()
+    try:
+        return drop()
+    finally:
+        gc.enable()
 
-    def test_lru_eviction(self, adjacency):
-        cache = NeighborIndexCache(capacity=2)
-        epochs = [adjacency.with_version(v) for v in range(3)]
-        for matrix in epochs:
-            cache.get(matrix)
-        assert len(cache) == 2
-        # Epoch 0 was evicted; fetching it again is a miss.
-        cache.get(epochs[0])
-        assert cache.misses == 4
 
-    def test_invalidate_fingerprint_drops_both_directions(self, adjacency):
-        cache = NeighborIndexCache()
-        cache.get(adjacency, PULL)
-        cache.get(adjacency, PUSH)
-        other = adjacency.with_version(1)
-        cache.get(other)
-        assert cache.invalidate_fingerprint(adjacency.fingerprint()) == 2
-        assert len(cache) == 1
-        assert cache.invalidations == 2
-        # The surviving epoch still hits.
-        cache.get(other)
-        assert cache.hits == 1
+class TestNeighborIndexMemo:
+    def test_one_index_per_matrix_and_direction(self, adjacency):
+        pull = neighbor_index(adjacency)
+        assert neighbor_index(adjacency, PULL) is pull
+        push = neighbor_index(adjacency, PUSH)
+        assert push is not pull and push.direction == PUSH
+        assert neighbor_index(adjacency, PUSH) is push
+        # Another epoch of the same arrays is another matrix: its own index.
+        assert neighbor_index(adjacency.with_version(1)) is not pull
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            NeighborIndexCache(capacity=0)
+    def test_rebound_values_rebuild(self, adjacency):
+        stale = neighbor_index(adjacency)
+        # Bypass the frozen dataclass the way a rebind would.
+        object.__setattr__(adjacency, "values", adjacency.values * 2.0)
+        fresh = neighbor_index(adjacency)
+        assert fresh is not stale
+        assert fresh.csc.values is adjacency.values
 
-    def test_clear_resets_counters(self, adjacency):
-        cache = NeighborIndexCache()
-        cache.get(adjacency)
-        cache.clear()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+    def test_index_holds_no_reference_to_its_matrix(self, adjacency):
+        matrix = adjacency.with_version(5)
+        index = neighbor_index(matrix, PUSH)
+        gone = weakref.ref(matrix)
 
-    def test_process_wide_swap(self):
-        fresh = NeighborIndexCache()
-        previous = set_neighbor_index_cache(fresh)
-        try:
-            assert get_neighbor_index_cache() is fresh
-        finally:
-            set_neighbor_index_cache(previous)
+        def drop():
+            nonlocal matrix
+            matrix = None
+            return gone() is None
+
+        assert _freed_without_gc(drop)
+        assert index.n_nodes == adjacency.n_rows
 
 
 class TestEpochIntegration:
     def test_epoch_manager_invalidates_retired_index(self, adjacency):
-        # The cache duck-types the epoch manager's cache protocol: a
-        # retired epoch's index entries drop, while live epochs' stay.
-        from repro.graphs.delta import EdgeUpdate
-
-        cache = NeighborIndexCache()
-        manager = GraphEpochManager(adjacency, caches=(cache,))
-        base = manager.current_snapshot().matrix
-        cache.get(base)
+        # Nothing is registered: a retired epoch's index is freed with
+        # its snapshot, while the live epoch's index stays memoised.
+        manager = GraphEpochManager(adjacency, compact_threshold=8)
         first = manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=0, value=1.0)]
         )
-        # Epoch 0 retired at the install (no lease held it).
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-        index = cache.get(first.matrix)
-        ids, _ = index.neighbors(2)
-        assert 0 in ids.tolist()
-        manager.apply_updates(
+        index = neighbor_index(first.matrix)
+        assert 0 in index.neighbors(2)[0].tolist()
+        retiring = weakref.ref(first.matrix)
+        indexed = weakref.ref(index)
+        second = manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=1, value=1.0)]
         )
-        # Epoch 1 retired too: exactly its entry is dropped.
-        assert cache.invalidations == 2
-        assert len(cache) == 0
+        assert manager.stats()["retired_epochs"] == 2
+
+        def drop():
+            nonlocal first, index
+            first = index = None
+            return retiring() is None and indexed() is None
+
+        assert _freed_without_gc(drop)
+        live = neighbor_index(second.matrix)
+        assert neighbor_index(manager.current_snapshot().matrix) is live
+        assert {0, 1} <= set(live.neighbors(2)[0].tolist())
 
     def test_lease_pins_index_until_release(self, adjacency):
-        from repro.graphs.delta import EdgeUpdate
-
-        cache = NeighborIndexCache()
-        manager = GraphEpochManager(adjacency, caches=(cache,))
-        # Move past the shared-base epoch first so retirement semantics
-        # are purely lease-driven.
+        manager = GraphEpochManager(adjacency, compact_threshold=8)
+        # Move past the shared-base epoch first so the leased snapshot
+        # is a materialized overlay only the manager and lease hold.
         first = manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=0, value=1.0)]
         )
+        del first
         lease = manager.acquire()
-        assert lease.epoch == first.epoch
-        cache.get(lease.matrix)
+        index = neighbor_index(lease.matrix)
+        indexed = weakref.ref(index)
+        del index
         manager.apply_updates(
             [EdgeUpdate(op="insert", row=2, col=1, value=1.0)]
         )
         # The leased epoch is still live: its index must survive.
-        assert len(cache) == 1
+        assert neighbor_index(lease.matrix) is indexed()
         lease.release()
-        assert len(cache) == 0
-        assert cache.invalidations == 1
+
+        def drop():
+            nonlocal lease
+            lease = None
+            return indexed() is None
+
+        assert _freed_without_gc(drop)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
-from repro.sample.index import NeighborIndex, NeighborIndexCache
+from repro.sample import index as index_module
+from repro.sample.index import NeighborIndex
 from repro.sample.sampler import (
     FanoutSampler,
     ZipfSeedGenerator,
     sample_ego,
 )
-from repro.sample.index import set_neighbor_index_cache
 
 
 @pytest.fixture(scope="module")
@@ -232,15 +232,20 @@ class TestSampleEgo:
         b = sample_ego(graph, 3, rng=np.random.default_rng(11))
         assert np.array_equal(a.nodes, b.nodes)
 
-    def test_uses_process_wide_index_cache(self, graph):
-        fresh = NeighborIndexCache()
-        previous = set_neighbor_index_cache(fresh)
-        try:
-            sample_ego(graph, 0, rng=np.random.default_rng(0))
-            sample_ego(graph, 1, rng=np.random.default_rng(1))
-            assert (fresh.misses, fresh.hits) == (1, 1)
-        finally:
-            set_neighbor_index_cache(previous)
+    def test_builds_one_index_per_matrix(self, graph, monkeypatch):
+        built = []
+
+        class Counting(index_module.NeighborIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(index_module, "NeighborIndex", Counting)
+        matrix = graph.with_version(7)  # a fresh matrix: nothing memoised
+        sample_ego(matrix, 0, rng=np.random.default_rng(0))
+        sample_ego(matrix, 1, rng=np.random.default_rng(1))
+        assert len(built) == 1
+        assert index_module.neighbor_index(matrix) is built[0]
 
 
 class TestZipfSeedGenerator:

@@ -5,12 +5,15 @@ stage, epoch pinning under live updates, and exact agreement with the
 independently recomputed subgraph aggregation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
-from repro.graphs.delta import EdgeUpdate
-from repro.sample import NeighborIndexCache, set_neighbor_index_cache
+from repro.graphs.delta import EdgeUpdate, UpdatePlanner
 from repro.serve.epoch import GraphEpochManager
 from repro.serve.service import EgoSubmission, InferenceService
 
@@ -20,24 +23,13 @@ def graph():
     return power_law_graph(n_nodes=300, nnz=2_000, max_degree=80, seed=11)
 
 
-@pytest.fixture
-def fresh_index_cache():
-    previous = set_neighbor_index_cache(NeighborIndexCache())
-    try:
-        yield
-    finally:
-        set_neighbor_index_cache(previous)
-
-
 def _expected(submission, features):
     sub = submission.subgraph
     return sub.matrix.multiply_dense(features[sub.nodes])
 
 
 class TestSubmitEgo:
-    def test_end_to_end_matches_subgraph_aggregation(
-        self, graph, fresh_index_cache
-    ):
+    def test_end_to_end_matches_subgraph_aggregation(self, graph):
         features = np.random.default_rng(0).random((graph.n_cols, 8))
         with InferenceService() as service:
             submission = service.submit_ego(
@@ -56,9 +48,7 @@ class TestSubmitEgo:
             response.output, _expected(submission, features), atol=1e-9
         )
 
-    def test_sample_stage_attribution_reconciles(
-        self, graph, fresh_index_cache
-    ):
+    def test_sample_stage_attribution_reconciles(self, graph):
         features = np.random.default_rng(2).random((graph.n_cols, 4))
         with InferenceService() as service:
             submission = service.submit_ego(
@@ -80,9 +70,7 @@ class TestSubmitEgo:
         )
         assert sum(stages.values()) == pytest.approx(total, abs=1e-9)
 
-    def test_deterministic_under_explicit_rng(
-        self, graph, fresh_index_cache
-    ):
+    def test_deterministic_under_explicit_rng(self, graph):
         features = np.random.default_rng(3).random((graph.n_cols, 4))
         with InferenceService() as service:
             a = service.submit_ego(
@@ -95,9 +83,7 @@ class TestSubmitEgo:
             b.result(timeout=10.0)
         assert np.array_equal(a.subgraph.nodes, b.subgraph.nodes)
 
-    def test_default_rngs_differ_per_submission(
-        self, graph, fresh_index_cache
-    ):
+    def test_default_rngs_differ_per_submission(self, graph):
         # Unseeded submissions of the same hub draw distinct neighborhoods
         # (service-local sequence), yet each remains a valid sample.
         hub = int(np.argmax(graph.row_lengths))
@@ -123,9 +109,7 @@ class TestSubmitEgo:
 
 
 class TestEgoUnderLiveUpdates:
-    def test_epoch_pinned_sampling_and_verification(
-        self, graph, fresh_index_cache
-    ):
+    def test_epoch_pinned_sampling_and_verification(self, graph):
         # Snapshot dense copies per epoch; every response must match the
         # aggregation of the epoch it *admitted* under, not the latest.
         manager = GraphEpochManager(graph)
@@ -173,3 +157,52 @@ class TestEgoUnderLiveUpdates:
         # The inserted edge is visible only to the post-update sample.
         assert target not in before.subgraph.nodes.tolist()
         assert target in after.subgraph.nodes.tolist()
+
+    def test_ego_request_hashes_no_snapshot(self, graph, monkeypatch):
+        manager = GraphEpochManager(graph)
+        batch = UpdatePlanner(graph).batch(np.random.default_rng(3), 2)
+        features = np.random.default_rng(4).random((graph.n_cols, 4))
+        hashed = []
+        fingerprint = CSRMatrix.fingerprint
+
+        def counting(matrix, **kwargs):
+            hashed.append(matrix)
+            return fingerprint(matrix, **kwargs)
+
+        with InferenceService(epoch_manager=manager) as service:
+            snapshot = service.apply_updates(batch)
+            monkeypatch.setattr(CSRMatrix, "fingerprint", counting)
+            submission = service.submit_ego(
+                0, features, rng=np.random.default_rng(5)
+            )
+            assert submission.result(timeout=10.0).ok
+        assert submission.epoch == snapshot.epoch
+        # The subgraph is hashed for its batching key; the snapshot never.
+        assert hashed
+        assert not any(matrix is snapshot.matrix for matrix in hashed)
+
+    def test_retired_snapshot_freed_by_reference_counting(self, graph):
+        manager = GraphEpochManager(graph, compact_threshold=64)
+        planner = UpdatePlanner(graph)
+        rng = np.random.default_rng(8)
+        features = np.random.default_rng(9).random((graph.n_cols, 4))
+        gc.disable()
+        try:
+            with InferenceService(epoch_manager=manager) as service:
+                snapshot = service.apply_updates(planner.batch(rng, 2))
+                # A materialized overlay, which the delta does not keep.
+                assert not snapshot.compacted
+                assert snapshot.matrix is not snapshot.base
+                submission = service.submit_ego(
+                    0, features, rng=np.random.default_rng(10)
+                )
+                assert submission.result(timeout=10.0).ok
+                assert submission.epoch == snapshot.epoch
+                service.apply_updates(planner.batch(rng, 2))
+            # Closing joined the worker, whose last batch was this request.
+            assert manager.stats()["retired_epochs"] == 2
+            retiring = weakref.ref(snapshot.matrix)
+            del snapshot, submission
+            assert retiring() is None
+        finally:
+            gc.enable()

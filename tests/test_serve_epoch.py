@@ -12,7 +12,6 @@ import pytest
 from repro.core import ScheduleCache
 from repro.graphs import power_law_graph
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
-from repro.sample import NeighborIndexCache
 from repro.serve import GraphEpochManager, InferenceService, ServeConfig
 
 DIM = 8
@@ -64,57 +63,44 @@ class TestEpochLease:
 
 
 class TestPreciseInvalidation:
-    """Step-by-step lifecycle of one live graph across two caches."""
-
-    def _build_all(self, caches, matrix):
-        schedules, indexes = caches
-        schedules.get(matrix, cost=256)
-        indexes.get(matrix)
+    """Step-by-step lifecycle of one live graph in a registered cache."""
 
     def test_caches_drop_exactly_retired_epochs(self, base, bystander):
         schedules = ScheduleCache(max_entries=32)
-        indexes = NeighborIndexCache(capacity=32)
-        caches = (schedules, indexes)
         manager = GraphEpochManager(
-            DeltaCSR(base, compact_threshold=3), caches=caches
+            DeltaCSR(base, compact_threshold=3), caches=(schedules,)
         )
         batches = _planner_batches(base)
-        self._build_all(caches, bystander)
+        schedules.get(bystander, cost=256)
 
         snap0 = manager.current_snapshot()
-        self._build_all(caches, snap0.matrix)
+        schedules.get(snap0.matrix, cost=256)
 
         # Hold a lease on epoch 0 across an update: nothing may drop.
         lease = manager.acquire()
         snap1 = manager.apply_updates(next(batches))
-        self._build_all(caches, snap1.matrix)
-        assert schedules.entries == 3 and len(indexes) == 3
-        assert indexes.invalidations == 0
+        schedules.get(snap1.matrix, cost=256)
+        assert schedules.entries == 3
 
         # Released: epoch 0 retires and exactly its keys drop.
         lease.release()
         assert manager.stats()["retired_epochs"] == 1
-        assert schedules.entries == 2 and len(indexes) == 2
-        assert indexes.invalidations == 1
+        assert schedules.entries == 2
 
         # Two more batches reach the compaction threshold: the delta
         # rebases and epochs 1 and 2 retire.  Epoch 2 was never built, so
-        # exactly one more index drops.
+        # exactly one more schedule drops.
         manager.apply_updates(next(batches))
         snap3 = manager.apply_updates(next(batches))
         assert snap3.compacted
-        assert indexes.invalidations == 2
         # Only the bystander's entries survive retirement.
-        assert schedules.entries == 1 and len(indexes) == 1
+        assert schedules.entries == 1
         assert schedules.schedule_computations == 3  # nothing recomputed yet
 
         # The bystander still hits: precise invalidation, not a flush.
         before = schedules.schedule_computations
         schedules.get(bystander, cost=256)
         assert schedules.schedule_computations == before
-        hits_before = indexes.hits
-        indexes.get(bystander)
-        assert indexes.hits == hits_before + 1
 
 
 class TestRegisterCache:

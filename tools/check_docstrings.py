@@ -148,7 +148,6 @@ ALLOWLIST: "set[tuple[str, str]]" = {
     ("src/repro/sample/extract.py", "EgoSubgraph.n_nodes"),
     ("src/repro/sample/extract.py", "EgoSubgraph.nnz"),
     ("src/repro/sample/index.py", "NeighborIndex.n_nodes"),
-    ("src/repro/sample/index.py", "NeighborIndexCache.clear"),
 }
 
 _DECORATOR_SKIP = {"overload"}
