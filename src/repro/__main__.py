@@ -7,7 +7,7 @@ Subcommands:
   :mod:`repro.obs.report`.
 * ``chaos`` — run the chaos table: corrupted inputs and execution
   faults in the kernels, then faults injected into live services on the
-  thread, live-update, process and shard tiers.  Exit 1 on any silent
+  thread, live-update and process tiers.  Exit 1 on any silent
   failure or missing demonstration; see :mod:`repro.resilience.chaos`
   and ``docs/ROBUSTNESS.md``.
 * ``serve-bench`` — drive synthetic Zipf/Poisson traffic through the
@@ -17,11 +17,6 @@ Subcommands:
 * ``slo-report`` — render per-route SLO attainment (observed
   percentiles vs. objectives, error-budget burn) from the latest
   ``serve-bench`` run record; see :mod:`repro.obs.slo`.
-* ``shard-bench`` — measure N-shard multi-process SpMM (scatter ->
-  per-shard SpMM -> halo gather) against the single-process kernel,
-  record rows/s, speedup, halo bytes and partition imbalance in
-  ``BENCH_shard.json``; see :mod:`repro.shard.bench` and
-  ``docs/SHARDING.md``.
 * anything else delegates to :mod:`repro.experiments.harness`; run with
   ``--list`` to see the available experiments and their (measured or
   estimated) runtimes, and with ``--profile``/``--trace-out`` to collect
@@ -49,10 +44,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.obs.slo import main as slo_main
 
         return slo_main(argv[1:])
-    if argv and argv[0] == "shard-bench":
-        from repro.shard.bench import main as shard_main
-
-        return shard_main(argv[1:])
     from repro.experiments.harness import main as harness_main
 
     return harness_main(argv)

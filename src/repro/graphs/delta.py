@@ -1,8 +1,8 @@
 """Delta-CSR overlay: versioned live-graph mutation over a frozen base.
 
 Serving needs edges and nodes to change *under traffic*, but every
-cache in the stack — merge-path schedules, neighbor indexes, shard
-partitions — keys its work on an immutable CSR structure.  The paper's
+cache in the stack — merge-path schedules, neighbor indexes — keys
+its work on an immutable CSR structure.  The paper's
 schedule is a pure function of that structure, which makes
 stale-structure execution a silent-wrong-answer bug class, not a crash.
 

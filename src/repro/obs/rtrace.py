@@ -60,8 +60,7 @@ STAGES = (
     "verify",       # output-oracle cross-check
     "fallback",     # verified_spmm recovery path
     "ipc",          # process-pool transport: shm copies, pipe wake-ups
-    "scatter",      # per-request copy-out / per-shard operand slicing
-    "halo",         # shard-tier gather: partial boundary-row summation
+    "scatter",      # per-request copy-out
     "other",        # residual stamped at finalization
 )
 

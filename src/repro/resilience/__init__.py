@@ -17,7 +17,7 @@ The safety net the reproduction's correctness claims rest on:
   experiment batches;
 * :mod:`repro.resilience.chaos` — the chaos matrix behind
   ``python -m repro chaos``: one table of faults across the kernel,
-  thread, update, process and shard tiers, every accepted output checked
+  thread, update and process tiers, every accepted output checked
   against the reference, reporting coverage and what each guard
   demonstrated.
 

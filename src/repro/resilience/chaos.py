@@ -25,10 +25,8 @@ it reports:
   cache keys, and epoch-lag / compaction-backlog health;
 * ``process`` — ``isolation="process"`` workers SIGKILLed mid-batch,
   busy-looping, SIGSTOPped, ballooning their RSS, killed by a poison
-  request, and a torn shared-memory segment;
-* ``shard`` — a shard worker SIGKILLed mid-batch (one sub-batch
-  replay, contained to its shard), a shard's restart budget spent, and
-  a compacted graph re-partitioned.
+  request, a torn shared-memory segment, and a pool whose restart
+  budget is spent.
 
 Every accepted output goes through one oracle,
 :func:`~repro.resilience.oracles.reference_spmm`, on the matrix of the
@@ -39,7 +37,7 @@ run's seed alone, so they do not depend on which rows ran before it.
 
 Exit status 0 requires zero silent cases and every demonstration in
 :data:`MINIMUMS` — proof that each guard actually fired — with zero
-graph bytes copied per request and no process or shard row whose pool
+graph bytes copied per request and no process row whose pool
 sent or received a pipe message over 4 KiB (operands and products
 travel through shared memory).  The run appends a ``BENCH_chaos.json``
 run record.
@@ -80,7 +78,6 @@ from repro.serve.procpool import (
     rss_bytes,
 )
 from repro.serve.service import InferenceService, ServeConfig
-from repro.shard.router import ShardConfig, ShardRouter
 
 # Case outcomes, from best to worst.
 REJECTED = "rejected"      # validation refused the input
@@ -90,18 +87,16 @@ OK = "ok"                  # valid input handled correctly
 SILENT = "SILENT"          # the fault got through unchallenged
 
 # Tiers, in table order.
-KERNEL, THREAD, UPDATE, PROCESS, SHARD = (
-    "kernel", "thread", "update", "process", "shard",
-)
-TIERS = (KERNEL, THREAD, UPDATE, PROCESS, SHARD)
+KERNEL, THREAD, UPDATE, PROCESS = "kernel", "thread", "update", "process"
+TIERS = (KERNEL, THREAD, UPDATE, PROCESS)
 
 # Largest pipe message a pool may carry: an exec message is ~420 B, so
 # anything past this limit means an array travelled the pipe.
 _MESSAGE_LIMIT = 4 << 10
 
 #: Demonstrations a passing run must leave at zero: graph bytes copied
-#: per request, and process or shard rows whose pool's largest pipe
-#: message passed ``_MESSAGE_LIMIT``.
+#: per request, and process rows whose pool's largest pipe message
+#: passed ``_MESSAGE_LIMIT``.
 _MUST_BE_ZERO = ("per_request_graph_bytes_copied", "oversized_message_rows")
 
 #: How often each guard must have demonstrably fired in a passing run.
@@ -119,10 +114,7 @@ MINIMUMS = {
     "memory_sheds": 1,
     "quarantines": 1,
     "segments_republished": 1,
-    "replays": 1,
-    "contained_kills": 1,
-    "shard_exhaustions": 1,
-    "repartitions": 1,
+    "pool_exhaustions": 1,
     "verified_responses": 1,
 }
 
@@ -130,7 +122,6 @@ _DIM = 8
 _RATE = 200.0          # Poisson request arrivals per second
 _UPDATE_RATE = 80.0    # Poisson update batches per second
 _MIB = 1 << 20
-_SHARD_GRAPH = {"n_nodes": 120, "nnz": 720, "max_degree": 24}
 
 
 @dataclass
@@ -1273,183 +1264,49 @@ def _torn_segment(run: _Run) -> "tuple[str, str]":
     return SILENT, detail
 
 
-# ----------------------------------------------------------------------
-# Shard tier: one process pool per column shard
-# ----------------------------------------------------------------------
-def _shard_proc_config(**overrides) -> ProcPoolConfig:
-    """Fast-reaping per-shard pool template."""
-    settings = dict(
-        heartbeat_interval=0.02,
-        heartbeat_timeout=0.6,
-        hang_timeout=5.0,
-        restart_budget=16,
-        restart_window=60.0,
-    )
-    settings.update(overrides)
-    return ProcPoolConfig(**settings)
-
-
-def _absorb_router(run: _Run, router: ShardRouter) -> None:
-    _absorb_zero_copy(run, router.snapshot()["zero_copy"])
-
-
-def _kill_busy_shard_worker(router: ShardRouter) -> bool:
-    """SIGKILL shard 0's busy worker once it settles into its delay."""
-    aimed = _wait_for(lambda: _busy_pids(router.pools[0]), timeout=3.0)
-    if aimed:
-        time.sleep(0.1)  # let the victim settle into its delay
-        for pid in _busy_pids(router.pools[0]):
-            os.kill(pid, signal.SIGKILL)
-    return aimed
-
-
-def _shard_kill(run: _Run) -> None:
-    """SIGKILL a busy shard worker mid-batch: replay, contained restart."""
-    matrix = _base_matrix(run.seed, **_SHARD_GRAPH)
-    config = ShardConfig(n_shards=2, replay_budget=2)
-    with ShardRouter(config, proc_config=_shard_proc_config()) as router:
-        dense = run.dense(matrix)
-        run.verify("warm", dense, router.execute(matrix, dense), matrix)
-
-        # Open a kill window: every shard's sub-batch sleeps inside its
-        # worker before computing, long enough to aim a SIGKILL at the
-        # victim shard's busy worker.
-        holder: "dict[str, object]" = {}
-
-        def submit() -> None:
-            try:
-                holder["result"] = router.execute(matrix, dense)
-            except Exception as exc:  # noqa: BLE001 - recorded below
-                holder["error"] = exc
-
-        with faults.inject(
-            seed=run.seed, delay_proc=1.0, delay_proc_seconds=0.5
-        ):
-            thread = threading.Thread(target=submit, name="chaos-submit")
-            thread.start()
-            aimed = _kill_busy_shard_worker(router)
-            thread.join(timeout=30.0)
-
-        result = holder.get("result")
-        run.verify("victim", dense, result, matrix)
-        snapshot = router.snapshot()
-        victim_restarts = snapshot["shards"][0]["supervisor"]["restarts"]
-        bystander_restarts = snapshot["shards"][1]["supervisor"]["restarts"]
-        if not aimed:
-            outcome, detail = (
-                SILENT, "shard 0 never went busy — kill window never opened"
-            )
-        elif result is not None and snapshot["replays"] >= 1:
-            run.demos["replays"] += snapshot["replays"]
-            outcome, detail = DETECTED, (
-                f"{snapshot['replays']} sub-batch replay(s) on the respawned "
-                "worker"
-            )
-        else:
-            outcome, detail = SILENT, (
-                f"error={holder.get('error')} replays={snapshot['replays']}"
-            )
-        run.case("shard-kill/replayed", outcome, detail)
-        contained = (
-            aimed and victim_restarts >= 1 and bystander_restarts == 0
-        )
-        if contained:
-            run.demos["contained_kills"] += 1
-        run.case(
-            "shard-kill/contained-to-victim",
-            RECOVERED if contained else SILENT,
-            f"aimed={aimed}: shard 0 restarted {victim_restarts}x, shard 1 "
-            f"{bystander_restarts}x",
-        )
-        _absorb_router(run, router)
-
-
-def _shard_exhaustion(run: _Run) -> None:
-    """A shard with a spent restart budget fails its batches terminally."""
-    matrix = _base_matrix(run.seed + 1, **_SHARD_GRAPH)
-    service = InferenceService(
-        config=ServeConfig(
-            max_queue=16,
-            max_batch=1,
-            n_workers=1,
-            verify=False,
-            request_timeout=10.0,
-            isolation="shard",
-            num_shards=2,
-        ),
-        proc_config=_shard_proc_config(restart_budget=0),
-    )
-    with service:
-        router = service._proc_pool
+def _pool_exhaustion(run: _Run) -> None:
+    """A pool with no restart budget left fails, reports and sheds."""
+    matrix = _base_matrix(run.seed + 6)
+    with _proc_service(restart_budget=0) as service:
+        pool = service._proc_pool
         warm = run.serve("warm", service, matrix)
         with faults.inject(
-            seed=run.seed, delay_proc=1.0, delay_proc_seconds=0.5
+            seed=run.seed, delay_proc=1.0, delay_proc_seconds=0.6
         ):
             victim = service.submit(matrix, run.dense(matrix))
-            aimed = _kill_busy_shard_worker(router)
+            aimed = _wait_for(lambda: _busy_pids(pool), timeout=3.0)
+        if aimed:
+            for pid in _busy_pids(pool):
+                os.kill(pid, signal.SIGKILL)
         response = victim.result(timeout=30.0)
-
-        snapshot = router.snapshot()
-        exhausted_shards = snapshot["supervisor"]["exhausted_shards"]
-        terminal = (
-            aimed
-            and response.status == WORKER_CRASHED
-            and exhausted_shards == [0]
-        )
+        exhausted = pool.supervisor.exhausted
+        terminal = aimed and response.status == WORKER_CRASHED and exhausted
         if terminal:
-            run.demos["shard_exhaustions"] += 1
+            run.demos["pool_exhaustions"] += 1
         run.case(
-            "shard-exhaustion/terminal-batch",
+            "pool-exhaustion/terminal-batch",
             DETECTED if terminal else SILENT,
             f"aimed={aimed} status={response.status!r} "
-            f"exhausted={exhausted_shards} ({response.error})",
+            f"exhausted={exhausted} ({response.error})",
         )
         health = service.health()
         causes = sorted(c.kind for c in health.causes)
         raised = (
-            health.status == UNHEALTHY and "shard-pool-exhausted" in causes
+            health.status == UNHEALTHY and "worker-pool-exhausted" in causes
         )
         run.case(
-            "shard-exhaustion/health-cause",
+            "pool-exhaustion/health-cause",
             DETECTED if raised else SILENT,
             f"health={health.status} causes={causes}",
         )
         shed = run.serve("shed", service, matrix)
-        bystander_restarts = snapshot["shards"][1]["supervisor"]["restarts"]
-        sheds = shed.rejected and bystander_restarts == 0 and warm.ok
         run.case(
-            "shard-exhaustion/admission-sheds",
-            DETECTED if sheds else SILENT,
+            "pool-exhaustion/admission-sheds",
+            DETECTED if shed.rejected and warm.ok else SILENT,
             f"warm={warm.status!r}, subsequent request {shed.status!r} "
-            f"({shed.error}); shard 1 restarted {bystander_restarts}x",
+            f"({shed.error})",
         )
-        _absorb_router(run, router)
-
-
-def _repartition(run: _Run) -> "tuple[str, str]":
-    """A new graph epoch re-partitions; the retired plan invalidates."""
-    matrix = _base_matrix(run.seed + 2, **_SHARD_GRAPH)
-    # Compaction: same structure budget, different content — a new
-    # value fingerprint that must not be served from the old plan.
-    compacted = _base_matrix(run.seed + 99, **_SHARD_GRAPH).with_version(
-        (matrix.version or 0) + 1
-    )
-    with ShardRouter(
-        ShardConfig(n_shards=2), proc_config=_shard_proc_config()
-    ) as router:
-        dense = run.dense(matrix)
-        for label, graph in (("epoch-v0", matrix), ("epoch-v1", compacted)):
-            run.verify(label, dense, router.execute(graph, dense), graph)
-        cached = router.snapshot()["partitions_cached"]
-        dropped = router.invalidate_fingerprint(matrix.fingerprint())
-        _absorb_router(run, router)
-    if cached == 2 and dropped == 1:
-        run.demos["repartitions"] += 1
-        return RECOVERED, (
-            "both epochs partitioned; retiring the old fingerprint dropped "
-            "exactly its partition"
-        )
-    return SILENT, f"cached={cached} dropped={dropped}"
+        _absorb_pool(run, pool)
 
 
 # ----------------------------------------------------------------------
@@ -1461,7 +1318,6 @@ _EXECUTOR_FAULTS = {
     "failing-unit": ("fail_unit", 5),
 }
 _PROC_POOL = "2 process workers, max_batch 1"
-_SHARDS = "2 shards of a 120-node graph"
 
 SCENARIOS: "tuple[Scenario, ...]" = (
     *(
@@ -1592,27 +1448,14 @@ SCENARIOS: "tuple[Scenario, ...]" = (
         {"torn-segment/detected-republished": "checksum"}, _torn_segment,
     ),
     Scenario(
-        SHARD, "SIGKILL of shard 0's busy worker",
-        f"{_SHARDS}, replay budget 2",
+        PROCESS, "SIGKILL with the pool's restart budget at 0",
+        f"{_PROC_POOL}, restart budget 0",
         {
-            "shard-kill/replayed": "router",
-            "shard-kill/contained-to-victim": "supervisor",
+            "pool-exhaustion/terminal-batch": "supervisor",
+            "pool-exhaustion/health-cause": "health",
+            "pool-exhaustion/admission-sheds": "admission",
         },
-        _shard_kill,
-    ),
-    Scenario(
-        SHARD, "SIGKILL with shard 0's restart budget at 0",
-        f"{_SHARDS} behind a service",
-        {
-            "shard-exhaustion/terminal-batch": "supervisor",
-            "shard-exhaustion/health-cause": "health",
-            "shard-exhaustion/admission-sheds": "admission",
-        },
-        _shard_exhaustion,
-    ),
-    Scenario(
-        SHARD, "compacted graph (new fingerprint)", _SHARDS,
-        {"epoch-compaction/re-partitions": "router"}, _repartition,
+        _pool_exhaustion,
     ),
 )
 

@@ -82,8 +82,8 @@ class GraphEpochManager:
         source: The live graph — a :class:`DeltaCSR`, or a bare
             :class:`CSRMatrix` to wrap in one.
         caches: Objects to keep coherent: each exposes
-            ``invalidate_fingerprint(fp) -> int`` (ScheduleCache,
-            ShardRouter) and is invalidated at retirement.  State
+            ``invalidate_fingerprint(fp) -> int`` (such as a
+            ScheduleCache) and is invalidated at retirement.  State
             memoised on a snapshot's matrix, such as its neighbor
             index, needs no registration: it is freed with the
             snapshot.

@@ -11,9 +11,7 @@ itself exposes it as :meth:`InferenceService.health
 Severity model:
 
 * **UNHEALTHY** — the service cannot do real work: it is closed, the
-  worker pool is dead or its restart budget is exhausted (for sharded
-  serving, *any* shard's pool — every batch needs all shards:
-  ``shard-pool-exhausted``).
+  worker pool is dead or its restart budget is exhausted.
 * **DEGRADED** — serving, but impaired: recent worker
   crashes/restarts, queue near saturation, a
   deadline-miss rate above threshold, a route burning (or having
@@ -25,11 +23,7 @@ Severity model:
   process isolation — quarantined poison requests
   (``worker-quarantine-active``), workers reaped for missed heartbeats
   (``heartbeat-misses-high``), or pool RSS past the admission highwater
-  (``memory-pressure``; see :mod:`repro.serve.procpool`), or — with
-  shard isolation — a shard worker crash absorbed by re-replay
-  (``shard-worker-crash-recent`` / ``shard-replays-high``) or a
-  partition whose slowest shard gates every batch
-  (``shard-imbalance-high``; see :mod:`repro.shard.router`).
+  (``memory-pressure``; see :mod:`repro.serve.procpool`).
 * **HEALTHY** — none of the above.
 
 Each evaluation sets the ``serve.health.severity`` gauge
@@ -82,14 +76,6 @@ class HealthPolicy:
             heartbeat-miss SIGKILLs (workers reaped for going silent
             while idle) at or above which the service degrades with
             ``heartbeat-misses-high``.
-        shard_imbalance_degraded: Shard isolation only: partition
-            balance (slowest shard's nnz over the mean) at or above
-            which the service degrades with ``shard-imbalance-high`` —
-            one overloaded shard gates every batch.
-        shard_replays_degraded: Shard isolation only: recent sub-batch
-            re-replays (a shard worker crashed mid-batch and its
-            respawned successor re-ran the slice) at or above which the
-            service degrades with ``shard-replays-high``.
     """
 
     queue_saturation: float = 0.8
@@ -101,8 +87,6 @@ class HealthPolicy:
     epoch_lag_degraded: int = 4
     compaction_backlog_degraded: float = 0.9
     heartbeat_kills_degraded: int = 1
-    shard_imbalance_degraded: float = 2.0
-    shard_replays_degraded: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.queue_saturation <= 1.0:
@@ -145,16 +129,6 @@ class HealthPolicy:
             raise ValueError(
                 "heartbeat_kills_degraded must be >= 1, "
                 f"got {self.heartbeat_kills_degraded}"
-            )
-        if self.shard_imbalance_degraded <= 1.0:
-            raise ValueError(
-                "shard_imbalance_degraded must be > 1.0, "
-                f"got {self.shard_imbalance_degraded}"
-            )
-        if self.shard_replays_degraded < 1:
-            raise ValueError(
-                "shard_replays_degraded must be >= 1, "
-                f"got {self.shard_replays_degraded}"
             )
 
 
@@ -390,80 +364,6 @@ def evaluate_health(
                     f"pool RSS {memory.get('total_rss_bytes', 0)} at or "
                     f"above the {memory.get('highwater_bytes')} admission "
                     "highwater; shedding new work",
-                )
-            )
-
-    shards = snapshot.get("shards") or {}
-    if shards:
-        router_supervisor = shards.get("supervisor") or {}
-        exhausted_shards = router_supervisor.get("exhausted_shards") or []
-        if router_supervisor.get("exhausted"):
-            causes.append(
-                HealthCause(
-                    "shard-pool-exhausted",
-                    UNHEALTHY,
-                    f"shard(s) {exhausted_shards} spent their restart "
-                    f"budget ({router_supervisor.get('restart_budget')}); "
-                    "every batch needs all shards, so the router cannot "
-                    "serve",
-                )
-            )
-        for shard_snapshot in shards.get("shards") or []:
-            shard_supervisor = shard_snapshot.get("supervisor") or {}
-            recent = shard_supervisor.get("recent_crashes", 0)
-            if recent and not shard_supervisor.get("exhausted"):
-                causes.append(
-                    HealthCause(
-                        "shard-worker-crash-recent",
-                        DEGRADED,
-                        f"shard {shard_snapshot.get('shard_id')} worker "
-                        f"crashed {recent}x in the last "
-                        f"{policy.crash_recent_seconds:g}s "
-                        "(respawned; sub-batches re-replayed)",
-                    )
-                )
-        replays = shards.get("replays_recent", 0)
-        if replays >= policy.shard_replays_degraded:
-            causes.append(
-                HealthCause(
-                    "shard-replays-high",
-                    DEGRADED,
-                    f"{replays} shard sub-batch(es) re-replayed after "
-                    "worker crashes in the last 30s",
-                )
-            )
-        partition = shards.get("partition") or {}
-        balance = partition.get("balance", 1.0)
-        if balance >= policy.shard_imbalance_degraded:
-            causes.append(
-                HealthCause(
-                    "shard-imbalance-high",
-                    DEGRADED,
-                    f"partition balance {balance:.2f}x (slowest shard "
-                    "over the mean) at or above "
-                    f"{policy.shard_imbalance_degraded:g}x; the "
-                    "overloaded shard gates every batch",
-                )
-            )
-        quarantine = shards.get("quarantine") or {}
-        if quarantine.get("active", 0) > 0:
-            causes.append(
-                HealthCause(
-                    "worker-quarantine-active",
-                    DEGRADED,
-                    f"{quarantine['active']} poison request(s) "
-                    "quarantined across the shard pools",
-                )
-            )
-        memory = shards.get("memory") or {}
-        if memory.get("pressure"):
-            causes.append(
-                HealthCause(
-                    "memory-pressure",
-                    DEGRADED,
-                    f"shard pools' RSS {memory.get('total_rss_bytes', 0)} "
-                    "at or above an admission highwater; shedding new "
-                    "work",
                 )
             )
 

@@ -237,8 +237,8 @@ class PoisonKeys:
     A key is a pass over the member's whole dense operand, and a healthy
     pool never needs one: keys matter only while the quarantine set is
     non-empty or after a worker dies for a poison reason.  The first
-    iteration computes the keys once (shard threads may race to it);
-    later ones reuse them.
+    iteration computes the keys once (the caller's admission check and
+    the pool's death handler may race to it); later ones reuse them.
     """
 
     def __init__(self, matrix_fingerprint: str, operands) -> None:
@@ -1150,7 +1150,6 @@ class ProcessWorkerPool:
         highwater = self.config.memory_highwater_bytes
         total_rss = self.total_rss_bytes()
         return {
-            "isolation": "process",
             "supervisor": supervisor,
             "idle_workers": idle,
             "executed": executed,

@@ -119,15 +119,7 @@ class ServeConfig:
             *subprocesses* attached zero-copy to shared-memory graph
             segments (:mod:`repro.serve.procpool`): crashes, hangs and
             memory blowups are contained to the worker and answered
-            with terminal statuses instead of taking the service down;
-            ``"shard"`` partitions the graph across ``num_shards``
-            single-shard pools behind a
-            :class:`~repro.shard.router.ShardRouter` — each batch
-            scatters to the owning shards, runs per-shard SpMM
-            concurrently, and halo-gathers the partial boundary-row
-            outputs (see ``docs/SHARDING.md``).
-        num_shards: Graph shards when ``isolation="shard"`` (ignored
-            otherwise).
+            with terminal statuses instead of taking the service down.
     """
 
     max_queue: int = 64
@@ -138,17 +130,12 @@ class ServeConfig:
     restart_window_seconds: "float | None" = None
     verify: bool = False
     isolation: str = "thread"
-    num_shards: int = 2
 
     def __post_init__(self) -> None:
-        if self.isolation not in ("thread", "process", "shard"):
+        if self.isolation not in ("thread", "process"):
             raise ValueError(
-                "isolation must be 'thread', 'process' or 'shard', "
+                "isolation must be 'thread' or 'process', "
                 f"got {self.isolation!r}"
-            )
-        if self.num_shards < 1:
-            raise ValueError(
-                f"num_shards must be >= 1, got {self.num_shards}"
             )
         if (
             self.restart_window_seconds is not None
@@ -304,23 +291,11 @@ class InferenceService:
             snapshot under an RCU read lease, :meth:`apply_updates`
             installs new epochs atomically, and :meth:`health` reports
             epoch lag and compaction backlog.
-        proc_pool: Process-isolation executor — a
-            :class:`~repro.serve.procpool.ProcessWorkerPool` or a
-            :class:`~repro.shard.router.ShardRouter` (both speak the
-            same execution protocol).  Passing one enables process
-            isolation regardless of ``config.isolation``; with
-            ``config.isolation="process"`` (or ``"shard"``) and no pool
-            given, the service builds and owns one (sized by
-            ``proc_config``/``shard_config`` or
-            ``config.n_workers``/``config.num_shards``).
-        proc_config: Tunables for a service-built pool, and the
-            per-shard pool template under ``isolation="shard"``
-            (ignored when ``proc_pool`` is passed).
-        shard_config: Tunables for a service-built
-            :class:`~repro.shard.router.ShardRouter` under
-            ``isolation="shard"`` (its ``n_shards`` defaults from
-            ``config.num_shards``; ignored when ``proc_pool`` is
-            passed).
+        proc_config: Tunables of the
+            :class:`~repro.serve.procpool.ProcessWorkerPool` the service
+            builds and owns under ``config.isolation="process"``
+            (default: ``config.n_workers`` workers; ignored under
+            ``"thread"``).
 
     Use as a context manager (``with InferenceService() as svc``) or call
     :meth:`start`/:meth:`close` explicitly.
@@ -334,18 +309,13 @@ class InferenceService:
         slo_tracker: "SLOTracker | None" = None,
         flight_recorder: "rtrace.FlightRecorder | None" = None,
         epoch_manager: "GraphEpochManager | None" = None,
-        proc_pool: "ProcessWorkerPool | None" = None,
         proc_config: "ProcPoolConfig | None" = None,
-        shard_config: "object | None" = None,
     ) -> None:
         self.config = config or ServeConfig()
         self.dispatcher = dispatcher or Dispatcher()
         self.epoch_manager = epoch_manager
-        self._proc_pool = proc_pool
+        self._proc_pool: "ProcessWorkerPool | None" = None
         self._proc_config = proc_config
-        self._shard_config = shard_config
-        self._owns_proc_pool = False
-        self._pool_isolation = "process"
         self.slo = slo_tracker if slo_tracker is not None else SLOTracker()
         self.flight_recorder = (
             flight_recorder
@@ -380,44 +350,14 @@ class InferenceService:
             if self._started:
                 return self
             self._started = True
-        if self._proc_pool is None and self.config.isolation == "process":
-            import dataclasses
-
-            proc_config = self._proc_config or dataclasses.replace(
-                ProcPoolConfig(), n_workers=self.config.n_workers
-            )
-            self._proc_pool = ProcessWorkerPool(proc_config)
-            self._owns_proc_pool = True
-        elif self._proc_pool is None and self.config.isolation == "shard":
-            # Imported lazily: repro.shard sits above repro.serve in the
-            # layering, so the serve package must not import it eagerly.
-            import dataclasses
-
-            from repro.shard.router import ShardConfig, ShardRouter
-
-            shard_config = self._shard_config or dataclasses.replace(
-                ShardConfig(), n_shards=self.config.num_shards
-            )
-            self._proc_pool = ShardRouter(
-                shard_config, proc_config=self._proc_config
-            )
-            self._owns_proc_pool = True
-        if self._proc_pool is not None:
-            self._pool_isolation = (
-                "shard"
-                if hasattr(self._proc_pool, "partition_for")
-                else "process"
+        if self.config.isolation == "process":
+            self._proc_pool = ProcessWorkerPool(
+                self._proc_config
+                or ProcPoolConfig(n_workers=self.config.n_workers)
             )
             # Fork the worker subprocesses before spinning up this
             # process's own thread churn.
             self._proc_pool.start()
-            if self.epoch_manager is not None and callable(
-                getattr(self._proc_pool, "invalidate_fingerprint", None)
-            ):
-                # Shard routers cache partitions per graph fingerprint;
-                # retiring an epoch (e.g. after compaction) drops its
-                # partition so the next epoch re-partitions fresh.
-                self.epoch_manager.register_cache(self._proc_pool)
         self._supervisor = WorkerSupervisor(
             self._spawn_worker,
             self.config.n_workers,
@@ -440,7 +380,7 @@ class InferenceService:
         # If the pool died mid-drain (budget exhausted), whatever is
         # still queued must fail, never hang.
         self._abandon_queue("service closed with no live workers")
-        if self._proc_pool is not None and self._owns_proc_pool:
+        if self._proc_pool is not None:
             self._proc_pool.close()
 
     def __enter__(self) -> "InferenceService":
@@ -618,21 +558,24 @@ class InferenceService:
                 raise ValueError(
                     f"deadline_ms must be positive, got {deadline_ms}"
                 )
+            # (full content fingerprint, feature width).  A matrix's
+            # first fingerprint hashes all of it, so the key is taken
+            # here, where no other submitter or worker waits on it.
+            key = (matrix.fingerprint(include_values=True), dense.shape[1])
         except Exception:
             if lease is not None:
                 lease.release()
             raise
         # Process-isolation admission inputs are gathered outside the
-        # lock: the poison key hashes the operands and the memory guard
-        # reads /proc.  The key is a pass over the whole dense operand,
-        # so it is computed only while something is quarantined.
+        # lock too: the poison key hashes the operands and the memory
+        # guard reads /proc.  The poison key is a pass over the whole
+        # dense operand, so it is computed only while something is
+        # quarantined.
         pkey: "str | None" = None
         memory_pressure = False
         if self._proc_pool is not None:
             if self._proc_pool.quarantine_size():
-                pkey = poison_key(
-                    matrix.fingerprint(include_values=True), dense
-                )
+                pkey = poison_key(key[0], dense)
             memory_pressure = self._proc_pool.memory_pressure()
         future: "Future[ServeResponse]" = Future()
         with self._cond:
@@ -743,7 +686,7 @@ class InferenceService:
                 request_id=request_id,
                 matrix=matrix,
                 dense=dense,
-                key=(matrix.fingerprint(include_values=True), dense.shape[1]),
+                key=key,
                 enqueued_at=now,
                 future=future,
                 ctx=ctx,
@@ -852,11 +795,7 @@ class InferenceService:
         if self.epoch_manager is not None:
             snapshot["epochs"] = self.epoch_manager.stats()
         if self._proc_pool is not None:
-            pool_snapshot = self._proc_pool.snapshot()
-            if pool_snapshot.get("isolation") == "shard":
-                snapshot["shards"] = pool_snapshot
-            else:
-                snapshot["procpool"] = pool_snapshot
+            snapshot["procpool"] = self._proc_pool.snapshot()
         return evaluate_health(snapshot, policy)
 
     # ------------------------------------------------------------------
@@ -899,6 +838,10 @@ class InferenceService:
             self._maybe_crash()
             self._execute_batch(batch)
             self._inflight.pop(worker_id, None)
+            # Each finished request's released lease still references
+            # its snapshot: holding the batch while this worker waits
+            # for the next one would keep a retired epoch alive.
+            del batch
 
     @staticmethod
     def _maybe_crash() -> None:
@@ -1103,11 +1046,8 @@ class InferenceService:
         stacked: np.ndarray,
         width: int,
     ) -> None:
-        """Run one batch on the process-isolation executor.
+        """Run one batch on the service's :class:`ProcessWorkerPool`.
 
-        The executor is a :class:`ProcessWorkerPool` or a
-        :class:`~repro.shard.router.ShardRouter` (same protocol; the
-        router adds scatter/halo stages and per-shard crash replay).
         The pool's reaper enforces the batch budget by SIGKILLing a
         hung worker — no ``call_with_timeout`` thread-abandonment here —
         and failures map to terminal statuses: crash/hang/RSS kill ->
@@ -1138,7 +1078,7 @@ class InferenceService:
                 batch_size=len(batch),
                 nnz=matrix.nnz,
                 dim=int(stacked.shape[1]),
-                isolation=self._pool_isolation,
+                isolation="process",
                 trace_ids=",".join(c.trace_id for c in contexts),
             ):
                 result = run_on_pool()

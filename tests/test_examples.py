@@ -62,18 +62,9 @@ def test_multicore_scaling_runs(capsys):
     assert "core" in out.lower()
 
 
-def test_sharded_serving_runs(capsys):
-    _run("sharded_serving.py", ["2"])
-    out = capsys.readouterr().out
-    assert "verified against the dense reference" in out
-    assert "halo rows" in out
-    assert "shard pools" in out
-
-
 ALL_EXAMPLES = [
     "quickstart.py", "gcn_inference.py", "kernel_comparison.py",
     "multicore_scaling.py", "cost_tuning.py", "node_classification.py",
-    "sharded_serving.py",
 ]
 
 

@@ -266,3 +266,19 @@ class TestInstrumentationLint:
         assert len(messages) == 2
         assert any("run_everything" in m for m in messages)
         assert any("ToySystem.run" in m for m in messages)
+
+    def test_names_a_missing_package_or_module(self, monkeypatch, capsys):
+        module = _load_lint_module()
+        monkeypatch.setattr(module, "PACKAGES", (*module.PACKAGES, "gone"))
+        monkeypatch.setattr(
+            module,
+            "OBS_REQUIRED_MODULES",
+            (*module.OBS_REQUIRED_MODULES, "src/repro/gone.py"),
+        )
+        assert module.main() == 1
+        out = capsys.readouterr().out
+        assert "src/repro/gone: PACKAGES entry is not a directory" in out
+        assert (
+            "src/repro/gone.py: OBS_REQUIRED_MODULES entry is not a file"
+            in out
+        )

@@ -1,7 +1,7 @@
 """Tests for the chaos matrix (``python -m repro chaos``).
 
 The acceptance bar: with a fixed seed, every row of the table — kernel,
-thread, update, process and shard tiers — is caught (zero silent wrong
+thread, update and process tiers — is caught (zero silent wrong
 outputs), every accepted output matches the reference, and every guard
 demonstrably fired.  The suite runs the whole table twice: once at
 seed 0 for the session's shared report (the ``chaos_report`` fixture,
@@ -21,7 +21,6 @@ from repro.resilience.chaos import (
     MINIMUMS,
     PROCESS,
     SCENARIOS,
-    SHARD,
     SILENT,
     THREAD,
     TIERS,
@@ -71,14 +70,9 @@ CASES = {
         "poison-request/quarantined",
         "poison-request/pool-survives",
         "torn-segment/detected-republished",
-    },
-    SHARD: {
-        "shard-kill/replayed",
-        "shard-kill/contained-to-victim",
-        "shard-exhaustion/terminal-batch",
-        "shard-exhaustion/health-cause",
-        "shard-exhaustion/admission-sheds",
-        "epoch-compaction/re-partitions",
+        "pool-exhaustion/terminal-batch",
+        "pool-exhaustion/health-cause",
+        "pool-exhaustion/admission-sheds",
     },
 }
 
@@ -96,13 +90,13 @@ class TestChaosMatrix:
 
     def test_case_names_by_tier(self, report):
         names = [case.name for case in report.cases]
-        assert len(names) == len(set(names)) == 50
+        assert len(names) == len(set(names)) == 47
         by_tier = {
             tier: {c.name for c in report.cases if c.tier == tier}
             for tier in TIERS
         }
         assert by_tier == CASES
-        assert [len(by_tier[tier]) for tier in TIERS] == [24, 6, 3, 11, 6]
+        assert [len(by_tier[tier]) for tier in TIERS] == [24, 6, 3, 14]
 
     def test_cases_carry_their_rows_declared_layer(self, report):
         declared = {
@@ -191,25 +185,24 @@ class TestChaosMatrix:
 
     def test_an_array_on_a_pool_pipe_fails_the_run(self, report):
         assert report.demonstrations["oversized_message_rows"] == 0
-        for tier in (PROCESS, SHARD):
-            fresh = ChaosReport(
-                seed=0,
-                cases=list(report.cases),
-                demonstrations=Counter(report.demonstrations),
-            )
-            row = next(r for r in SCENARIOS if r.tier == tier)
-            run = chaos._Run(row, 0, fresh)
-            chaos._absorb_zero_copy(
-                run,
-                {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4096},
-            )
-            assert fresh.passed
-            chaos._absorb_zero_copy(
-                run,
-                {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4097},
-            )
-            assert fresh.missing == ["oversized_message_rows > 0"]
-            assert not fresh.passed
+        fresh = ChaosReport(
+            seed=0,
+            cases=list(report.cases),
+            demonstrations=Counter(report.demonstrations),
+        )
+        row = next(r for r in SCENARIOS if r.tier == PROCESS)
+        run = chaos._Run(row, 0, fresh)
+        chaos._absorb_zero_copy(
+            run,
+            {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4096},
+        )
+        assert fresh.passed
+        chaos._absorb_zero_copy(
+            run,
+            {"per_request_graph_bytes_copied": 0, "max_message_bytes": 4097},
+        )
+        assert fresh.missing == ["oversized_message_rows > 0"]
+        assert not fresh.passed
 
     def test_coverage_counts_every_case(self, report):
         degenerate = next(c for c in report.cases if c.outcome == "ok")
@@ -249,7 +242,7 @@ class TestChaosCli:
         side = json.loads(json_out.read_text())
         assert side["passed"] is True
         assert side["seed"] == 3
-        assert side["n_cases"] == 50
+        assert side["n_cases"] == 47
         assert "detection coverage: 100%" in out
 
     def test_no_record_flag(self, tmp_path, replay_chaos):

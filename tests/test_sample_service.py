@@ -6,6 +6,7 @@ independently recomputed subgraph aggregation.
 """
 
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
 from repro.graphs.delta import EdgeUpdate, UpdatePlanner
 from repro.serve.epoch import GraphEpochManager
-from repro.serve.service import EgoSubmission, InferenceService
+from repro.serve.service import EgoSubmission, InferenceService, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -182,27 +183,54 @@ class TestEgoUnderLiveUpdates:
         assert not any(matrix is snapshot.matrix for matrix in hashed)
 
     def test_retired_snapshot_freed_by_reference_counting(self, graph):
-        manager = GraphEpochManager(graph, compact_threshold=64)
-        planner = UpdatePlanner(graph)
-        rng = np.random.default_rng(8)
-        features = np.random.default_rng(9).random((graph.n_cols, 4))
-        gc.disable()
-        try:
-            with InferenceService(epoch_manager=manager) as service:
-                snapshot = service.apply_updates(planner.batch(rng, 2))
-                # A materialized overlay, which the delta does not keep.
-                assert not snapshot.compacted
-                assert snapshot.matrix is not snapshot.base
-                submission = service.submit_ego(
-                    0, features, rng=np.random.default_rng(10)
-                )
-                assert submission.result(timeout=10.0).ok
-                assert submission.epoch == snapshot.epoch
-                service.apply_updates(planner.batch(rng, 2))
-            # Closing joined the worker, whose last batch was this request.
+        def ego(service, features):
+            return service.submit_ego(
+                0, features, rng=np.random.default_rng(10)
+            ).result(timeout=10.0)
+
+        _assert_retired_snapshot_freed_while_idle(graph, ego)
+
+    def test_retired_snapshot_freed_after_plain_submit(self, graph):
+        def plain(service, features):
+            return service.submit(None, features).result(timeout=10.0)
+
+        _assert_retired_snapshot_freed_while_idle(graph, plain)
+
+
+def _assert_retired_snapshot_freed_while_idle(graph, request):
+    """One request on an overlay epoch, then an update retires that epoch.
+
+    With ``gc`` off only reference counting can free the retired
+    snapshot's matrix, and it must do so while the service is still open
+    and its one worker idles: nothing the worker kept from its last
+    batch may pin the epoch.
+    """
+    manager = GraphEpochManager(graph, compact_threshold=64)
+    planner = UpdatePlanner(graph)
+    rng = np.random.default_rng(8)
+    features = np.random.default_rng(9).random((graph.n_cols, 4))
+    gc.disable()
+    try:
+        with InferenceService(
+            config=ServeConfig(n_workers=1), epoch_manager=manager
+        ) as service:
+            snapshot = service.apply_updates(planner.batch(rng, 2))
+            # A materialized overlay, which the delta does not keep.
+            assert not snapshot.compacted
+            assert snapshot.matrix is not snapshot.base
+            response = request(service, features)
+            assert response.ok
+            assert response.epoch == snapshot.epoch
+            service.apply_updates(planner.batch(rng, 2))
             assert manager.stats()["retired_epochs"] == 2
             retiring = weakref.ref(snapshot.matrix)
-            del snapshot, submission
+            del snapshot, response
+            # The reply is set just before the worker lets its batch
+            # go, so give it a moment to get back to waiting.
+            deadline = time.monotonic() + 5.0
+            while retiring() is not None and time.monotonic() < deadline:
+                time.sleep(0.005)
             assert retiring() is None
-        finally:
-            gc.enable()
+            assert service.queue_depth == 0
+    finally:
+        gc.enable()

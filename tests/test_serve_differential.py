@@ -4,9 +4,7 @@ Each path's output is compared with scipy's CSR product on the exact
 matrix the response was served against — bit for bit, since every path
 runs that one kernel.  The reference is built from fresh copies of the
 matrix's arrays, so it shares nothing with the memoised view
-(``CSRMatrix.to_scipy``) the paths serve from.  The shard tier sums
-per-shard partial rows, which reorders the additions, so it is held to
-``rtol=1e-12`` instead.
+(``CSRMatrix.to_scipy``) the paths serve from.
 
 A hypothesis state machine then interleaves ``submit``, ``submit_ego``,
 ``apply_updates`` and ``close`` on one epoch-managed thread-tier
@@ -110,19 +108,6 @@ class TestServingPathsMatchScipy:
         assert response.ok, response.error
         assert response.backend == "procpool"
         assert np.array_equal(response.output, _floor(matrix, dense))
-
-    def test_shard_tier(self):
-        matrix = _matrix(seed=6)
-        dense = _dense(matrix, 7)
-        with InferenceService(
-            config=ServeConfig(isolation="shard", num_shards=2, n_workers=1),
-            proc_config=_proc_config(),
-        ) as service:
-            response = service.submit(matrix, dense).result(timeout=30.0)
-        assert response.ok, response.error
-        np.testing.assert_allclose(
-            response.output, _floor(matrix, dense), rtol=1e-12, atol=0
-        )
 
     def test_inference_engine(self):
         graph = Graph("pl", _matrix(seed=8))

@@ -404,16 +404,14 @@ class TestKilledParent:
 
 
 class TestPipeCarriesNoArrays:
-    @pytest.mark.parametrize("isolation", ["process", "shard"])
-    def test_five_megabyte_operand_stays_off_the_pipe(self, isolation):
+    def test_five_megabyte_operand_stays_off_the_pipe(self):
         matrix = power_law_graph(
             n_nodes=20_000, nnz=60_000, max_degree=200, seed=14
         )
         dense = np.random.default_rng(14).random((matrix.n_cols, 32))
         assert dense.nbytes == 5_120_000
         config = ServeConfig(
-            isolation=isolation, n_workers=1, num_shards=2,
-            request_timeout=30.0,
+            isolation="process", n_workers=1, request_timeout=30.0
         )
         with InferenceService(
             config=config, proc_config=_config(n_workers=1, hang_timeout=30.0)
@@ -421,8 +419,8 @@ class TestPipeCarriesNoArrays:
             response = service.submit(matrix, dense).result(timeout=60.0)
             snapshot = service.health().snapshot
         assert response.ok, response.error
-        pool = snapshot["procpool" if isolation == "process" else "shards"]
-        assert 0 < pool["zero_copy"]["max_message_bytes"] < 4096
+        zero_copy = snapshot["procpool"]["zero_copy"]
+        assert 0 < zero_copy["max_message_bytes"] < 4096
 
 
 class TestServiceProcessIsolation:
@@ -440,8 +438,9 @@ class TestServiceProcessIsolation:
         )
 
     def test_isolation_validated(self):
-        with pytest.raises(ValueError):
-            ServeConfig(isolation="container")
+        for isolation in ("container", "shard"):
+            with pytest.raises(ValueError):
+                ServeConfig(isolation=isolation)
 
     def test_serves_and_attributes_ipc(self):
         matrix = _matrix(6)

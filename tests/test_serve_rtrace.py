@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.obs import rtrace
 from repro.obs.rtrace import FlightRecorder
 from repro.obs.slo import SLObjective, SLOTracker
 from repro.serve.dispatch import Dispatcher
@@ -201,6 +202,42 @@ class TestTracePropagation:
         assert "rejected" in recorded
         # Sheds burn the route's error budget.
         assert slo.route_report("hot")["violations"] >= len(rejected)
+
+
+class TestStageTaxonomy:
+    def test_stages_are_exactly_what_the_serving_paths_emit(
+        self, small_power_law, rng, gated_dispatcher
+    ):
+        # One request of every kind the stack serves.  The union of
+        # their ledgers must be the documented taxonomy: no stage the
+        # paths emit goes undocumented, and no documented stage
+        # outlives the code that emitted it.
+        dense = rng.random((small_power_law.n_cols, 4))
+        responses = []
+        with _service(ServeConfig(n_workers=1), gated_dispatcher) as service:
+            responses += gated_dispatcher.backlog(
+                service, [(small_power_law, dense)] * 2
+            )
+            responses.append(
+                service.submit_ego(
+                    0, dense, matrix=small_power_law, rng=rng
+                ).result(timeout=10.0)
+            )
+        for config, dispatcher in (
+            (ServeConfig(verify=True), None),
+            (None, _CrashingDispatcher()),
+            (ServeConfig(isolation="process", n_workers=1), None),
+        ):
+            with _service(config, dispatcher) as service:
+                responses.append(
+                    service.infer(small_power_law, dense, timeout=30.0)
+                )
+        assert all(response.ok for response in responses)
+        assert responses[0].batch_size == 2
+        emitted = set()
+        for response in responses:
+            emitted.update(response.attribution["stages"])
+        assert emitted == set(rtrace.STAGES)
 
 
 class TestSlowBackendAttribution:

@@ -233,6 +233,58 @@ class TestBatching:
         assert all(r.ok for r in responses)
         assert [r.batch_size for r in responses] == [2] * 6
 
+    def test_batching_key_is_hashed_outside_the_service_lock(
+        self, small_power_law, small_structured, rng
+    ):
+        # A matrix's first full fingerprint hashes all of it.  While one
+        # submitter is inside that hash, a request on another matrix
+        # must still be admitted and answered.
+        held = small_power_law.with_values(small_power_law.values.copy())
+        fingerprint = held.fingerprint
+        hashing = threading.Event()
+        release = threading.Event()
+
+        def slow_fingerprint(*, include_values=False):
+            hashing.set()
+            release.wait(timeout=30.0)
+            return fingerprint(include_values=include_values)
+
+        object.__setattr__(held, "fingerprint", slow_fingerprint)
+        held_dense = rng.random((held.n_cols, 4))
+        other_dense = rng.random((small_structured.n_cols, 4))
+        replies = {}
+
+        def infer(name, matrix, dense):
+            replies[name] = service.infer(matrix, dense, timeout=30.0)
+
+        with _service(ServeConfig(n_workers=1)) as service:
+            slow = threading.Thread(
+                target=infer, args=("held", held, held_dense)
+            )
+            fast = threading.Thread(
+                target=infer, args=("other", small_structured, other_dense)
+            )
+            try:
+                slow.start()
+                assert hashing.wait(timeout=10.0)
+                fast.start()
+                fast.join(timeout=10.0)
+                assert not fast.is_alive(), "submit waited on another hash"
+                assert "held" not in replies
+            finally:
+                release.set()
+                slow.join(timeout=30.0)
+                fast.join(timeout=30.0)
+        assert not slow.is_alive() and not fast.is_alive()
+        assert replies["other"].ok
+        assert np.array_equal(
+            replies["other"].output, _reference(small_structured, other_dense)
+        )
+        assert replies["held"].ok
+        assert np.array_equal(
+            replies["held"].output, _reference(held, held_dense)
+        )
+
     def test_lone_request_dispatches_with_frozen_clock(
         self, small_power_law, rng, monkeypatch
     ):

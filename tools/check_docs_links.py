@@ -65,7 +65,7 @@ def heading_anchors(path: Path) -> set[str]:
     anchors: set[str] = set()
     counts: dict[str, int] = {}
     # Only fenced blocks are stripped here: a heading that is entirely
-    # inline code (``## `repro.shard```) still gets an anchor on GitHub.
+    # inline code (``## `repro.serve```) still gets an anchor on GitHub.
     for match in _HEADING.finditer(_strip_fences(path.read_text())):
         title = re.sub(r"`([^`]*)`", r"\1", match.group(2))
         slug = _SLUG_DROP.sub("", title.lower()).replace(" ", "-")

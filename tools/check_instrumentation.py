@@ -23,6 +23,11 @@ the :data:`_OBS_RECEIVERS` aliases or an ``@obs.instrumented``
 decorator.  A guard that trips invisibly defeats the point of having
 observable failure domains.
 
+A :data:`PACKAGES` entry that is not a directory, or an
+:data:`OBS_REQUIRED_MODULES` entry that is not a file, is a violation
+too: a deleted or renamed module must be pruned from the lists, not
+silently skipped.
+
 Exit status 0 when clean; 1 with a listing of violations otherwise.
 """
 
@@ -33,7 +38,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-PACKAGES = ("core", "gpu", "multicore", "sample", "serve", "shard")
+PACKAGES = ("core", "gpu", "multicore", "sample", "serve")
 
 ENTRY_PREFIXES = ("run_", "execute_", "simulate")
 REQUIRED_FUNCTIONS = {
@@ -68,12 +73,6 @@ OBS_REQUIRED_MODULES = (
     "src/repro/sample/index.py",
     "src/repro/sample/sampler.py",
     "src/repro/sample/extract.py",
-    # Sharded serving: partition builds, replays and halo traffic must
-    # all leave signals — a silent shard tier makes per-shard failure
-    # containment unverifiable.
-    "src/repro/shard/partition.py",
-    "src/repro/shard/router.py",
-    "src/repro/shard/bench.py",
 )
 _OBS_CALLS = {"counter", "gauge", "histogram", "span", "instant", "instrumented"}
 # Receiver names a signal call may hang off: `obs.counter(...)` in
@@ -156,15 +155,24 @@ def main(argv: "list[str] | None" = None) -> int:
     checked = 0
     for package in PACKAGES:
         package_dir = REPO_ROOT / "src" / "repro" / package
+        if not package_dir.is_dir():
+            violations.append(
+                f"src/repro/{package}: PACKAGES entry is not a directory"
+            )
+            continue
         for path in sorted(package_dir.rglob("*.py")):
             violations.extend(check_file(path))
             checked += 1
     for module in OBS_REQUIRED_MODULES:
+        if not (REPO_ROOT / module).is_file():
+            violations.append(
+                f"{module}: OBS_REQUIRED_MODULES entry is not a file"
+            )
+            continue
         violations.extend(check_obs_usage(REPO_ROOT / module))
     if violations:
         print("\n".join(violations))
-        print(f"\n{len(violations)} uninstrumented entry point(s) "
-              f"across {checked} files")
+        print(f"\n{len(violations)} violation(s) across {checked} files")
         return 1
     print(f"instrumentation lint: {checked} files clean")
     return 0
