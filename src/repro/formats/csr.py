@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.validation import validate_csr
+from repro.formats.validation import SparseFormatError, validate_csr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.formats.coo import COOMatrix
@@ -74,12 +74,73 @@ class CSRMatrix:
             self.n_rows,
             self.n_cols,
         )
-        # Freeze the arrays: cached fingerprints (and every cache keyed on
-        # them) assume the content never changes in place.
-        for name in ("row_pointers", "column_indices", "values"):
-            array = getattr(self, name)
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Mark the arrays read-only.
+
+        Cached fingerprints (and every cache keyed on them) assume the
+        content never changes in place.
+        """
+        for array in (self.row_pointers, self.column_indices, self.values):
             if array.flags.writeable:
                 array.flags.writeable = False
+
+    @classmethod
+    def _derived(
+        cls,
+        n_rows: int,
+        n_cols: int,
+        row_pointers: np.ndarray,
+        column_indices: np.ndarray,
+        values: np.ndarray,
+        version: "int | None" = None,
+    ) -> "CSRMatrix":
+        """A matrix over arrays this package derived from a validated one.
+
+        For an extracted subgraph, a delta snapshot or a restamp, whose
+        arrays are well formed by construction: the O(nnz)
+        :func:`validate_csr` pass and the ``ascontiguousarray`` copies of
+        the public constructor are skipped.  The O(1) checks stay (the
+        dtypes, C-contiguity and the array lengths), and the arrays are
+        frozen as usual.  Callers holding arrays from anywhere else use
+        the public constructor.
+        """
+        for name, array, dtype in (
+            ("row_pointers", row_pointers, INDEX_DTYPE),
+            ("column_indices", column_indices, INDEX_DTYPE),
+            ("values", values, VALUE_DTYPE),
+        ):
+            if (
+                array.dtype != dtype
+                or array.ndim != 1
+                or not array.flags.c_contiguous
+            ):
+                raise SparseFormatError(
+                    f"derived {name} must be a contiguous 1-D "
+                    f"{np.dtype(dtype).name} array, got {array.dtype} "
+                    f"with shape {array.shape}"
+                )
+        if len(row_pointers) != n_rows + 1 or len(column_indices) != len(
+            values
+        ):
+            raise SparseFormatError(
+                f"derived arrays have lengths {len(row_pointers)}, "
+                f"{len(column_indices)} and {len(values)} for "
+                f"{n_rows} rows"
+            )
+        matrix = object.__new__(cls)
+        for name, value in (
+            ("n_rows", n_rows),
+            ("n_cols", n_cols),
+            ("row_pointers", row_pointers),
+            ("column_indices", column_indices),
+            ("values", values),
+            ("version", version),
+        ):
+            object.__setattr__(matrix, name, value)
+        matrix._freeze()
+        return matrix
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -253,13 +314,13 @@ class CSRMatrix:
         """This matrix re-stamped with a graph epoch (shares all arrays)."""
         if version == self.version:
             return self
-        return CSRMatrix(
-            n_rows=self.n_rows,
-            n_cols=self.n_cols,
-            row_pointers=self.row_pointers,
-            column_indices=self.column_indices,
-            values=self.values,
-            version=version,
+        return CSRMatrix._derived(
+            self.n_rows,
+            self.n_cols,
+            self.row_pointers,
+            self.column_indices,
+            self.values,
+            version,
         )
 
     # ------------------------------------------------------------------

@@ -441,11 +441,13 @@ class DeltaCSR:
                 column_indices[dst_lo : dst_lo + len(cols)] = cols
                 values[dst_lo : dst_lo + len(cols)] = vals
             previous = row + 1
-        return CSRMatrix(
-            n_rows=base.n_rows,
-            n_cols=base.n_cols,
-            row_pointers=row_pointers,
-            column_indices=column_indices,
-            values=values,
-            version=self._version,
+        # Fresh arrays merged from the validated base and bounds-checked
+        # updates: nothing to copy and nothing to validate again.
+        return CSRMatrix._derived(  # noqa: SLF001 - same package
+            base.n_rows,
+            base.n_cols,
+            row_pointers,
+            column_indices,
+            values,
+            self._version,
         )

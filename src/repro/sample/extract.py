@@ -15,9 +15,12 @@ Extraction runs the compiled routines behind scipy's own
 ``csr_column_index1``, ``csr_column_index2`` and ``csr_sort_indices`` —
 on the parent's int64 arrays, with no scipy matrix built: ``O(sum of
 the selected rows' lengths)`` work plus one zeroed column-offset array
-the size of the parent's columns.  When scipy stops exporting any of
-them, every call takes the public route instead and counts
-``sample.extract.scipy_fallbacks``.
+the size of the parent's columns.  The result wraps those fresh arrays
+through ``CSRMatrix._derived``: they come from a validated parent, so
+they are neither validated nor copied again.  When scipy stops exporting
+any of the routines, every call takes the public route instead (the
+public constructor, which widens scipy's possibly ``int32`` indices) and
+counts ``sample.extract.scipy_fallbacks``.
 """
 
 from __future__ import annotations
@@ -183,6 +186,7 @@ def extract_subgraph(
     if np.count_nonzero(ordered[1:] == ordered[:-1]):
         raise ValueError("node ids must be distinct")
 
+    k = len(nodes)
     if None in (
         _csr_row_index, _csr_column_index1, _csr_column_index2,
         _csr_sort_indices,
@@ -191,19 +195,20 @@ def extract_subgraph(
         view = matrix.to_scipy()[nodes][:, nodes]
         view.sort_indices()
         arrays = (view.indptr, view.indices, view.data)
+        if add_self_loops:
+            arrays = _add_missing_diagonal(*arrays, self_loop_value)
+        # scipy may hand back int32 indices: the public constructor
+        # widens and validates them.
+        sub = CSRMatrix(k, k, *arrays, version=matrix.version)
     else:
         arrays = _induced(matrix, nodes, order)
-    if add_self_loops:
-        arrays = _add_missing_diagonal(*arrays, self_loop_value)
-    pointers, columns, values = arrays
-    sub = CSRMatrix(
-        n_rows=len(nodes),
-        n_cols=len(nodes),
-        row_pointers=pointers,
-        column_indices=columns,
-        values=values,
-        version=matrix.version,
-    )
+        if add_self_loops:
+            arrays = _add_missing_diagonal(*arrays, self_loop_value)
+        # Fresh int64/float64 arrays computed from a validated parent:
+        # nothing to copy and nothing to validate again.
+        sub = CSRMatrix._derived(  # noqa: SLF001 - same package
+            k, k, *arrays, version=matrix.version
+        )
     obs.counter("sample.extract.subgraphs").inc()
     obs.counter("sample.extract.nnz").inc(sub.nnz)
     return sub

@@ -20,6 +20,11 @@ needs on top of the one-shot experiment harness:
   :class:`~repro.serve.dispatch.Dispatcher` as scipy's CSR product, and
   any kernel or oracle failure degrades to the verified fallback rather
   than returning a corrupt product.
+* **Ego requests on the caller.**  On the thread tier
+  :meth:`InferenceService.submit_ego` runs its subgraph's SpMM on the
+  calling thread, right after sampling, through the same batch path a
+  worker runs (as a batch of one): no queue hop and no batching key, so
+  an ego request never shares a batch.
 * **Deadlines.**  ``submit(deadline_ms=...)`` stamps a request with a
   wall-clock budget.  Requests already past their deadline are *shed
   before execution* with a :data:`DEADLINE_EXCEEDED` response, and a
@@ -98,7 +103,10 @@ class ServeConfig:
     Attributes:
         max_queue: Admission bound; requests beyond it are shed.
         max_batch: Most same-key queued requests one batch takes.
-        n_workers: Batch-executing worker threads.
+        n_workers: Batch-executing worker threads (and the default
+            process-pool size under ``isolation="process"``).
+            Thread-tier ego requests do not use them: they run on the
+            caller's thread (see :meth:`InferenceService.submit_ego`).
         request_timeout: Per-batch wall-clock budget in seconds
             (``None`` disables; see :mod:`repro.resilience.runtime`).
             Request deadlines tighten this further per batch.
@@ -225,6 +233,8 @@ class EgoSubmission:
     Attributes:
         future: Resolves to the :class:`ServeResponse` for the *subgraph*
             aggregation (its ``output`` rows follow ``subgraph.nodes``).
+            On the thread tier it is already resolved when
+            :meth:`InferenceService.submit_ego` returns.
         subgraph: The sampled, relabeled ego network the request runs on
             — already final at submission time, so callers can verify the
             response against it (and against the epoch it was sampled
@@ -252,7 +262,8 @@ class _Pending:
     dense: np.ndarray
     # (full content fingerprint, feature width): only requests that
     # share the matrix values and the dense width may batch together.
-    key: "tuple[str, int]"
+    # None for a request that runs on its caller and is never queued.
+    key: "tuple[str, int] | None"
     enqueued_at: float
     future: "Future[ServeResponse]"
     # Request-trace context carried explicitly across the queue and
@@ -369,7 +380,12 @@ class InferenceService:
         return self
 
     def close(self) -> None:
-        """Stop accepting requests, drain the queue, join the workers."""
+        """Stop accepting requests, drain the queue, join the workers.
+
+        A thread-tier ego request runs on its caller's thread, not on a
+        worker: ``close()`` does not wait for one that was admitted
+        before it, and that request still completes on its caller.
+        """
         with self._cond:
             if self._closed:
                 return
@@ -444,11 +460,22 @@ class InferenceService:
 
         Samples a k-hop fanout neighborhood (:func:`repro.sample.sampler.
         sample_ego`), extracts the relabeled induced subgraph, gathers
-        the sampled nodes' feature rows, and enqueues the *subgraph*
+        the sampled nodes' feature rows, and serves the *subgraph*
         aggregation.  On an epoch-managed service the sample is drawn
         under a read lease taken **before** sampling, so the subgraph,
         its version stamp, and the eventual output all belong to exactly
         one epoch even if updates land mid-flight.
+
+        On the thread tier the aggregation runs on the **calling
+        thread**, right after sampling: admission (closed service,
+        exhausted pool) applies as for :meth:`submit`, but nothing is
+        queued — ``max_queue`` does not apply and no batching key is
+        hashed — and the returned submission's future is already
+        resolved.  The worker path's checks all run: the deadline
+        sweep, the dispatcher (and any fault a subclass injects), the
+        deadline cut-off, the ledger, SLO, flight recorder and lease
+        release.  Under ``isolation="process"`` the request is queued
+        for the process pool like any other.
 
         Sampling time is charged to the
         ``sample`` attribution stage; for ego requests the attribution's
@@ -468,9 +495,12 @@ class InferenceService:
             rng: Sampling randomness; ``None`` draws a fresh deterministic
                 stream per submission (seeded by the seed node and a
                 service-local sequence number).
-            deadline_ms: As for :meth:`submit` (covers queueing +
-                execution, not sampling — sampling happens synchronously
-                in the caller before admission).
+            deadline_ms: Budget from admission, after sampling (which
+                happens synchronously in the caller first).  It covers
+                execution: on the thread tier a kernel still running at
+                the deadline answers :data:`DEADLINE_EXCEEDED` and the
+                caller does not wait for it; under ``"process"`` it
+                covers queueing as well, as for :meth:`submit`.
             route: SLO route; defaults to ``"ego"`` so ego traffic gets
                 its own error budget.
         """
@@ -511,6 +541,7 @@ class InferenceService:
             route=route,
             lease=lease,
             pre_stages={"sample": sample_seconds},
+            on_caller=self.config.isolation == "thread",
         )
         return EgoSubmission(
             future=future,
@@ -542,8 +573,14 @@ class InferenceService:
         route: str,
         lease: "EpochLease | None",
         pre_stages: "dict[str, float] | None" = None,
+        on_caller: bool = False,
     ) -> "Future[ServeResponse]":
-        """Validate, admit (or shed), and queue one request."""
+        """Validate, admit (or shed), and queue one request.
+
+        With ``on_caller`` an admitted request is not queued: it runs on
+        the calling thread (:meth:`_run_on_caller`) before this returns,
+        so it takes no batching key and the queue bound does not apply.
+        """
         try:
             dense = np.asarray(dense, dtype=np.float64)
             if dense.ndim != 2:
@@ -561,7 +598,11 @@ class InferenceService:
             # (full content fingerprint, feature width).  A matrix's
             # first fingerprint hashes all of it, so the key is taken
             # here, where no other submitter or worker waits on it.
-            key = (matrix.fingerprint(include_values=True), dense.shape[1])
+            key = (
+                None
+                if on_caller
+                else (matrix.fingerprint(include_values=True), dense.shape[1])
+            )
         except Exception:
             if lease is not None:
                 lease.release()
@@ -632,7 +673,10 @@ class InferenceService:
             if (
                 exhausted
                 or memory_pressure
-                or len(self._queue) >= self.config.max_queue
+                or (
+                    not on_caller
+                    and len(self._queue) >= self.config.max_queue
+                )
             ):
                 obs.counter("serve.service.rejected").inc()
                 if exhausted:
@@ -699,7 +743,6 @@ class InferenceService:
                 epoch=lease.epoch if lease is not None else None,
                 pre_seconds=pre_seconds,
             )
-            self._queue.append(pending)
             obs.counter("serve.service.accepted").inc()
             obs.instant(
                 "rtrace.submit",
@@ -707,8 +750,31 @@ class InferenceService:
                 trace_id=ctx.trace_id,
                 route=route,
             )
-            self._cond.notify()
+            if not on_caller:
+                self._queue.append(pending)
+                self._cond.notify()
+        if on_caller:
+            self._run_on_caller(pending)
         return future
+
+    def _run_on_caller(self, pending: _Pending) -> None:
+        """Execute one admitted request on the calling thread.
+
+        It runs the :meth:`_execute_batch` a worker runs, as a batch of
+        one.  Anything that escapes it fails the request as a worker
+        crash fails its batch, so the future never stays open.
+        """
+        try:
+            self._execute_batch([pending])
+        except Exception as exc:  # noqa: BLE001 - same boundary as _worker_main
+            if not pending.future.done():
+                now = time.monotonic()
+                self._fail_batch(
+                    [pending],
+                    [now - pending.enqueued_at],
+                    now,
+                    f"execution failed: {type(exc).__name__}: {exc}",
+                )
 
     def infer(
         self,

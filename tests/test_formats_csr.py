@@ -164,6 +164,90 @@ class TestValidationOnConstruction:
                       column_indices=np.array([0]), values=np.array([1.0, 2.0]))
 
 
+class TestDerivedConstruction:
+    """``CSRMatrix._derived``: arrays derived from a validated matrix.
+
+    It skips the O(nnz) validation and the copies but keeps the O(1)
+    checks, and freezes the arrays like the public constructor.
+    """
+
+    @staticmethod
+    def _arrays():
+        return (
+            np.array([0, 2, 3], dtype=np.int64),
+            np.array([0, 1, 1], dtype=np.int64),
+            np.array([1.0, 2.0, 3.0]),
+        )
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """Every ``validate_csr`` call the CSR container makes from here on.
+
+        Request it after any fixture that builds a matrix.
+        """
+        from repro.formats import csr as csr_module
+
+        calls = []
+        validate = csr_module.validate_csr
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(csr_module, "validate_csr", counting)
+        return calls
+
+    def test_wraps_and_freezes_without_validating_or_copying(
+        self, validations
+    ):
+        pointers, columns, values = self._arrays()
+        matrix = CSRMatrix._derived(2, 2, pointers, columns, values, 7)
+        assert validations == []
+        assert matrix.row_pointers is pointers
+        assert matrix.column_indices is columns
+        assert matrix.values is values
+        assert matrix.version == 7
+        assert not any(
+            array.flags.writeable for array in (pointers, columns, values)
+        )
+        matrix.validate(strict=True)
+        assert matrix == CSRMatrix(2, 2, *self._arrays(), version=7)
+
+    @pytest.mark.parametrize(
+        "position, bad",
+        [
+            (0, np.array([0, 2, 3], dtype=np.int32)),
+            (1, np.array([0, 1, 1, 0, 0, 0], dtype=np.int64)[::2]),
+            (2, np.array([1, 2, 3], dtype=np.float32)),
+            (0, np.array([0, 3], dtype=np.int64)),
+            (2, np.array([1.0, 2.0])),
+        ],
+        ids=["int32-pointers", "strided-columns", "float32-values",
+             "short-pointers", "short-values"],
+    )
+    def test_keeps_the_constant_time_checks(self, position, bad):
+        arrays = list(self._arrays())
+        arrays[position] = bad
+        with pytest.raises(SparseFormatError, match="derived"):
+            CSRMatrix._derived(2, 2, *arrays)
+
+    def test_with_version_restamps_without_validating(
+        self, csr_small, validations
+    ):
+        stamped = csr_small.with_version(5)
+        assert validations == []
+        assert stamped.version == 5
+        assert stamped.values is csr_small.values
+        assert stamped == csr_small
+
+    def test_with_values_still_validates(self, csr_small, validations):
+        # Its values come from the caller, not from a validated matrix.
+        csr_small.with_values(csr_small.values * 2.0)
+        assert validations == [1]
+        with pytest.raises(SparseFormatError, match="equal length"):
+            csr_small.with_values(csr_small.values[:-1])
+
+
 class TestStrictValidation:
     """Opt-in strict checks: duplicates, order, finiteness."""
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.formats import CSRMatrix, SparseFormatError
 from repro.graphs import power_law_graph
 from repro.graphs.delta import DeltaCSR, EdgeUpdate, GraphSnapshot, UpdatePlanner
 
@@ -238,3 +240,39 @@ class TestUpdatePlanner:
             for update in planner.batch(rng, size=2):
                 ops.add(update.op)
         assert {"insert", "delete"} <= ops
+
+
+def _strictly_valid(matrix):
+    try:
+        matrix.validate(strict=True)
+    except SparseFormatError:
+        return False
+    return True
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+    canonical=st.booleans(),
+    compact_threshold=st.integers(1, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_snapshots_pass_validation(seed, sizes, canonical, compact_threshold):
+    # Snapshots are built without validating their merged arrays; they
+    # must not need it, and stay strictly valid over a strictly valid
+    # base (dirty rows come out sorted and coalesced).
+    base = power_law_graph(n_nodes=24, nnz=120, max_degree=10, seed=seed % 5)
+    if canonical:  # multi-edges summed, rows sorted
+        base = CSRMatrix.from_dense(base.to_dense())
+        assert _strictly_valid(base)
+    strict = _strictly_valid(base)
+    delta = DeltaCSR(base, compact_threshold=compact_threshold)
+    planner = UpdatePlanner(base)
+    rng = np.random.default_rng(seed)
+    for size in sizes:
+        delta.apply(planner.batch(rng, size))
+        matrix = delta.snapshot().matrix
+        assert matrix.version == delta.version
+        matrix.validate()
+        if strict:
+            matrix.validate(strict=True)

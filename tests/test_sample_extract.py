@@ -5,8 +5,10 @@ These tests pin that equivalence over arbitrary square CSR structures
 (including duplicate entries, empty rows, and explicit zeros), the
 local→global mapping contract, the add-only-where-missing self-loop
 semantics, the version-stamp propagation, byte-exact agreement with a
-sorted scipy extraction when no row repeats a column, and the counted
-fallback to scipy's public indexing.
+sorted scipy extraction when no row repeats a column, that every
+extracted matrix passes validation (strict validation whenever its parent
+does) although the compiled path skips it, and the counted fallback to
+scipy's public indexing.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.formats import CSRMatrix
+from repro.formats import CSRMatrix, SparseFormatError
 from repro.sample import extract
 from repro.sample.extract import extract_subgraph, gather_features
 
@@ -148,6 +150,33 @@ def test_arrays_equal_sorted_scipy_extraction_without_repeats(case):
     np.testing.assert_array_equal(sub.row_pointers, oracle.indptr)
     np.testing.assert_array_equal(sub.column_indices, oracle.indices)
     np.testing.assert_array_equal(sub.values, oracle.data)
+
+
+def _strictly_valid(matrix):
+    try:
+        matrix.validate(strict=True)
+    except SparseFormatError:
+        return False
+    return True
+
+
+@given(
+    case=matrix_and_nodes(),
+    canonical=st.booleans(),
+    add_self_loops=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_extracted_matrices_pass_validation(case, canonical, add_self_loops):
+    # The compiled path builds its result without validating it; it must
+    # not need validating.
+    matrix, nodes = case
+    if canonical:  # no repeated entries, sorted rows: strictly valid
+        matrix = _first_of_each_entry(matrix).sorted_indices()
+        assert _strictly_valid(matrix)
+    sub = extract_subgraph(matrix, nodes, add_self_loops=add_self_loops)
+    sub.validate()
+    if _strictly_valid(matrix):
+        sub.validate(strict=True)
 
 
 @given(case=matrix_and_nodes(), add_self_loops=st.booleans())

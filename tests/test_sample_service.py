@@ -1,11 +1,15 @@
 """Integration tests: ego sampling through the serving stack.
 
 Pins the `submit_ego` contract: the pre-charged `sample` attribution
-stage, epoch pinning under live updates, and exact agreement with the
-independently recomputed subgraph aggregation.
+stage, epoch pinning under live updates, exact agreement with the
+independently recomputed subgraph aggregation, and where the request
+runs: on the thread tier its kernel runs on the calling thread, with no
+batching key hashed and a deadline that still cuts a hung kernel off;
+on the process tier it is queued for the pool under its content key.
 """
 
 import gc
+import threading
 import time
 import weakref
 
@@ -15,8 +19,15 @@ import pytest
 from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
 from repro.graphs.delta import EdgeUpdate, UpdatePlanner
+from repro.serve.dispatch import Dispatcher
 from repro.serve.epoch import GraphEpochManager
-from repro.serve.service import EgoSubmission, InferenceService, ServeConfig
+from repro.serve.procpool import ProcPoolConfig
+from repro.serve.service import (
+    DEADLINE_EXCEEDED,
+    EgoSubmission,
+    InferenceService,
+    ServeConfig,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +38,43 @@ def graph():
 def _expected(submission, features):
     sub = submission.subgraph
     return sub.matrix.multiply_dense(features[sub.nodes])
+
+
+class _ThreadRecordingDispatcher(Dispatcher):
+    """Records the thread every kernel call runs on."""
+
+    def __init__(self):
+        self.threads = []
+
+    def kernel(self, matrix, dense):
+        self.threads.append(threading.get_ident())
+        return super().kernel(matrix, dense)
+
+
+class _BlockedDispatcher(Dispatcher):
+    """A kernel that hangs until :attr:`release` is set."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def kernel(self, matrix, dense):
+        self.entered.set()
+        self.release.wait(timeout=30.0)
+        return super().kernel(matrix, dense)
+
+
+def _counting_fingerprints(monkeypatch):
+    """Patch ``CSRMatrix.fingerprint``; returns the ``(matrix, kwargs)`` log."""
+    hashed = []
+    fingerprint = CSRMatrix.fingerprint
+
+    def counting(matrix, **kwargs):
+        hashed.append((matrix, kwargs))
+        return fingerprint(matrix, **kwargs)
+
+    monkeypatch.setattr(CSRMatrix, "fingerprint", counting)
+    return hashed
 
 
 class TestSubmitEgo:
@@ -109,6 +157,105 @@ class TestSubmitEgo:
                 service.submit_ego(0, np.ones((graph.n_cols, 2)))
 
 
+class TestWhereEgoRequestsRun:
+    def test_thread_tier_kernel_runs_on_the_calling_thread(self, graph):
+        dispatcher = _ThreadRecordingDispatcher()
+        features = np.random.default_rng(12).random((graph.n_cols, 4))
+        with InferenceService(dispatcher) as service:
+            submission = service.submit_ego(
+                0, features, matrix=graph, rng=np.random.default_rng(13)
+            )
+            # Resolved before submit_ego returned: no worker hand-off.
+            assert submission.future.done()
+        assert dispatcher.threads == [threading.get_ident()]
+        response = submission.result(timeout=0)
+        assert response.ok
+        assert response.batch_size == 1
+        assert np.allclose(
+            response.output, _expected(submission, features), atol=1e-9
+        )
+
+    def test_thread_tier_deadline_cuts_off_a_hung_kernel(self, graph):
+        dispatcher = _BlockedDispatcher()
+        features = np.random.default_rng(14).random((graph.n_cols, 4))
+        outcome = {}
+        with InferenceService(dispatcher) as service:
+
+            def call():
+                started = time.monotonic()
+                submission = service.submit_ego(
+                    0, features, matrix=graph,
+                    rng=np.random.default_rng(15), deadline_ms=50,
+                )
+                outcome["seconds"] = time.monotonic() - started
+                outcome["response"] = submission.result(timeout=0)
+
+            caller = threading.Thread(target=call, daemon=True)
+            try:
+                caller.start()
+                caller.join(timeout=10.0)
+                assert not caller.is_alive(), "the caller waited on the kernel"
+            finally:
+                dispatcher.release.set()
+        assert dispatcher.entered.is_set()
+        response = outcome["response"]
+        assert response.status == DEADLINE_EXCEEDED
+        assert response.output is None
+        # The 50 ms deadline plus slack for sampling and a loaded host;
+        # the hung kernel would have held the caller for 30 s.
+        assert outcome["seconds"] < 0.05 + 1.0
+
+    def test_thread_tier_failure_outside_the_kernel_resolves_the_future(
+        self, graph, monkeypatch
+    ):
+        # What a worker's crash handler does for its batch, the caller
+        # does for its own request: answer it and release its lease.
+        manager = GraphEpochManager(graph)
+        features = np.random.default_rng(18).random((graph.n_cols, 4))
+        with InferenceService(epoch_manager=manager) as service:
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("reply path broke")
+
+            monkeypatch.setattr(service, "_complete_batch", broken)
+            submission = service.submit_ego(
+                0, features, rng=np.random.default_rng(19)
+            )
+            response = submission.result(timeout=0)
+        assert response.status == "error"
+        assert "reply path broke" in response.error
+        assert response.output is None
+        assert manager.stats()["leases"] == 0
+
+    def test_process_tier_queues_under_the_content_key(
+        self, graph, monkeypatch
+    ):
+        features = np.random.default_rng(16).random((graph.n_cols, 4))
+        hashed = _counting_fingerprints(monkeypatch)
+        with InferenceService(
+            config=ServeConfig(isolation="process", n_workers=1),
+            proc_config=ProcPoolConfig(
+                n_workers=1, heartbeat_interval=0.02, heartbeat_timeout=2.0,
+                hang_timeout=10.0,
+            ),
+        ) as service:
+            submission = service.submit_ego(
+                0, features, matrix=graph, rng=np.random.default_rng(17)
+            )
+            response = submission.result(timeout=30.0)
+        assert response.ok, response.error
+        assert response.backend == "procpool"
+        assert np.allclose(
+            response.output, _expected(submission, features), atol=1e-9
+        )
+        # The poison-key quarantine keys on the subgraph's content hash.
+        assert any(
+            matrix is submission.subgraph.matrix
+            and kwargs.get("include_values")
+            for matrix, kwargs in hashed
+        )
+
+
 class TestEgoUnderLiveUpdates:
     def test_epoch_pinned_sampling_and_verification(self, graph):
         # Snapshot dense copies per epoch; every response must match the
@@ -163,24 +310,17 @@ class TestEgoUnderLiveUpdates:
         manager = GraphEpochManager(graph)
         batch = UpdatePlanner(graph).batch(np.random.default_rng(3), 2)
         features = np.random.default_rng(4).random((graph.n_cols, 4))
-        hashed = []
-        fingerprint = CSRMatrix.fingerprint
-
-        def counting(matrix, **kwargs):
-            hashed.append(matrix)
-            return fingerprint(matrix, **kwargs)
-
         with InferenceService(epoch_manager=manager) as service:
             snapshot = service.apply_updates(batch)
-            monkeypatch.setattr(CSRMatrix, "fingerprint", counting)
+            hashed = _counting_fingerprints(monkeypatch)
             submission = service.submit_ego(
                 0, features, rng=np.random.default_rng(5)
             )
             assert submission.result(timeout=10.0).ok
         assert submission.epoch == snapshot.epoch
-        # The subgraph is hashed for its batching key; the snapshot never.
-        assert hashed
-        assert not any(matrix is snapshot.matrix for matrix in hashed)
+        # A thread-tier ego request is never queued, so it needs no
+        # batching key: neither the snapshot nor the subgraph is hashed.
+        assert hashed == []
 
     def test_retired_snapshot_freed_by_reference_counting(self, graph):
         def ego(service, features):
