@@ -10,17 +10,15 @@ Subcommands:
   thread, live-update and process tiers.  Exit 1 on any silent
   failure or missing demonstration; see :mod:`repro.resilience.chaos`
   and ``docs/ROBUSTNESS.md``.
-* ``serve-bench`` — drive synthetic Zipf/Poisson traffic through the
-  serving layer and record throughput, latency percentiles, per-stage
-  latency attribution, SLO attainment and load-shedding statistics; see
-  :mod:`repro.serve.loadgen` and ``docs/SERVING.md``.
-* ``slo-report`` — render per-route SLO attainment (observed
-  percentiles vs. objectives, error-budget burn) from the latest
-  ``serve-bench`` run record; see :mod:`repro.obs.slo`.
 * anything else delegates to :mod:`repro.experiments.harness`; run with
   ``--list`` to see the available experiments and their (measured or
   estimated) runtimes, and with ``--profile``/``--trace-out`` to collect
-  metrics and Chrome traces.
+  metrics and Chrome traces.  A name that is neither a subcommand nor
+  an experiment is a usage error (exit 2).
+
+Serving latency and throughput are measured against the scipy floor by
+``python3 bench/run.py --workload serve-small|ego-live|serve-process``
+(see ``bench/README.md``).
 """
 
 import sys
@@ -36,14 +34,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.resilience.chaos import main as chaos_main
 
         return chaos_main(argv[1:])
-    if argv and argv[0] == "serve-bench":
-        from repro.serve.loadgen import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "slo-report":
-        from repro.obs.slo import main as slo_main
-
-        return slo_main(argv[1:])
     from repro.experiments.harness import main as harness_main
 
     return harness_main(argv)

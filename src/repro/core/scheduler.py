@@ -13,9 +13,8 @@ Figure 8 harness is produced by :func:`repro.gpu.timing.scheduling_cycles`.
 Entries are keyed on :meth:`CSRMatrix.fingerprint` — a content hash of the
 CSR structure — so identical graphs loaded twice share one schedule and a
 garbage-collected matrix can never alias a live one, and the cache is
-safe to hit from the serving layer's concurrent workers
-(:mod:`repro.serve`).  A hit from a same-structure matrix with
-*different values* is rebound to the requesting matrix
+safe to hit from concurrent threads.  A hit from a same-structure matrix
+with *different values* is rebound to the requesting matrix
 (:meth:`MergePathSchedule.rebind`), so executors always compute with the
 caller's values while the schedule arrays stay shared.
 """
@@ -124,25 +123,6 @@ class ScheduleCache:
         """Number of schedules currently cached."""
         with self._lock:
             return len(self._cache)
-
-    def invalidate_fingerprint(self, fingerprint: str) -> int:
-        """Drop every schedule keyed by ``fingerprint``; returns the count.
-
-        This is the epoch-retirement hook
-        (:class:`repro.serve.epoch.GraphEpochManager`): fingerprints are
-        version-precise for live graphs, so dropping one epoch's keys
-        never touches schedules other epochs still execute against —
-        precise invalidation, no global flush.
-        """
-        with self._lock:
-            stale = [key for key in self._cache if key[0] == fingerprint]
-            for key in stale:
-                del self._cache[key]
-            if stale:
-                obs.counter("core.scheduler.cache_invalidations").inc(
-                    len(stale)
-                )
-            return len(stale)
 
     def clear(self) -> None:
         """Drop all cached schedules and reset counters."""

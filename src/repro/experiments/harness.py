@@ -231,6 +231,7 @@ def run_experiments(
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
+        prog="repro",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -283,6 +284,12 @@ def main(argv: "list[str] | None" = None) -> int:
              "not already hold",
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.experiments if name not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown command or experiment {', '.join(unknown)}; choose "
+            f"obs-report, chaos or experiments {', '.join(EXPERIMENTS)}"
+        )
     if args.list:
         for name in EXPERIMENTS:
             print(f"{name:8s} ~{approx_seconds(name, args.bench_dir):.0f}s")

@@ -30,13 +30,12 @@ from repro.obs.export import (
     diff_snapshots,
     latest_record,
     read_records,
-    read_trajectory,
     records_dir,
     run_record,
     write_run_record,
 )
 from repro.obs.rtrace import FlightRecorder, RequestContext
-from repro.obs.slo import SLObjective, SLOTracker, render_slo_report
+from repro.obs.slo import SLObjective, SLOTracker
 from repro.obs.metrics import (
     NULL_METRIC,
     Counter,
@@ -82,8 +81,8 @@ __all__ = [
     "render_text", "render_json", "kernel_breakdowns",
     # export
     "run_record", "write_run_record", "read_records", "latest_record",
-    "records_dir", "diff_snapshots", "read_trajectory",
+    "records_dir", "diff_snapshots",
     # request tracing + SLOs
     "rtrace", "slo", "RequestContext", "FlightRecorder",
-    "SLObjective", "SLOTracker", "render_slo_report",
+    "SLObjective", "SLOTracker",
 ]

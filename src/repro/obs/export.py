@@ -11,7 +11,7 @@ recorded run, oldest first — written next to the regenerated tables in
       "runs": [ <run record>, <run record>, ... ]   # oldest first
     }
 
-where each run record keeps the PR-1 per-run schema::
+where each run record keeps the per-run schema::
 
     {
       "schema": "repro.obs.run/1",
@@ -26,16 +26,13 @@ where each run record keeps the PR-1 per-run schema::
     }
 
 :func:`write_run_record` **appends**: a new run never overwrites the
-trajectory (the original PR-1 behavior lost all history, which made
-regression gating impossible).  Legacy single-run files are migrated in
-place — a ``repro.obs.run/1`` document found on disk becomes the first
-entry of the new trajectory.  Trajectories are bounded at
-:data:`MAX_RUNS` entries (oldest dropped) and written atomically.
+trajectory.  Legacy single-run files are migrated in place — a
+``repro.obs.run/1`` document found on disk becomes the first entry of
+the new trajectory.  Trajectories are bounded at :data:`MAX_RUNS`
+entries (oldest dropped) and written atomically.
 
-``tools/check_regression.py`` compares a trajectory's latest run against
-its history with noise-tolerant thresholds; ``python -m repro
-obs-report`` renders the most recent runs; the harness uses the last
-recorded ``wall_seconds`` for its time estimates.
+``python -m repro obs-report`` renders the most recent runs; the
+harness uses the last recorded ``wall_seconds`` for its time estimates.
 """
 
 from __future__ import annotations
@@ -49,8 +46,7 @@ from pathlib import Path
 SCHEMA = "repro.obs.run/1"
 TRAJECTORY_SCHEMA = "repro.obs.runs/2"
 RECORD_PREFIX = "BENCH_"
-# Per-trajectory retention bound: enough history for regression
-# baselines while keeping the JSON files reviewable.
+# Per-trajectory retention bound, keeping the JSON files reviewable.
 MAX_RUNS = 200
 _ENV_DIR = "REPRO_BENCH_DIR"
 _DEFAULT_DIR = Path("benchmarks") / "results"
@@ -191,19 +187,6 @@ def write_run_record(
     tmp.write_text(json.dumps(doc, indent=1) + "\n")
     os.replace(tmp, path)
     return path
-
-
-def read_trajectory(
-    name: str, directory: "Path | str | None" = None
-) -> list[dict]:
-    """One experiment's full run history, oldest first."""
-    directory = records_dir(directory)
-    path = directory / f"{RECORD_PREFIX}{name}.json"
-    if not path.is_file():
-        return []
-    runs = [r for r in _load_trajectory(path) if r.get("name") == name]
-    runs.sort(key=lambda r: r.get("timestamp") or 0.0)
-    return runs
 
 
 def read_records(directory: "Path | str | None" = None) -> list[dict]:

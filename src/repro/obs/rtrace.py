@@ -1,6 +1,6 @@
 """Request-scoped tracing: per-request latency attribution ledgers.
 
-The PR-1 span layer (:mod:`repro.obs.trace`) answers "where does *the
+The span layer (:mod:`repro.obs.trace`) answers "where does *the
 process* spend time"; it cannot answer "where did *this request* spend
 time", because a serving request crosses thread and queue boundaries —
 admission on the client thread, a wait in the batch queue, execution on
@@ -32,8 +32,8 @@ be followed across threads in Perfetto by filtering on the id.
 
 :class:`FlightRecorder` retains a bounded set of the slowest completed
 and most recent failed request summaries for post-hoc dumps (the
-serving layer owns one per service; ``serve-bench`` embeds the dump in
-``BENCH_serve.json``).
+serving layer owns one per service; :meth:`FlightRecorder.to_dict`
+dumps it).
 """
 
 from __future__ import annotations

@@ -19,15 +19,12 @@ The tracker is wired into the serving stack: every
 :class:`~repro.serve.service.InferenceService` owns one, feeds it every
 response (including sheds and errors), exposes it through
 :meth:`health() <repro.serve.service.InferenceService.health>` — budget
-exhaustion surfaces as a ``DEGRADED`` cause — and ``serve-bench``
-embeds :meth:`SLOTracker.report` in ``BENCH_serve.json``, which
-``python -m repro slo-report`` renders.
+exhaustion surfaces as a ``DEGRADED`` cause.  :meth:`SLOTracker.report`
+is the machine-readable per-route view.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
@@ -253,100 +250,3 @@ class SLOTracker:
                 for route, r in report["routes"].items()
             }
         }
-
-
-def render_slo_report(slo: dict) -> str:
-    """Human-readable table of a :meth:`SLOTracker.report` payload."""
-    routes = slo.get("routes", {})
-    if not routes:
-        return "slo-report: no routes observed"
-    lines = ["slo-report"]
-    for route, r in sorted(routes.items()):
-        obj = r["objective"]
-        budget = r["budget"]
-        cells = []
-        for key, _ in _PERCENTILES:
-            observed = r["observed_ms"].get(key)
-            target = obj.get(f"{key}_ms")
-            met = r["targets_met"].get(key)
-            shown = "-" if observed is None else f"{observed:.1f}"
-            if target is None:
-                cells.append(f"{key}={shown}ms")
-            else:
-                verdict = "?" if met is None else ("ok" if met else "MISS")
-                cells.append(f"{key}={shown}/{target:g}ms {verdict}")
-        state = "EXHAUSTED" if budget["exhausted"] else "ok"
-        lines.append(
-            f"  {route:<12} {r['samples']:>4} samples  "
-            + "  ".join(cells)
-        )
-        lines.append(
-            f"  {'':<12} budget: {budget['spent']}/{budget['allowed']:.1f} "
-            f"violations (burn {budget['burn_rate']:.2f}x) [{state}]"
-        )
-    lines.append(
-        f"worst burn rate: {slo.get('worst_burn_rate', 0.0):.2f}x"
-        + ("  ** BUDGET EXHAUSTED **" if slo.get("any_exhausted") else "")
-    )
-    return "\n".join(lines)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point for ``python -m repro slo-report``.
-
-    Renders the SLO section of the most recent ``BENCH_<name>.json`` run
-    (default: the ``serve`` trajectory written by ``serve-bench``).
-    Exit 1 when there is no record or it carries no SLO data.
-    """
-    from repro.obs.export import latest_record
-
-    parser = argparse.ArgumentParser(
-        prog="repro slo-report",
-        description=(
-            "Render per-route SLO attainment (observed percentiles vs. "
-            "objectives, error-budget burn) from the latest serve-bench "
-            "run record."
-        ),
-    )
-    parser.add_argument(
-        "--name", default="serve",
-        help="run-record name to read (default: serve)",
-    )
-    parser.add_argument(
-        "--bench-dir", default=None,
-        help="run-record directory (default: benchmarks/results)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the raw SLO JSON instead of the rendered table",
-    )
-    args = parser.parse_args(argv)
-
-    record = latest_record(name=args.name, directory=args.bench_dir)
-    if record is None:
-        print(
-            f"no '{args.name}' run record found; run "
-            "`python -m repro serve-bench` first",
-            file=sys.stderr,
-        )
-        return 1
-    slo = (record.get("serve") or {}).get("slo") or record.get("slo")
-    if not slo:
-        print(
-            f"latest '{args.name}' record ({record.get('iso_time')}) "
-            "carries no SLO section",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        import json
-
-        print(json.dumps(slo, indent=1))
-    else:
-        print(f"run: {record.get('name')} @ {record.get('iso_time')}")
-        print(render_slo_report(slo))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

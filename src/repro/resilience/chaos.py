@@ -21,8 +21,9 @@ it reports:
   queue);
 * ``update`` — live edge updates behind a
   :class:`~repro.serve.epoch.GraphEpochManager`: updates racing
-  requests mid-batch, retirement dropping exactly the retired epoch's
-  cache keys, and epoch-lag / compaction-backlog health;
+  requests mid-batch, and epoch-lag / compaction-backlog health that
+  clears once the lease drains, its epochs retire and the log
+  compacts;
 * ``process`` — ``isolation="process"`` workers SIGKILLed mid-batch,
   busy-looping, SIGSTOPped, ballooning their RSS, killed by a poison
   request, a torn shared-memory segment, and a pool whose restart
@@ -60,7 +61,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import obs
-from repro.core import ScheduleCache
 from repro.formats import CSRMatrix
 from repro.formats.validation import validate_csr
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
@@ -307,12 +307,12 @@ class _Run:
         self.verify(label, dense, response, matrix)
         return response
 
-    def apply(self, target, batch) -> object:
-        """Apply an update batch to a service or epoch manager.
+    def apply(self, service: InferenceService, batch) -> object:
+        """Apply an update batch through an epoch-managed service.
 
         Records the installed epoch's matrix for the oracle.
         """
-        snapshot = target.apply_updates(batch)
+        snapshot = service.apply_updates(batch)
         self.epochs[snapshot.epoch] = snapshot.matrix
         self.demos["update_batches"] += 1
         self.demos["updates_applied"] += len(batch)
@@ -820,81 +820,6 @@ def _update_stream(run: _Run) -> "tuple[str, str]":
     )
 
 
-def _precise_invalidation(run: _Run) -> "tuple[str, str]":
-    """Retirement drops exactly the retired epoch's keys — no global flush.
-
-    Runs against a :class:`ScheduleCache`, a cache keyed on
-    version-precise fingerprints that registers with the epoch manager.
-    """
-    base = _base_matrix(run.seed + 5)
-    bystander = _base_matrix(run.seed + 6)
-    schedules = ScheduleCache(max_entries=16)
-    manager = GraphEpochManager(
-        DeltaCSR(base, compact_threshold=3), caches=(schedules,)
-    )
-    problems: "list[str]" = []
-
-    def retained(matrix: CSRMatrix) -> bool:
-        # A hit proves the entry survived; a miss would rebuild it.
-        built = schedules.schedule_computations
-        schedules.get(matrix, cost=256)
-        return schedules.schedule_computations == built
-
-    schedules.get(bystander, cost=256)
-    snapshot0 = manager.current_snapshot()
-    schedules.get(snapshot0.matrix, cost=256)
-
-    lease = manager.acquire()  # an in-flight request pins epoch 0
-    planner = UpdatePlanner(base)
-    urng = np.random.default_rng(run.seed + 505)
-    snapshot1 = run.apply(manager, planner.batch(urng, 1))
-    schedules.get(snapshot1.matrix, cost=256)
-    if not retained(snapshot0.matrix):
-        problems.append("leased epoch's schedule was dropped while in flight")
-
-    entries = schedules.entries
-    lease.release()  # drains the last lease -> epoch 0 retires
-    dropped = entries - schedules.entries
-    if dropped != 1:
-        problems.append(
-            f"epoch 0 retirement dropped {dropped} schedule(s), "
-            "expected exactly 1"
-        )
-    if not retained(snapshot1.matrix):
-        problems.append("live epoch's schedule was dropped at retirement")
-    if not retained(bystander):
-        problems.append("bystander schedule was flushed by epoch retirement")
-
-    # Crossing the compaction threshold rebases the delta and retires
-    # epoch 1 (no lease holds it): exactly its schedule must drop.
-    entries = schedules.entries
-    snapshot2 = run.apply(manager, planner.batch(urng, 2))
-    if not snapshot2.compacted:
-        problems.append(
-            "expected the threshold-3 log to compact (log was "
-            f"{snapshot2.log_size})"
-        )
-    dropped += entries - schedules.entries
-    if dropped != 2:
-        problems.append(
-            f"expected 2 precisely invalidated schedules, saw {dropped}"
-        )
-    if not retained(bystander):
-        problems.append(
-            "bystander schedule was flushed by compaction retirement"
-        )
-    stats = manager.stats()
-    run.demos["retired_epochs"] += stats["retired_epochs"]
-    run.demos["compactions"] += stats["compactions"]
-    run.demos["invalidated_keys"] += dropped
-    if problems:
-        return SILENT, "; ".join(problems)
-    return DETECTED, (
-        f"{dropped} retired-epoch schedule(s) dropped; bystander and "
-        "live-epoch entries retained"
-    )
-
-
 def _lag_and_backlog(run: _Run) -> "tuple[str, str]":
     """Held leases and a filling log surface as DEGRADED, then clear."""
     base = _base_matrix(run.seed + 7)
@@ -1388,11 +1313,6 @@ SCENARIOS: "tuple[Scenario, ...]" = (
         UPDATE, "Poisson update batches mid-batch",
         "40 Poisson requests, 2 workers, compact_threshold 12",
         {"update-stream/epoch-pinned-responses": "oracle"}, _update_stream,
-    ),
-    Scenario(
-        UPDATE, "epoch retirement and compaction",
-        "schedule cache with a bystander entry",
-        {"retirement/precise-invalidation": "epoch"}, _precise_invalidation,
     ),
     Scenario(
         UPDATE, "held lease and a filling delta log",

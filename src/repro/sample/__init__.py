@@ -5,8 +5,7 @@ into a GraphBolt-style minibatch one:
 
 * :mod:`~repro.sample.index` — CSC-backed neighbor lookups over the
   live graph, memoised on each snapshot's matrix;
-* :mod:`~repro.sample.sampler` — seeded k-hop fanout sampling plus
-  Zipf seed popularity;
+* :mod:`~repro.sample.sampler` — seeded k-hop fanout sampling;
 * :mod:`~repro.sample.extract` — compact relabeled subgraph extraction
   (small version-stamped :class:`~repro.formats.csr.CSRMatrix`,
   node mapping, gathered features).
@@ -29,7 +28,6 @@ from repro.sample.index import (
 from repro.sample.sampler import (
     FanoutSampler,
     SampleResult,
-    ZipfSeedGenerator,
     sample_ego,
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "FanoutSampler",
     "NeighborIndex",
     "SampleResult",
-    "ZipfSeedGenerator",
     "extract_subgraph",
     "gather_features",
     "neighbor_index",

@@ -13,10 +13,6 @@ Sampling is a pure function of ``(graph, seed, fanouts, rng state)`` —
 two samplers holding generators seeded identically produce
 byte-identical node sets, which is what lets the bench verify every
 served subgraph against a SciPy oracle after the fact.
-
-:class:`ZipfSeedGenerator` models the serving-side request skew: seed
-popularity follows a Zipf law over nodes ranked by degree, so hubs are
-requested far more often than the long tail.
 """
 
 from __future__ import annotations
@@ -177,54 +173,3 @@ def sample_ego(
         hop_counts=result.hop_counts,
         fanouts=result.fanouts,
     )
-
-
-class ZipfSeedGenerator:
-    """Degree-ranked Zipf popularity over a graph's nodes.
-
-    Node at popularity rank ``r`` (1-based, ranked by descending degree,
-    ties broken by node id) is drawn with weight ``1 / r**alpha``.
-    ``alpha=0`` degenerates to uniform; ``alpha`` around 1 matches the
-    hub-heavy request skew seen in production GNN inference traces.
-    """
-
-    def __init__(
-        self,
-        degrees: np.ndarray,
-        *,
-        alpha: float = 1.0,
-        rng: "np.random.Generator | None" = None,
-    ) -> None:
-        degrees = np.asarray(degrees, dtype=np.float64)
-        if degrees.ndim != 1 or len(degrees) == 0:
-            raise ValueError("degrees must be a non-empty 1-D array")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = float(alpha)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        # Descending degree, ascending node id on ties (stable sort on -deg).
-        self.ranked_nodes = np.argsort(-degrees, kind="stable").astype(
-            INDEX_DTYPE
-        )
-        ranks = np.arange(1, len(degrees) + 1, dtype=np.float64)
-        weights = 1.0 / np.power(ranks, self.alpha)
-        self.probabilities = weights / weights.sum()
-
-    @classmethod
-    def for_matrix(
-        cls,
-        matrix: CSRMatrix,
-        *,
-        alpha: float = 1.0,
-        rng: "np.random.Generator | None" = None,
-    ) -> "ZipfSeedGenerator":
-        """Popularity ranked by out-degree (CSR row lengths) of ``matrix``."""
-        return cls(matrix.row_lengths, alpha=alpha, rng=rng)
-
-    def draw(self, count: int = 1) -> np.ndarray:
-        """``count`` seed node ids, hubs most likely."""
-        picks = self._rng.choice(
-            len(self.ranked_nodes), size=count, p=self.probabilities
-        )
-        obs.counter("sample.seeds.drawn").inc(count)
-        return self.ranked_nodes[picks]

@@ -24,16 +24,15 @@ The ROADMAP's request path on top of the one-shot experiment harness:
   and exit when their parent dies.
 * :mod:`repro.serve.epoch` — :class:`GraphEpochManager`: RCU-style
   epoch management for live graph updates (atomic snapshot install,
-  read leases pinning in-flight epochs, precise cache invalidation of
-  exactly the retired epochs' fingerprints).
+  read leases pinning in-flight epochs, retirement of superseded
+  epochs once their last lease drains).
 * :mod:`repro.serve.health` — the pure health-evaluation rules behind
   :meth:`InferenceService.health`.
-* :mod:`repro.serve.loadgen` — open/closed-loop synthetic traffic and
-  the ``python -m repro serve-bench`` subcommand.
 
-Ego-graph minibatch serving (``InferenceService.submit_ego`` and the
-``--workload ego`` loadgen mode) samples through :mod:`repro.sample`;
-see ``docs/SERVING.md``.
+Ego-graph minibatch serving (``InferenceService.submit_ego``) samples
+through :mod:`repro.sample`; see ``docs/SERVING.md``.  Serving latency
+and throughput are measured against the scipy floor by
+``python3 bench/run.py --workload serve-small|ego-live|serve-process``.
 
 See ``docs/SERVING.md`` for the architecture tour and
 ``docs/ROBUSTNESS.md`` for the failure-domain model.

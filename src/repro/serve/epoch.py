@@ -1,9 +1,9 @@
 """RCU-style graph epoch management for serving under live updates.
 
 :class:`GraphEpochManager` sits between a mutable
-:class:`~repro.graphs.delta.DeltaCSR` and the serving stack's caches,
-enforcing the stack's one consistency rule: **a request executes
-against the epoch it admitted under, end to end.**
+:class:`~repro.graphs.delta.DeltaCSR` and the serving stack, enforcing
+the stack's one consistency rule: **a request executes against the
+epoch it admitted under, end to end.**
 
 * :meth:`acquire` hands out an :class:`EpochLease` pinning the current
   snapshot — the RCU read-side critical section.  The service takes one
@@ -12,8 +12,9 @@ against the epoch it admitted under, end to end.**
   never block readers); the superseded epoch keeps serving its
   in-flight leases.
 * An epoch whose lease count drains after being superseded is
-  **retired**: every registered cache drops exactly that epoch's keys
-  (``invalidate_fingerprint``), never a global flush.
+  **retired**: the manager drops its snapshot, and with it everything
+  memoised on the snapshot's matrix (its neighbor index, its scipy
+  view).
 
 :meth:`stats` reports epoch lag (current epoch minus oldest still-live
 epoch) and the delta's compaction backlog for the health surface.
@@ -76,17 +77,11 @@ class _EpochState:
 
 
 class GraphEpochManager:
-    """Epoch lifecycle: acquire leases, install updates, retire precisely.
+    """Epoch lifecycle: acquire leases, install updates, retire drained epochs.
 
     Args:
         source: The live graph — a :class:`DeltaCSR`, or a bare
             :class:`CSRMatrix` to wrap in one.
-        caches: Objects to keep coherent: each exposes
-            ``invalidate_fingerprint(fp) -> int`` (such as a
-            ScheduleCache) and is invalidated at retirement.  State
-            memoised on a snapshot's matrix, such as its neighbor
-            index, needs no registration: it is freed with the
-            snapshot.
         compact_threshold: Forwarded to a :class:`DeltaCSR` built from a
             bare matrix (ignored when ``source`` already is one).
     """
@@ -95,7 +90,6 @@ class GraphEpochManager:
         self,
         source: "DeltaCSR | CSRMatrix",
         *,
-        caches: "Iterable[object]" = (),
         compact_threshold: int = 1024,
     ) -> None:
         if isinstance(source, DeltaCSR):
@@ -103,9 +97,6 @@ class GraphEpochManager:
         else:
             self.delta = DeltaCSR(source, compact_threshold=compact_threshold)
         self._lock = threading.Lock()
-        self._caches: "list[object]" = []
-        for cache in caches:
-            self.register_cache(cache)
         self.retired_epochs = 0
         self.updates_applied = 0
         snapshot = self.delta.snapshot()
@@ -113,14 +104,6 @@ class GraphEpochManager:
         self._epochs: "dict[int, _EpochState]" = {
             snapshot.epoch: _EpochState(snapshot)
         }
-
-    def register_cache(self, cache: object) -> None:
-        """Register one invalidation target (see class docs)."""
-        if not callable(getattr(cache, "invalidate_fingerprint", None)):
-            raise TypeError(
-                f"{type(cache).__name__} exposes no invalidate_fingerprint"
-            )
-        self._caches.append(cache)
 
     # ------------------------------------------------------------------
     # Read side
@@ -146,16 +129,16 @@ class GraphEpochManager:
         return lease
 
     def _release(self, epoch: int) -> None:
-        retired: "list[GraphSnapshot]" = []
         with self._lock:
             state = self._epochs.get(epoch)
             if state is None:
                 return
             state.leases -= 1
-            if state.superseded and state.leases <= 0:
-                del self._epochs[epoch]
-                retired.append(state.snapshot)
-        self._retire(retired)
+            if not (state.superseded and state.leases <= 0):
+                return
+            del self._epochs[epoch]
+            self.retired_epochs += 1
+        obs.counter("serve.epoch.retired").inc()
 
     # ------------------------------------------------------------------
     # Write side
@@ -165,10 +148,9 @@ class GraphEpochManager:
 
         Returns the installed snapshot.  In-flight leases keep their
         epochs alive; superseded epochs with no leases retire
-        immediately (their cache keys are dropped before this returns).
+        immediately.
         """
         batch = list(updates)
-        retired: "list[GraphSnapshot]" = []
         with self._lock:
             self.delta.apply(batch)
             snapshot = self.delta.snapshot()
@@ -177,35 +159,21 @@ class GraphEpochManager:
             previous.superseded = True
             self._current = snapshot.epoch
             self._epochs[snapshot.epoch] = _EpochState(snapshot)
-            for epoch, state in list(self._epochs.items()):
-                if state.superseded and state.leases <= 0:
-                    del self._epochs[epoch]
-                    retired.append(state.snapshot)
+            drained = [
+                epoch
+                for epoch, state in self._epochs.items()
+                if state.superseded and state.leases <= 0
+            ]
+            for epoch in drained:
+                del self._epochs[epoch]
+            self.retired_epochs += len(drained)
         obs.counter("serve.epoch.installed").inc()
+        if drained:
+            obs.counter("serve.epoch.retired").inc(len(drained))
         if obs.enabled():
             obs.gauge("serve.epoch.current").set(float(snapshot.epoch))
             obs.gauge("serve.epoch.live").set(float(len(self._epochs)))
-        self._retire(retired)
         return snapshot
-
-    # ------------------------------------------------------------------
-    # Retirement
-    # ------------------------------------------------------------------
-    def _retire(self, retired: "list[GraphSnapshot]") -> None:
-        """Drop each retired epoch's keys from every registered cache.
-
-        Every epoch's snapshot carries its own version-stamped
-        fingerprint, so a retired epoch shares no key with a live one.
-        """
-        if not retired:
-            return
-        self.retired_epochs += len(retired)
-        obs.counter("serve.epoch.retired").inc(len(retired))
-        for snapshot in retired:
-            dropped = 0
-            for cache in self._caches:
-                dropped += cache.invalidate_fingerprint(snapshot.fingerprint)
-            obs.counter("serve.epoch.invalidated_keys").inc(dropped)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,8 +5,7 @@
 a :class:`HealthReport` with machine-readable :class:`HealthCause`
 entries, so the rules are unit-testable without threads.  The service
 itself exposes it as :meth:`InferenceService.health
-<repro.serve.service.InferenceService.health>`, and the load generator's
-``serve-bench`` report embeds the result.
+<repro.serve.service.InferenceService.health>`.
 
 Severity model:
 

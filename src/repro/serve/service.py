@@ -52,6 +52,7 @@ and the residual as ``other`` — no per-stage context managers.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -96,6 +97,15 @@ DEADLINE_EXCEEDED = "deadline_exceeded"
 _MISS_WINDOW = 256
 
 
+def _finite_positive(value: float) -> bool:
+    """Whether a timeout or deadline is usable as a wall-clock budget.
+
+    NaN fails every comparison, and an infinite budget overflows the
+    clock arithmetic of the timeout path.
+    """
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables of one :class:`InferenceService`.
@@ -107,9 +117,10 @@ class ServeConfig:
             process-pool size under ``isolation="process"``).
             Thread-tier ego requests do not use them: they run on the
             caller's thread (see :meth:`InferenceService.submit_ego`).
-        request_timeout: Per-batch wall-clock budget in seconds
-            (``None`` disables; see :mod:`repro.resilience.runtime`).
-            Request deadlines tighten this further per batch.
+        request_timeout: Per-batch wall-clock budget in seconds, finite
+            and positive (``None`` disables; see
+            :mod:`repro.resilience.runtime`).  Request deadlines tighten
+            this further per batch.
         restart_budget: Worker respawns the supervisor allows (per
             ``restart_window_seconds`` when set, else over the service's
             lifetime) before declaring the pool exhausted.
@@ -144,6 +155,13 @@ class ServeConfig:
             raise ValueError(
                 "isolation must be 'thread' or 'process', "
                 f"got {self.isolation!r}"
+            )
+        if self.request_timeout is not None and not _finite_positive(
+            self.request_timeout
+        ):
+            raise ValueError(
+                "request_timeout must be finite and positive or None, "
+                f"got {self.request_timeout}"
             )
         if (
             self.restart_window_seconds is not None
@@ -591,9 +609,10 @@ class InferenceService:
                 raise ValueError(
                     f"dimension mismatch: {matrix.shape} @ {dense.shape}"
                 )
-            if deadline_ms is not None and deadline_ms <= 0:
+            if deadline_ms is not None and not _finite_positive(deadline_ms):
                 raise ValueError(
-                    f"deadline_ms must be positive, got {deadline_ms}"
+                    "deadline_ms must be finite and positive, "
+                    f"got {deadline_ms}"
                 )
             # (full content fingerprint, feature width).  A matrix's
             # first fingerprint hashes all of it, so the key is taken

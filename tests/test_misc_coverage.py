@@ -1,10 +1,15 @@
 """Coverage for small paths not exercised elsewhere."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.merge_path import MergeCoordinate
-from repro.experiments.harness import main as harness_main
+from repro.experiments.harness import EXPERIMENTS, main as harness_main
 from repro.experiments.reporting import format_table
 from repro.gnn import GCN, InferenceEngine
 from repro.gpu import kernel_time
@@ -46,6 +51,27 @@ class TestHarnessCLI:
         assert code == 0
         assert (tmp_path / "fig3.txt").exists()
         assert "merge-path decomposition" in capsys.readouterr().out
+
+    def test_unknown_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness_main(["serve-bench"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "serve-bench" in err
+        for name in ("obs-report", "chaos", *EXPERIMENTS):
+            assert name in err
+
+    @pytest.mark.parametrize("command", ["serve-bench", "slo-report"])
+    def test_removed_commands_exit_two_without_traceback(self, command):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command],
+            capture_output=True, text=True, timeout=120.0, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "usage:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestInferenceEngineEdges:

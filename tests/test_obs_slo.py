@@ -1,16 +1,9 @@
-"""Unit tests for the SLO layer (objectives, burn rates, slo-report)."""
-
-import json
+"""Unit tests for the SLO layer (objectives, burn rates, health rules)."""
 
 import pytest
 
 from repro import obs
-from repro.obs.slo import (
-    SLObjective,
-    SLOTracker,
-    main as slo_main,
-    render_slo_report,
-)
+from repro.obs.slo import SLObjective, SLOTracker
 from repro.serve.health import DEGRADED, HealthPolicy, evaluate_health
 
 
@@ -161,66 +154,3 @@ class TestHealthIntegration:
             HealthPolicy(slo_burn_degraded=0.0)
         with pytest.raises(ValueError):
             HealthPolicy(slo_min_samples=0)
-
-
-class TestRender:
-    def test_empty(self):
-        assert "no routes" in render_slo_report({})
-
-    def test_table_contents(self):
-        tracker = SLOTracker(
-            default_objective=SLObjective(
-                p95_ms=100.0, success_rate=0.9, window=16
-            )
-        )
-        for _ in range(10):
-            tracker.observe("cora", 0.5)
-        text = render_slo_report(tracker.report())
-        assert "cora" in text
-        assert "MISS" in text
-        assert "EXHAUSTED" in text
-
-
-class TestCli:
-    def _write_serve_record(self, tmp_path, slo):
-        obs.write_run_record(
-            obs.run_record("serve", extra={"serve": {"slo": slo}}),
-            directory=tmp_path,
-        )
-
-    def test_no_record(self, tmp_path, capsys):
-        assert slo_main(["--bench-dir", str(tmp_path)]) == 1
-        assert "no 'serve' run record" in capsys.readouterr().err
-
-    def test_record_without_slo(self, tmp_path, capsys):
-        obs.write_run_record(obs.run_record("serve"), directory=tmp_path)
-        assert slo_main(["--bench-dir", str(tmp_path)]) == 1
-        assert "no SLO section" in capsys.readouterr().err
-
-    def test_renders_latest(self, tmp_path, capsys):
-        tracker = SLOTracker(
-            default_objective=SLObjective(p95_ms=100.0, window=8)
-        )
-        tracker.observe("cora", 0.01)
-        self._write_serve_record(tmp_path, tracker.report())
-        assert slo_main(["--bench-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "slo-report" in out and "cora" in out
-
-    def test_json_mode(self, tmp_path, capsys):
-        tracker = SLOTracker()
-        tracker.observe("cora", 0.01)
-        self._write_serve_record(tmp_path, tracker.report())
-        assert slo_main(["--bench-dir", str(tmp_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "cora" in payload["routes"]
-
-    def test_subcommand_dispatch(self, tmp_path, capsys):
-        from repro.__main__ import main as repro_main
-
-        tracker = SLOTracker()
-        tracker.observe("cora", 0.01)
-        self._write_serve_record(tmp_path, tracker.report())
-        code = repro_main(["slo-report", "--bench-dir", str(tmp_path)])
-        assert code == 0
-        assert "cora" in capsys.readouterr().out

