@@ -8,8 +8,8 @@ arrives per inference — the schedule must be recomputed every time
 quantifies in Figure 8.
 
 :class:`ScheduleCache` implements both modes and records wall-clock
-scheduling time; the *modeled* (GPU-cycle) scheduling overhead used by the
-Figure 8 harness is produced by :func:`repro.gpu.timing.scheduling_cycles`.
+scheduling time; the *modeled* (GPU-cycle) scheduling overhead of the
+Figure 8 harness is :func:`repro.gpu.overhead.model_gcn_inferences`'s.
 Entries are keyed on :meth:`CSRMatrix.fingerprint` — a content hash of the
 CSR structure — so identical graphs loaded twice share one schedule and a
 garbage-collected matrix can never alias a live one, and the cache is

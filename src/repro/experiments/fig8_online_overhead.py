@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from repro.core.scheduler import SchedulingMode
 from repro.experiments.reporting import ExperimentResult, geometric_mean
-from repro.gnn import GCN, InferenceEngine
+from repro.gnn import GCN
+from repro.gpu import model_gcn_inferences
 from repro.graphs import load_dataset, power_law_dataset_names
 
 DIM = 16
@@ -24,10 +25,10 @@ def run(names=None, seed: int = 2023) -> ExperimentResult:
     overheads = []
     for name in names:
         graph = load_dataset(name, seed=seed)
-        features = graph.random_features(DIM, seed=seed)
         model = GCN.random([DIM, DIM, DIM], seed=seed)
-        engine = InferenceEngine(mode=SchedulingMode.ONLINE)
-        report = engine.infer(model, graph, features)
+        (report,) = model_gcn_inferences(
+            model, graph, mode=SchedulingMode.ONLINE
+        )
         assert report.schedule_computations == 1, "online = 1 schedule/inference"
         assert report.kernel_invocations == 2
         overheads.append(report.scheduling_overhead)

@@ -1,20 +1,16 @@
-"""GNN inference driver with online/offline scheduling (Section III-D).
+"""GNN inference engine: a GCN pass on merge-path row blocks.
 
-:class:`InferenceEngine` runs a 2-layer (or deeper) GCN on a graph while
-accounting for MergePath-SpMM scheduling: in *offline* mode the schedule
-is computed once per graph and reused across the model's layers and across
-inferences; in *online* mode every inference recomputes it.  The engine
-reports both wall-clock scheduling time and the modeled GPU scheduling
-overhead — the quantity Figure 8 plots.
-
+:class:`InferenceEngine` runs a 2-layer (or deeper) GCN on a graph.
 Each layer runs the cheaper of ``(A·X)·W`` and ``A·(X·W)`` by FLOP count
 (:func:`choose_ordering`) on the normalized adjacency's merge-path row
 blocks (:mod:`repro.core.parallel`): the GEMM split by rows, the SpMM by
 blocks, and the activation applied to each block's rows as they become
 final, all on one thread pool with numpy's OpenBLAS held to one thread
 for the pass.  A graph too small to split runs one scipy call per layer.
-The modeled kernel cycles of a layer are computed once per schedule and
-width, so offline passes reuse them.
+
+The engine does measured work only: the GPU model's accounting of the
+same passes (Section III-D, Figure 8) is
+:func:`repro.gpu.overhead.model_gcn_inferences`.
 """
 
 from __future__ import annotations
@@ -30,14 +26,8 @@ from repro.core.parallel import (
     for_row_ranges,
     single_blas_thread,
 )
-from repro.core.schedule import MergePathSchedule
-from repro.core.scheduler import ScheduleCache, SchedulingMode
-from repro.core.thread_mapping import default_merge_path_cost
 from repro.formats import CSRMatrix
 from repro.obs import rtrace
-from repro.gpu.device import GPUDevice, quadro_rtx_6000
-from repro.gpu.kernels import mergepath_workload
-from repro.gpu.timing import scheduling_time, simulate
 from repro.gnn.layers import GCNLayer
 from repro.gnn.models import GCN
 from repro.graphs import Graph
@@ -79,65 +69,36 @@ def choose_ordering(
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Timing summary of one GNN inference.
+    """The result of one GNN inference.
 
     Attributes:
         output: Final-layer embeddings.
-        kernel_invocations: SpMM kernel calls performed (one per layer).
-        schedule_computations: Schedules built (0 when fully cached).
-        modeled_kernel_cycles: Summed modeled GPU cycles of the SpMM calls.
-        modeled_schedule_cycles: Modeled GPU cycles spent scheduling.
-        wallclock_schedule_seconds: Actual schedule-construction time.
         row_blocks: Merge-path row blocks each layer ran on
             (:func:`~repro.core.parallel.block_count`).
     """
 
     output: np.ndarray
-    kernel_invocations: int
-    schedule_computations: int
-    modeled_kernel_cycles: float
-    modeled_schedule_cycles: float
-    wallclock_schedule_seconds: float
     row_blocks: int
-
-    @property
-    def scheduling_overhead(self) -> float:
-        """Modeled scheduling share of total modeled time (Figure 8)."""
-        total = self.modeled_kernel_cycles + self.modeled_schedule_cycles
-        return self.modeled_schedule_cycles / total if total else 0.0
 
 
 class InferenceEngine:
-    """Runs GCN inference with MergePath-SpMM scheduling accounting.
+    """Runs GCN inference passes on the normalized adjacency's row blocks.
 
     Args:
-        mode: ``SchedulingMode.OFFLINE`` reuses schedules across
-            inferences (the paper's default, matching GNNAdvisor's
-            pre-processed partitions); ``ONLINE`` recomputes per inference.
-        device: GPU model used for the timing estimates.
         fused: Accepted for compatibility; every layer already shares
             one adjacency view, so it selects nothing.
     """
 
-    def __init__(
-        self,
-        mode: SchedulingMode = SchedulingMode.OFFLINE,
-        device: GPUDevice | None = None,
-        fused: bool = True,
-    ) -> None:
-        self.cache = ScheduleCache(mode=mode)
-        self.device = device or quadro_rtx_6000()
-        # (graph, normalized adjacency, modeled cycles) of the last graph
-        # served; the cycles map an SpMM width to ``(schedule, cycles)``.
-        # Graph and schedule are matched with ``is``: an ``id()`` key
-        # would hand a new object allocated at a collected one's address
-        # the stale entry.
-        self._entry: "tuple[Graph, CSRMatrix, dict] | None" = None
+    def __init__(self, *, fused: bool = True) -> None:
+        # (graph, normalized adjacency) of the last graph served.  The
+        # graph is matched with ``is``: an ``id()`` key would hand a new
+        # graph allocated at a collected one's address the stale entry.
+        self._entry: "tuple[Graph, CSRMatrix] | None" = None
 
     def infer(self, model: GCN, graph: Graph, features: np.ndarray | None = None,
               *, ctx: "rtrace.RequestContext | None" = None
               ) -> InferenceReport:
-        """Run one inference, accounting schedules per Section III-D.
+        """Run one inference pass.
 
         Args:
             ctx: Optional request-trace context
@@ -147,84 +108,35 @@ class InferenceEngine:
         with rtrace.activate(ctx):
             return self._infer(model, graph, features)
 
-    def _adjacency(self, graph: Graph) -> "tuple[CSRMatrix, dict]":
-        """The graph's normalized adjacency and its modeled-cycle memo."""
+    def _adjacency(self, graph: Graph) -> CSRMatrix:
+        """The graph's normalized adjacency, built once per graph."""
         entry = self._entry
         if entry is None or entry[0] is not graph:
-            entry = self._entry = (graph, graph.normalized_adjacency(), {})
-        return entry[1], entry[2]
+            entry = self._entry = (graph, graph.normalized_adjacency())
+        return entry[1]
 
     def _infer(self, model: GCN, graph: Graph,
                features: np.ndarray | None) -> InferenceReport:
-        adjacency, modeled = self._adjacency(graph)
+        adjacency = self._adjacency(graph)
         if features is None:
             if graph.features is None:
                 raise ValueError("graph carries no features; pass them explicitly")
             features = graph.features
         hidden = np.asarray(features, dtype=np.float64)
-
-        if self.cache.mode is SchedulingMode.ONLINE:
-            self.cache.clear()
-
-        kernel_cycles = 0.0
-        schedule_cycles = 0.0
-        computations_before = self.cache.schedule_computations
-        wall_before = self.cache.total_scheduling_seconds
-        layer_plans = [
-            choose_ordering(
-                adjacency.n_rows,
-                adjacency.nnz,
-                layer.in_features,
-                layer.out_features,
-            )
-            for layer in model.layers
-        ]
-        # One cost per graph (sized for the widest SpMM any layer runs)
-        # so a single schedule serves the whole pass.
-        graph_cost = default_merge_path_cost(
-            max(plan.spmm_width for plan in layer_plans)
-        )
         n_blocks = block_count(adjacency)
         with single_blas_thread() if n_blocks > 1 else nullcontext():
-            for layer, layer_plan in zip(model.layers, layer_plans):
-                built_before = self.cache.schedule_computations
-                schedule: MergePathSchedule = self.cache.get(
-                    adjacency, graph_cost
-                )
-                if self.cache.schedule_computations > built_before:
-                    schedule_cycles += scheduling_time(
-                        schedule.n_threads,
-                        adjacency.n_rows + adjacency.nnz,
-                        self.device,
-                    )
-                with rtrace.stage("kernel", layer=layer_plan.ordering):
+            for layer in model.layers:
+                ordering = choose_ordering(
+                    adjacency.n_rows,
+                    adjacency.nnz,
+                    layer.in_features,
+                    layer.out_features,
+                ).ordering
+                with rtrace.stage("kernel", layer=ordering):
                     hidden = _run_layer(
-                        adjacency, hidden, layer, layer_plan.ordering, n_blocks
+                        adjacency, hidden, layer, ordering, n_blocks
                     )
-                width = layer_plan.spmm_width
-                cached = modeled.get(width)
-                if cached is None or cached[0] is not schedule:
-                    cached = modeled[width] = (schedule, simulate(
-                        mergepath_workload(
-                            adjacency, width, self.device, schedule=schedule
-                        ),
-                        self.device,
-                    ).cycles)
-                kernel_cycles += cached[1]
-
-        return InferenceReport(
-            output=hidden,
-            kernel_invocations=model.n_layers,
-            schedule_computations=(
-                self.cache.schedule_computations - computations_before
-            ),
-            modeled_kernel_cycles=kernel_cycles,
-            modeled_schedule_cycles=schedule_cycles,
-            wallclock_schedule_seconds=(
-                self.cache.total_scheduling_seconds - wall_before
-            ),
-            row_blocks=n_blocks,
-        )
+        return InferenceReport(output=hidden, row_blocks=n_blocks)
 
 
 def _run_layer(adjacency: CSRMatrix, hidden: np.ndarray, layer: GCNLayer,

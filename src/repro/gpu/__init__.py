@@ -16,6 +16,8 @@ Modules:
 * :mod:`repro.gpu.timing` — the timing model proper.
 * :mod:`repro.gpu.kernels` — workload builders for MergePath-SpMM and all
   baselines, plus the top-level ``kernel_time`` entry point.
+* :mod:`repro.gpu.overhead` — modeled cycles of GCN inferences under
+  online or offline scheduling (Figure 8).
 """
 
 from repro.gpu.device import GPUDevice, ModelParams, a100_like, quadro_rtx_6000
@@ -31,6 +33,7 @@ from repro.gpu.kernels import (
     merge_path_serial_workload,
     cusparse_workload,
 )
+from repro.gpu.overhead import ModeledInference, model_gcn_inferences
 
 __all__ = [
     "GPUDevice",
@@ -38,6 +41,7 @@ __all__ = [
     "KERNELS",
     "KernelTiming",
     "ModelParams",
+    "ModeledInference",
     "a100_like",
     "breakdown_table",
     "compare_kernels",
@@ -47,6 +51,7 @@ __all__ = [
     "kernel_time",
     "merge_path_serial_workload",
     "mergepath_workload",
+    "model_gcn_inferences",
     "quadro_rtx_6000",
     "row_splitting_workload",
     "scheduling_time",

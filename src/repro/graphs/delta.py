@@ -114,11 +114,6 @@ class GraphSnapshot:
     compacted: bool = False
 
     @property
-    def fingerprint(self) -> str:
-        """Version-precise structural fingerprint of the snapshot."""
-        return self.matrix.fingerprint()
-
-    @property
     def base_fingerprint(self) -> str:
         """Structural fingerprint of the overlay's base."""
         return self.base.fingerprint()

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.formats import CSRMatrix, RowStatistics, row_statistics
+from repro.formats.csr import INDEX_DTYPE
 
 
 @dataclass(frozen=True)
@@ -69,32 +71,28 @@ class Graph:
 
         This is the matrix Kipf & Welling's GCN multiplies against ``XW``;
         the sparsity structure (and hence every scheduling decision) matches
-        ``A`` plus the diagonal.
+        ``A`` plus the diagonal.  It is built by scipy's compiled ``A + I``
+        and ``sum_duplicates``: repeated entries are summed in stored
+        order, columns are sorted within each row, and ``D`` counts each
+        row's distinct entries.  With ``add_self_loops`` an entry that
+        sums to zero is dropped, as scipy's ``A + I`` drops it.
         """
         adj = self.adjacency
+        a_hat = sp.csr_matrix(
+            (adj.values, adj.column_indices, adj.row_pointers),
+            shape=adj.shape,
+            copy=not add_self_loops,
+        )
         if add_self_loops:
-            coo = adj.to_coo()
-            diag = np.arange(self.n_nodes, dtype=np.int64)
-            rows = np.concatenate([coo.rows, diag])
-            cols = np.concatenate([coo.cols, diag])
-            vals = np.concatenate([coo.values, np.ones(self.n_nodes)])
-            from repro.formats import COOMatrix
-
-            adj = COOMatrix(
-                n_rows=self.n_nodes,
-                n_cols=self.n_nodes,
-                rows=rows,
-                cols=cols,
-                values=vals,
-            ).deduplicate().to_csr()
-        degrees = adj.row_lengths.astype(np.float64)
+            a_hat = a_hat + sp.identity(self.n_nodes, format="csr")
+        a_hat.sum_duplicates()
+        counts = np.diff(a_hat.indptr)
+        degrees = counts.astype(np.float64)
         inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1)), 0.0)
-        rows = np.repeat(np.arange(adj.n_rows), adj.row_lengths)
-        values = adj.values * inv_sqrt[rows] * inv_sqrt[adj.column_indices]
-        return CSRMatrix(
-            n_rows=adj.n_rows,
-            n_cols=adj.n_cols,
-            row_pointers=adj.row_pointers,
-            column_indices=adj.column_indices,
-            values=values,
+        values = a_hat.data * np.repeat(inv_sqrt, counts) * inv_sqrt[a_hat.indices]
+        # scipy's fresh arrays, derived from a validated matrix: no
+        # validation pass and no copy beyond widening the indices.
+        return CSRMatrix._derived(  # noqa: SLF001 - same package
+            adj.n_rows, adj.n_cols, a_hat.indptr.astype(INDEX_DTYPE),
+            a_hat.indices.astype(INDEX_DTYPE), values,
         )

@@ -32,8 +32,8 @@ be followed across threads in Perfetto by filtering on the id.
 
 :class:`FlightRecorder` retains a bounded set of the slowest completed
 and most recent failed request summaries for post-hoc dumps (the
-serving layer owns one per service; :meth:`FlightRecorder.to_dict`
-dumps it).
+serving layer owns one per service; :meth:`FlightRecorder.slowest` and
+:meth:`FlightRecorder.failures` read it).
 """
 
 from __future__ import annotations
@@ -343,12 +343,3 @@ class FlightRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._slowest) + len(self._failed)
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "failed_capacity": self.failed_capacity,
-            "recorded": self.recorded,
-            "slowest": self.slowest(),
-            "failures": self.failures(),
-        }

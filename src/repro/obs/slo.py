@@ -159,10 +159,6 @@ class SLOTracker:
         if violated:
             _metrics.counter("obs.slo.violations", route=route).inc()
 
-    def routes(self) -> "list[str]":
-        with self._lock:
-            return sorted(self._routes)
-
     def _route_report_locked(self, route: str, state: _RouteState) -> dict:
         objective = state.objective
         samples = list(state.samples)

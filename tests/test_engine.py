@@ -60,9 +60,9 @@ class TestFusedPipeline:
         out = engine.infer(model, graph, features(small_power_law.n_cols, 8))
         assert out.output.shape == (small_power_law.n_rows, 8)
         # One adjacency view serves every layer of every inference.
-        view = engine._adjacency(graph)[1]
+        view = engine._adjacency(graph)
         again = engine.infer(model, graph, features(small_power_law.n_cols, 8))
-        assert engine._adjacency(graph)[1] is view
+        assert engine._adjacency(graph) is view
         np.testing.assert_allclose(out.output, again.output)
 
 

@@ -5,6 +5,8 @@ These validate that each harness runs end-to-end and that the headline
 in ``benchmarks/``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ from repro.experiments.reporting import ExperimentResult, format_table, geometri
 
 SMALL_I = ["Cora", "Citeseer", "Pubmed"]
 SMALL_II = ["PROTEINS_full"]
+
+#: ``python -m repro fig8``'s table on all 17 graphs, less its timing note.
+FIG8_GOLDEN = Path(__file__).parent / "golden" / "fig8_online_overhead.txt"
 
 
 class TestReporting:
@@ -163,6 +168,16 @@ class TestFig8:
         assert over["Cora"] > over["com-Amazon"]
         assert over["Cora"] < 25.0
         assert over["com-Amazon"] < 1.5
+        # Each row prints as it does in the committed full-suite table.
+        golden = {
+            cells[0]: cells
+            for cells in map(str.split, FIG8_GOLDEN.read_text().splitlines()[3:])
+            if cells[0] != "*"
+        }
+        assert len(golden) == 17
+        printed = format_table(result.headers, result.rows).splitlines()[2:]
+        for cells in map(str.split, printed):
+            assert cells == golden[cells[0]]
 
 
 class TestFig9:

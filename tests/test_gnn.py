@@ -1,8 +1,12 @@
-"""Unit tests for GNN layers, models, and the inference engine."""
+"""Unit tests for GNN layers, models, the inference engine, and the
+modeled GPU cost of GCN inference."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.schedule import MergePathSchedule
 from repro.core.scheduler import SchedulingMode
 from repro.formats import CSRMatrix
 from repro.gnn import (
@@ -16,9 +20,12 @@ from repro.gnn import (
     sigmoid,
     spmm_backend,
 )
-from repro.gnn import inference as inference_module
 from repro.gnn.layers import ACTIVATIONS
+from repro.gpu import model_gcn_inferences
+from repro.gpu import overhead as overhead_module
+from repro.gpu import timing as gpu_timing
 from repro.graphs import Graph
+from repro.obs.rtrace import RequestContext
 
 
 @pytest.fixture
@@ -144,74 +151,57 @@ class TestModels:
 
 
 class TestInferenceEngine:
-    def test_online_one_schedule_per_inference(self, tiny_graph):
-        model = GCN.random([8, 8, 8], seed=0)
-        engine = InferenceEngine(mode=SchedulingMode.ONLINE)
-        report = engine.infer(model, tiny_graph)
-        assert report.schedule_computations == 1
-        assert report.kernel_invocations == 2
-
-    def test_offline_amortizes_schedules(self, tiny_graph):
-        model = GCN.random([8, 8, 8], seed=0)
-        engine = InferenceEngine(mode=SchedulingMode.OFFLINE)
-        first = engine.infer(model, tiny_graph)
-        second = engine.infer(model, tiny_graph)
-        assert first.schedule_computations == 1
-        assert second.schedule_computations == 0
-        assert second.modeled_schedule_cycles == 0.0
-
-    @pytest.mark.parametrize(
-        "mode, expected_calls",
-        [(SchedulingMode.OFFLINE, 2), (SchedulingMode.ONLINE, 6)],
-    )
-    def test_simulates_once_per_schedule_and_width(
-        self, tiny_graph, monkeypatch, mode, expected_calls
-    ):
-        # Widths 8 (aggregate-first) and 4 (transform-first): offline
-        # passes share one schedule, online ones build one per pass.
-        calls = []
-        original = inference_module.simulate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(inference_module, "simulate", counting)
-        model = GCN.random([8, 16, 4], seed=0)
-        engine = InferenceEngine(mode=mode)
-        for _ in range(3):
-            engine.infer(model, tiny_graph)
-        assert len(calls) == expected_calls
-
-    @pytest.mark.parametrize("mode", list(SchedulingMode))
-    def test_modeled_fields_match_a_fresh_engine(self, tiny_graph, mode):
-        model = GCN.random([8, 16, 4], seed=0)
-        engine = InferenceEngine(mode=mode)
-        reports = [engine.infer(model, tiny_graph) for _ in range(3)]
-        fresh = InferenceEngine(mode=mode).infer(model, tiny_graph)
-        # Bit for bit: Figure 8 reads these fields.
-        assert [r.modeled_kernel_cycles for r in reports] == [
-            fresh.modeled_kernel_cycles
-        ] * 3
-        later = (
-            fresh.modeled_schedule_cycles
-            if mode is SchedulingMode.ONLINE
-            else 0.0
-        )
-        assert [r.modeled_schedule_cycles for r in reports] == [
-            fresh.modeled_schedule_cycles, later, later
-        ]
-
     def test_output_matches_plain_model(self, tiny_graph):
         model = GCN.random([8, 8, 8], seed=0, backend="reference")
-        engine = InferenceEngine(mode=SchedulingMode.ONLINE)
+        engine = InferenceEngine()
         report = engine.infer(model, tiny_graph)
         assert np.allclose(report.output, model.forward(tiny_graph))
 
-    def test_overhead_bounded(self, tiny_graph):
-        model = GCN.random([8, 8, 8], seed=0)
-        report = InferenceEngine(SchedulingMode.ONLINE).infer(model, tiny_graph)
-        assert 0.0 < report.scheduling_overhead < 1.0
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cold_pass_runs_no_modeled_work(
+        self, tiny_graph, monkeypatch, blocked, k
+    ):
+        # The engine runs the measured pass only, on one block or on
+        # several: no structural hash, no GPU schedule and no GPU
+        # simulation (model_gcn_inferences does those).
+        blocked(k)
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CSRMatrix, "fingerprint", counting(
+            "fingerprint", CSRMatrix.fingerprint))
+        monkeypatch.setattr(MergePathSchedule, "__init__", counting(
+            "schedule", MergePathSchedule.__init__))
+        simulate = gpu_timing.simulate
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "simulate", None) is simulate):
+                monkeypatch.setattr(module, "simulate", counting(
+                    "simulate", simulate))
+        model = GCN.random([8, 16, 4], seed=0)
+        report = InferenceEngine().infer(model, tiny_graph)
+        assert report.output.shape == (20, 4)
+        assert report.row_blocks == k
+        assert calls == []
+
+    def test_bench_call_charges_the_kernel_stage(self, tiny_graph):
+        # The call the gcn-offline workload makes: fused= is accepted and
+        # a request context gets the pass's kernel time.
+        model = GCN.random([8, 16, 4], seed=0)
+        ctx = RequestContext.new()
+        report = InferenceEngine(fused=True).infer(
+            model, tiny_graph, tiny_graph.features, ctx=ctx
+        )
+        np.testing.assert_array_equal(
+            report.output, InferenceEngine().infer(model, tiny_graph).output
+        )
+        assert set(ctx.ledger.stages()) == {"kernel"}
+        assert ctx.ledger.stages()["kernel"] > 0.0
 
     def test_recycled_graph_address_never_serves_stale_adjacency(self):
         # Graphs created and dropped in a loop often reuse a collected
@@ -228,3 +218,74 @@ class TestInferenceEngine:
             fresh = InferenceEngine().infer(model, graph, features).output
             assert np.array_equal(out, fresh), f"cycle {i}"
             del graph
+
+
+class TestGpuModel:
+    """Figure 8's accounting: :func:`repro.gpu.model_gcn_inferences`."""
+
+    def test_online_one_schedule_per_inference(self, tiny_graph):
+        model = GCN.random([8, 8, 8], seed=0)
+        (report,) = model_gcn_inferences(
+            model, tiny_graph, mode=SchedulingMode.ONLINE
+        )
+        assert report.schedule_computations == 1
+        assert report.kernel_invocations == 2
+
+    def test_offline_amortizes_schedules(self, tiny_graph):
+        model = GCN.random([8, 8, 8], seed=0)
+        first, second = model_gcn_inferences(
+            model, tiny_graph, 2, mode=SchedulingMode.OFFLINE
+        )
+        assert first.schedule_computations == 1
+        assert second.schedule_computations == 0
+        assert second.modeled_schedule_cycles == 0.0
+
+    @pytest.mark.parametrize(
+        "mode, expected_calls",
+        [(SchedulingMode.OFFLINE, 2), (SchedulingMode.ONLINE, 6)],
+    )
+    def test_simulates_once_per_schedule_and_width(
+        self, tiny_graph, monkeypatch, mode, expected_calls
+    ):
+        # Widths 8 (aggregate-first) and 4 (transform-first): offline
+        # passes share one schedule, online ones build one per pass.
+        calls = []
+        original = overhead_module.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(overhead_module, "simulate", counting)
+        model = GCN.random([8, 16, 4], seed=0)
+        model_gcn_inferences(model, tiny_graph, 3, mode=mode)
+        assert len(calls) == expected_calls
+
+    @pytest.mark.parametrize("mode", list(SchedulingMode))
+    def test_modeled_fields_match_a_fresh_call(self, tiny_graph, mode):
+        model = GCN.random([8, 16, 4], seed=0)
+        reports = model_gcn_inferences(model, tiny_graph, 3, mode=mode)
+        (fresh,) = model_gcn_inferences(model, tiny_graph, mode=mode)
+        # Bit for bit: Figure 8 reads these fields.
+        assert [r.modeled_kernel_cycles for r in reports] == [
+            fresh.modeled_kernel_cycles
+        ] * 3
+        later = (
+            fresh.modeled_schedule_cycles
+            if mode is SchedulingMode.ONLINE
+            else 0.0
+        )
+        assert [r.modeled_schedule_cycles for r in reports] == [
+            fresh.modeled_schedule_cycles, later, later
+        ]
+
+    def test_overhead_bounded(self, tiny_graph):
+        model = GCN.random([8, 8, 8], seed=0)
+        (report,) = model_gcn_inferences(
+            model, tiny_graph, mode=SchedulingMode.ONLINE
+        )
+        assert 0.0 < report.scheduling_overhead < 1.0
+
+    def test_rejects_no_inferences(self, tiny_graph):
+        with pytest.raises(ValueError, match="inferences"):
+            model_gcn_inferences(GCN.random([8, 4]), tiny_graph, 0)

@@ -169,8 +169,8 @@ class TestDeltaCSR:
         before = delta.snapshot()
         delta.update_edge(row, col, 9.0)
         after = delta.snapshot()
-        assert before.fingerprint != after.fingerprint
-        assert after.base_fingerprint == before.fingerprint
+        assert before.matrix.fingerprint() != after.matrix.fingerprint()
+        assert after.base_fingerprint == before.matrix.fingerprint()
 
     def test_dirty_rows_reported(self, base):
         delta = DeltaCSR(base)
@@ -195,7 +195,7 @@ class TestDeltaCSR:
         assert delta.compactions == 1
         assert delta.log_size == 0
         assert len(snapshot.dirty_rows) == 0
-        assert snapshot.fingerprint == snapshot.base_fingerprint  # rebased
+        assert snapshot.matrix.fingerprint() == snapshot.base_fingerprint  # rebased
         np.testing.assert_allclose(snapshot.matrix.to_dense(), expected)
         # Post-compaction updates keep working against the new base.
         r, c = planner_edges[0]

@@ -3,13 +3,55 @@
 import numpy as np
 import pytest
 
-from repro.formats import CSRMatrix
-from repro.graphs import Graph, fit_power_law
+from repro.formats import COOMatrix, CSRMatrix
+from repro.graphs import DATASETS, Graph, fit_power_law, load_dataset
 from repro.graphs.degree import looks_power_law
 
 
 def _graph(dense, name="g"):
     return Graph(name=name, adjacency=CSRMatrix.from_dense(dense))
+
+
+def _coo_route(graph: Graph) -> CSRMatrix:
+    """``D^-1/2 (A + I) D^-1/2`` through COO: the oracle for the scipy route.
+
+    Appends the diagonal, sorts and sums duplicates in stored order, then
+    scales each entry by its row's and column's inverse square-root count.
+    """
+    adj, n = graph.adjacency, graph.n_nodes
+    coo = adj.to_coo()
+    diag = np.arange(n, dtype=np.int64)
+    a_hat = COOMatrix(
+        n_rows=n,
+        n_cols=n,
+        rows=np.concatenate([coo.rows, diag]),
+        cols=np.concatenate([coo.cols, diag]),
+        values=np.concatenate([coo.values, np.ones(n)]),
+    ).deduplicate().to_csr()
+    degrees = a_hat.row_lengths.astype(np.float64)
+    inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1)), 0.0)
+    rows = np.repeat(np.arange(n), a_hat.row_lengths)
+    values = a_hat.values * inv_sqrt[rows] * inv_sqrt[a_hat.column_indices]
+    return CSRMatrix(
+        n_rows=n,
+        n_cols=n,
+        row_pointers=a_hat.row_pointers,
+        column_indices=a_hat.column_indices,
+        values=values,
+    )
+
+
+def _diagonal_rows(matrix: CSRMatrix) -> int:
+    rows = np.repeat(np.arange(matrix.n_rows), matrix.row_lengths)
+    return len(np.unique(rows[matrix.column_indices == rows]))
+
+
+def _assert_bytes_equal(ours: CSRMatrix, oracle: CSRMatrix) -> None:
+    assert ours.shape == oracle.shape
+    for name in ("row_pointers", "column_indices", "values"):
+        mine, theirs = getattr(ours, name), getattr(oracle, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.tobytes() == theirs.tobytes(), name
 
 
 class TestGraph:
@@ -61,6 +103,39 @@ class TestNormalizedAdjacency:
         dense = np.array([[0.0, 1.0], [1.0, 0.0]])
         norm = _graph(dense).normalized_adjacency(add_self_loops=False)
         assert np.allclose(norm.to_dense(), np.array([[0, 1], [1, 0]]))
+
+    def test_without_self_loops_sums_repeated_edges(self):
+        # Row 0 stores (0, 1) twice: one distinct entry of value 2, as
+        # the self-loop path counts it, not two entries of 1/sqrt(2).
+        graph = Graph("g", CSRMatrix.from_arrays([0, 2, 3], [1, 1, 0]))
+        norm = graph.normalized_adjacency(add_self_loops=False)
+        assert norm.row_pointers.tolist() == [0, 1, 2]
+        assert norm.column_indices.tolist() == [1, 0]
+        np.testing.assert_array_equal(norm.to_dense(), [[0.0, 2.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_bytes_match_the_coo_route(self, name):
+        graph = load_dataset(name, scale=0.02)
+        _assert_bytes_equal(graph.normalized_adjacency(), _coo_route(graph))
+
+    def test_stand_ins_cover_rows_with_a_diagonal(self):
+        # The stand-ins store self loops, so the route sums an existing
+        # diagonal entry with I's on some rows.
+        assert sum(
+            _diagonal_rows(load_dataset(name, scale=0.02).adjacency) > 0
+            for name in DATASETS
+        ) >= len(DATASETS) // 2
+
+    def test_weighted_duplicates_sum_in_stored_order(self, small_power_law):
+        # Non-unit weights make the summation order visible in the bits:
+        # repeated entries and existing diagonals sum in stored order, as
+        # the COO route sums them.
+        weights = np.random.default_rng(5).uniform(0.5, 1.5, small_power_law.nnz)
+        graph = Graph("w", small_power_law.with_values(weights))
+        assert _diagonal_rows(graph.adjacency) > 0
+        oracle = _coo_route(graph)
+        assert oracle.nnz < small_power_law.nnz + graph.n_nodes  # merged
+        _assert_bytes_equal(graph.normalized_adjacency(), oracle)
 
     def test_self_loops_added_and_duplicates_merged(self, small_power_law):
         g = Graph(name="pl", adjacency=small_power_law)

@@ -198,13 +198,3 @@ class TestFlightRecorder:
         for total in (0.3, 0.1, 0.2):
             recorder.record(_summary(total))
         assert [s["total_seconds"] for s in recorder.slowest(2)] == [0.3, 0.2]
-
-    def test_to_dict(self):
-        recorder = FlightRecorder(capacity=2, failed_capacity=2)
-        recorder.record(_summary(0.5))
-        recorder.record(_summary(0.0, status="rejected"))
-        doc = recorder.to_dict()
-        assert doc["recorded"] == 2
-        assert len(doc["slowest"]) == 1
-        assert len(doc["failures"]) == 1
-        assert doc["capacity"] == 2

@@ -31,7 +31,7 @@ class TestEpochLease:
     def test_lease_pins_admitted_epoch(self, base):
         manager = GraphEpochManager(base)
         lease = manager.acquire()
-        pinned = lease.snapshot.fingerprint
+        pinned = lease.snapshot.matrix.fingerprint()
         manager.apply_updates(next(_planner_batches(base)))
         assert manager.current_epoch == 1
         assert lease.epoch == 0

@@ -131,9 +131,7 @@ ALLOWLIST: "set[tuple[str, str]]" = {
     ("src/repro/obs/rtrace.py", "Ledger.stages"),
     ("src/repro/obs/rtrace.py", "Ledger.events"),
     ("src/repro/obs/rtrace.py", "RequestContext.new"),
-    ("src/repro/obs/rtrace.py", "FlightRecorder.to_dict"),
     ("src/repro/obs/slo.py", "SLObjective.to_dict"),
-    ("src/repro/obs/slo.py", "SLOTracker.routes"),
     ("src/repro/obs/trace.py", "TraceRecorder.events"),
     ("src/repro/obs/trace.py", "TraceRecorder.n_spans"),
     ("src/repro/resilience/checkpoint.py", "BatchCheckpoint.done"),
