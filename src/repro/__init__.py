@@ -23,7 +23,6 @@ paper-versus-measured record.
 
 from repro.core import (
     MergePathSchedule,
-    ScheduleCache,
     SchedulingMode,
     SpMMResult,
     build_schedule,
@@ -49,7 +48,6 @@ __all__ = [
     "DATASETS",
     "Graph",
     "MergePathSchedule",
-    "ScheduleCache",
     "SchedulingMode",
     "SpMMResult",
     "__version__",

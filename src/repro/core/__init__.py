@@ -10,7 +10,7 @@ This package implements:
 * **Section III-C** — the SIMD thread-mapping policy and merge-path cost
   selection in :mod:`repro.core.thread_mapping` and
   :mod:`repro.core.cost_tuning`.
-* **Section III-D** — online/offline schedule reuse in
+* **Section III-D** — the online/offline scheduling modes in
   :mod:`repro.core.scheduler`.
 * The same decomposition on host threads — scipy's CSR kernel run on
   merge-path row blocks — in :mod:`repro.core.parallel`.
@@ -43,7 +43,7 @@ from repro.core.thread_mapping import (
     determine_thread_count,
     map_threads_to_simd,
 )
-from repro.core.scheduler import ScheduleCache, SchedulingMode
+from repro.core.scheduler import SchedulingMode
 from repro.core.cost_tuning import CostSweep, tune_merge_path_cost
 from repro.core.parallel import RowBlocks, execute_row_blocks, row_blocks
 from repro.core.analysis import (
@@ -60,7 +60,6 @@ __all__ = [
     "MergePathSchedule",
     "RowBlocks",
     "SIMD_LANES",
-    "ScheduleCache",
     "ScheduleStatistics",
     "SchedulingMode",
     "SpMMResult",

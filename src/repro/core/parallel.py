@@ -11,10 +11,10 @@ drives scipy's own CSR kernel rather than re-implementing it:
 :func:`execute_row_blocks` runs ``csr_matvecs`` — the call scipy's
 ``csr @ dense`` makes — on every block at once, on one process-wide
 thread pool.  Each block writes straight into its own rows of one output
-array that the calling thread allocated (or the caller passed in).  One
-block is a single ``csr_matvecs`` call on the matrix's own arrays: no
-scipy view is built, no index array is narrowed, and the product is
-scipy's bit for bit.  Every serving path runs its SpMM this way.
+array that the calling thread allocated (or the caller passed in).
+Every block reads the matrix's own arrays: no scipy view is built and no
+index array is narrowed.  One block is a single ``csr_matvecs`` call,
+scipy's product bit for bit; every serving path runs its SpMM this way.
 
 A cut that falls inside a row no longer than the even share is moved
 back to that row's start, so such a row is never split and a block
@@ -128,8 +128,8 @@ def row_blocks(matrix: CSRMatrix, n_blocks: int) -> RowBlocks:
     """Cut ``matrix`` into ``n_blocks`` merge-path row blocks (memoised).
 
     Blocks are memoised on the matrix per ``n_blocks`` and checked like
-    :meth:`~repro.formats.csr.CSRMatrix.to_scipy`'s view, whose index
-    dtype their row pointers share.
+    :meth:`~repro.formats.csr.CSRMatrix.to_scipy`'s view; their row
+    pointers share the matrix's own index dtype.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
@@ -159,7 +159,7 @@ def _cut(matrix: CSRMatrix, n_blocks: int) -> RowBlocks:
     # A row whose every non-zero precedes the cut belongs to the block
     # before it, even though its end marker is merged after the cut.
     first_row = np.where(nnz > pointers[rows], rows + 1, rows)
-    index_dtype = matrix.to_scipy().indptr.dtype
+    index_dtype = pointers.dtype
 
     blocks = []
     for t in range(n_blocks):
@@ -286,11 +286,10 @@ def execute_row_blocks(
             epilogue(product, 0, matrix.n_rows)
         return product
 
-    view = matrix.to_scipy()
     plan = row_blocks(matrix, n_blocks)
     carries = np.zeros((n_blocks, width)) if len(plan.split_rows) else None
     operand = dense.ravel()
-    indices, data = view.indices, view.data
+    indices, data = matrix.column_indices, matrix.values
 
     def run(t: int) -> None:
         block = plan.blocks[t]

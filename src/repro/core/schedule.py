@@ -21,7 +21,6 @@ counts write *operations* actually issued.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -207,41 +206,6 @@ class MergePathSchedule:
             obs.counter("core.schedule.single_partial_threads").inc(
                 int(self.single_partial.sum())
             )
-
-    # ------------------------------------------------------------------
-    # Rebinding
-    # ------------------------------------------------------------------
-    def rebind(self, matrix: CSRMatrix) -> "MergePathSchedule":
-        """This schedule bound to ``matrix``'s values.
-
-        A merge-path decomposition is a function of the CSR *structure*
-        alone, so content-keyed caches share one schedule between
-        matrices that differ only in their non-zero values.  Executors,
-        however, read ``schedule.matrix.values`` — handing them a cached
-        schedule built from a different same-structure matrix would
-        silently compute with the wrong values.  ``rebind`` closes that
-        gap: it returns ``self`` when ``matrix`` already carries the same
-        values, and otherwise a shallow copy sharing every schedule array
-        but bound to the caller's matrix.
-
-        Raises:
-            ValueError: If ``matrix`` differs structurally from the
-                matrix this schedule was built for.
-        """
-        if matrix is self.matrix:
-            return self
-        if matrix.fingerprint() != self.matrix.fingerprint():
-            raise ValueError(
-                "cannot rebind a schedule across structurally different "
-                f"matrices ({self.matrix.shape} vs {matrix.shape})"
-            )
-        if matrix.fingerprint(include_values=True) == self.matrix.fingerprint(
-            include_values=True
-        ):
-            return self
-        rebound = copy.copy(self)
-        rebound.matrix = matrix
-        return rebound
 
     # ------------------------------------------------------------------
     # Accessors

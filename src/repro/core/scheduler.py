@@ -7,30 +7,14 @@ arrives per inference — the schedule must be recomputed every time
 (*online*), and its cost shows up as the scheduling overhead the paper
 quantifies in Figure 8.
 
-:class:`ScheduleCache` implements both modes and records wall-clock
-scheduling time; the *modeled* (GPU-cycle) scheduling overhead of the
-Figure 8 harness is :func:`repro.gpu.overhead.model_gcn_inferences`'s.
-Entries are keyed on :meth:`CSRMatrix.fingerprint` — a content hash of the
-CSR structure — so identical graphs loaded twice share one schedule and a
-garbage-collected matrix can never alias a live one, and the cache is
-safe to hit from concurrent threads.  A hit from a same-structure matrix
-with *different values* is rebound to the requesting matrix
-(:meth:`MergePathSchedule.rebind`), so executors always compute with the
-caller's values while the schedule arrays stay shared.
+:class:`SchedulingMode` names the two; the *modeled* (GPU-cycle)
+scheduling overhead of the Figure 8 harness is
+:func:`repro.gpu.overhead.model_gcn_inferences`'s.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-
-from repro import obs
-from repro.core.schedule import MergePathSchedule, schedule_for_cost
-from repro.core.thread_mapping import MIN_THREADS
-from repro.formats import CSRMatrix
 
 
 class SchedulingMode(enum.Enum):
@@ -38,96 +22,3 @@ class SchedulingMode(enum.Enum):
 
     OFFLINE = "offline"
     ONLINE = "online"
-
-
-@dataclass
-class ScheduleCache:
-    """Schedule provider implementing the paper's two execution models.
-
-    In ``OFFLINE`` mode, schedules are computed once per
-    ``(matrix fingerprint, cost, min_threads)`` and reused; in ``ONLINE``
-    mode every request recomputes the schedule, as required when the
-    adjacency matrix changes between inferences.
-
-    The cache is thread-safe (schedule builds run under the cache lock,
-    so a key is computed at most once even under concurrent access) and
-    LRU-bounded by ``max_entries``.
-
-    Attributes:
-        mode: Scheduling mode.
-        max_entries: LRU capacity; ``None`` means unbounded.
-        schedule_computations: Number of schedule builds performed.
-        total_scheduling_seconds: Wall-clock time spent building schedules.
-        evictions: Entries dropped to honor ``max_entries``.
-    """
-
-    mode: SchedulingMode = SchedulingMode.OFFLINE
-    max_entries: "int | None" = 256
-    schedule_computations: int = 0
-    total_scheduling_seconds: float = 0.0
-    evictions: int = 0
-    _cache: "OrderedDict[tuple[str, int, int], MergePathSchedule]" = field(
-        default_factory=OrderedDict, repr=False, compare=False
-    )
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1 or None, got {self.max_entries}"
-            )
-
-    def get(
-        self,
-        matrix: CSRMatrix,
-        cost: int,
-        min_threads: int = MIN_THREADS,
-    ) -> MergePathSchedule:
-        """Return a schedule for ``matrix``, computing it at most once.
-
-        Online execution is realized by the caller clearing the cache at
-        every inference boundary (the paper's online setting computes the
-        schedule once per inference and reuses it across that inference's
-        kernel invocations); offline callers never clear, so the schedule
-        survives across inferences.
-        """
-        key = (matrix.fingerprint(), cost, min_threads)
-        with self._lock:
-            schedule = self._cache.get(key)
-            if schedule is not None:
-                self._cache.move_to_end(key)
-                obs.counter("core.scheduler.cache_hits").inc()
-                # The cached schedule may have been built from a
-                # same-structure matrix with different values; rebind so
-                # executors compute with the *caller's* values.
-                return schedule.rebind(matrix)
-            obs.counter("core.scheduler.cache_misses").inc()
-            started = time.perf_counter()
-            schedule = schedule_for_cost(matrix, cost, min_threads=min_threads)
-            self.total_scheduling_seconds += time.perf_counter() - started
-            self.schedule_computations += 1
-            self._cache[key] = schedule
-            while (
-                self.max_entries is not None
-                and len(self._cache) > self.max_entries
-            ):
-                self._cache.popitem(last=False)
-                self.evictions += 1
-                obs.counter("core.scheduler.cache_evictions").inc()
-            return schedule
-
-    @property
-    def entries(self) -> int:
-        """Number of schedules currently cached."""
-        with self._lock:
-            return len(self._cache)
-
-    def clear(self) -> None:
-        """Drop all cached schedules and reset counters."""
-        with self._lock:
-            self._cache.clear()
-            self.schedule_computations = 0
-            self.total_scheduling_seconds = 0.0
-            self.evictions = 0

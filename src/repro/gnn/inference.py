@@ -15,6 +15,7 @@ same passes (Section III-D, Figure 8) is
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from repro.core.parallel import (
     single_blas_thread,
 )
 from repro.formats import CSRMatrix
-from repro.obs import rtrace
+from repro.obs.rtrace import RequestContext
 from repro.gnn.layers import GCNLayer
 from repro.gnn.models import GCN
 from repro.graphs import Graph
@@ -96,27 +97,15 @@ class InferenceEngine:
         self._entry: "tuple[Graph, CSRMatrix] | None" = None
 
     def infer(self, model: GCN, graph: Graph, features: np.ndarray | None = None,
-              *, ctx: "rtrace.RequestContext | None" = None
+              *, ctx: "RequestContext | None" = None
               ) -> InferenceReport:
         """Run one inference pass.
 
         Args:
             ctx: Optional request-trace context
-                (:mod:`repro.obs.rtrace`); when passed, per-layer kernel
-                execution is attributed to its ledger.
+                (:mod:`repro.obs.rtrace`); when passed, each layer's
+                seconds are added to its ledger's ``kernel`` stage.
         """
-        with rtrace.activate(ctx):
-            return self._infer(model, graph, features)
-
-    def _adjacency(self, graph: Graph) -> CSRMatrix:
-        """The graph's normalized adjacency, built once per graph."""
-        entry = self._entry
-        if entry is None or entry[0] is not graph:
-            entry = self._entry = (graph, graph.normalized_adjacency())
-        return entry[1]
-
-    def _infer(self, model: GCN, graph: Graph,
-               features: np.ndarray | None) -> InferenceReport:
         adjacency = self._adjacency(graph)
         if features is None:
             if graph.features is None:
@@ -132,11 +121,18 @@ class InferenceEngine:
                     layer.in_features,
                     layer.out_features,
                 ).ordering
-                with rtrace.stage("kernel", layer=ordering):
-                    hidden = _run_layer(
-                        adjacency, hidden, layer, ordering, n_blocks
-                    )
+                started = time.perf_counter()
+                hidden = _run_layer(adjacency, hidden, layer, ordering, n_blocks)
+                if ctx is not None:
+                    ctx.ledger.add("kernel", time.perf_counter() - started)
         return InferenceReport(output=hidden, row_blocks=n_blocks)
+
+    def _adjacency(self, graph: Graph) -> CSRMatrix:
+        """The graph's normalized adjacency, built once per graph."""
+        entry = self._entry
+        if entry is None or entry[0] is not graph:
+            entry = self._entry = (graph, graph.normalized_adjacency())
+        return entry[1]
 
 
 def _run_layer(adjacency: CSRMatrix, hidden: np.ndarray, layer: GCNLayer,

@@ -19,10 +19,11 @@ stale-structure execution a silent-wrong-answer bug class, not a crash.
 * once the log exceeds ``compact_threshold`` the snapshot **compacts**:
   the materialized matrix becomes the new base and the log resets.
 
-Snapshots carry their base's fingerprint and the sorted dirty-row set;
-their version-precise fingerprints let
-:class:`repro.serve.epoch.GraphEpochManager` invalidate exactly the
-retired epoch's cache keys.
+Snapshots carry their base's fingerprint and the sorted dirty-row set.
+A cache keyed on a snapshot's version-precise fingerprint never serves
+one epoch's work for another's; nothing needs invalidating when an
+epoch retires (:class:`repro.serve.epoch.GraphEpochManager` only waits
+for its leases to drain).
 """
 
 from __future__ import annotations

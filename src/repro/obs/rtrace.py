@@ -4,31 +4,28 @@ The span layer (:mod:`repro.obs.trace`) answers "where does *the
 process* spend time"; it cannot answer "where did *this request* spend
 time", because a serving request crosses thread and queue boundaries —
 admission on the client thread, a wait in the batch queue, execution on
-a worker thread, the kernel, possibly a worker subprocess — and
-thread-local span nesting loses the request identity at every hop.
+a worker thread, the kernel, possibly a worker subprocess.
 
-This module adds **explicit context propagation**: a
-:class:`RequestContext` (trace id + per-stage timing :class:`Ledger`) is
-created at admission, carried *by value* through the queue alongside the
-request's operands, and **activated** on whichever thread currently
-works on the request's behalf.  While active, :func:`stage` blocks
-attribute their *self time* (wall time minus nested stage time) to every
-active context, so the stage taxonomy forms non-overlapping leaves whose
-sum reconciles with end-to-end latency:
+A :class:`RequestContext` (trace id + per-stage timing :class:`Ledger`)
+is created at admission and carried *by value* through the queue
+alongside the request's operands.  Whoever times a stage adds its
+seconds to the ledger directly, from two clock reads, so the stage
+taxonomy forms non-overlapping leaves whose sum reconciles with
+end-to-end latency:
 
-``queue`` → ``kernel`` → ``verify`` / ``fallback`` →
-``scatter`` (copy-out), plus ``other`` for the residual the service
-stamps at finalization.
+``sample`` → ``queue`` → ``kernel`` → ``verify`` / ``fallback`` →
+``ipc`` → ``scatter``, plus ``other`` for the residual the service
+stamps when the request ends.
 
-A batch executes once for many requests, so activation takes a *set* of
-contexts and shared stages are attributed at full wall value to each
-member — the per-request view of shared wall time, which is what tail
-latency attribution needs.  Events that are counts rather than
-durations land in the ledger's event counters (:func:`count`).
+A batch executes once for many requests, and a shared stage is charged
+at full wall value to each member's own ledger — the per-request view of
+shared wall time, which is what tail latency attribution needs.
 
-When a Chrome-trace recorder is active, each attributed stage also emits
-a span stamped with the request's ``trace_id``, so one slow request can
-be followed across threads in Perfetto by filtering on the id.
+:func:`activate` records, per thread, which requests the thread is
+working for; it attributes nothing.  A tracer outside the program reads
+:func:`active_contexts` to link the spans it records on a thread to the
+requests behind them (the process tier activates its batch around the
+pool call for this).
 
 :class:`FlightRecorder` retains a bounded set of the slowest completed
 and most recent failed request summaries for post-hoc dumps (the
@@ -42,13 +39,11 @@ import heapq
 import itertools
 import os
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 # Stage names the serving stack emits, in pipeline order.  Not enforced —
 # any stage name is accepted — but documented here as the canonical
@@ -61,7 +56,7 @@ STAGES = (
     "fallback",     # verified_spmm recovery path
     "ipc",          # process-pool transport: shm copies, pipe wake-ups
     "scatter",      # per-request copy-out
-    "other",        # residual stamped at finalization
+    "other",        # residual stamped when the request ends
 )
 
 _trace_counter = itertools.count(1)
@@ -173,7 +168,7 @@ class RequestContext:
 
 
 # ----------------------------------------------------------------------
-# Activation: explicit propagation across thread/queue boundaries
+# Activation: which requests this thread works for
 # ----------------------------------------------------------------------
 _state = threading.local()
 
@@ -185,92 +180,23 @@ def active_contexts() -> "tuple[RequestContext, ...]":
 
 @contextmanager
 def activate(*contexts: "RequestContext | None") -> Iterator[None]:
-    """Attribute this thread's stages to ``contexts`` for the scope.
+    """Mark this thread as working for ``contexts`` for the scope.
 
     ``None`` entries are ignored; with no live context the block is a
     plain passthrough.  Activation *replaces* any previous set for the
     scope (a worker acting for a batch acts for exactly that batch) and
-    restores it on exit, so nested single-request work — e.g. the
-    per-request ``scatter`` copy inside a batch — re-activates just its
-    own context.
+    restores it on exit.
     """
     live = tuple(c for c in contexts if c is not None)
     if not live:
         yield
         return
     previous = getattr(_state, "contexts", ())
-    previous_stack = getattr(_state, "stack", None)
     _state.contexts = live
-    _state.stack = []
     try:
         yield
     finally:
         _state.contexts = previous
-        _state.stack = previous_stack
-
-
-class _Frame:
-    __slots__ = ("name", "child_seconds")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.child_seconds = 0.0
-
-
-@contextmanager
-def stage(name: str, **span_args) -> Iterator[None]:
-    """Attribute the block's *self time* to every active context.
-
-    Nested stages subtract: a ``verify`` inside ``kernel`` charges the
-    check's seconds to ``verify`` only, so stage sums never
-    double-count.  A no-op (bare yield) when no context is active.
-    Emits a ``trace_id``-stamped Chrome span when a recorder is active.
-    """
-    contexts = getattr(_state, "contexts", ())
-    if not contexts:
-        yield
-        return
-    stack: "list[_Frame]" = getattr(_state, "stack", None) or []
-    _state.stack = stack
-    frame = _Frame(name)
-    stack.append(frame)
-    started = time.perf_counter()
-    try:
-        with _trace.span(
-            f"rtrace.{name}",
-            category="rtrace",
-            trace_id=contexts[0].trace_id,
-            n_requests=len(contexts),
-            **span_args,
-        ):
-            yield
-    finally:
-        elapsed = time.perf_counter() - started
-        stack.pop()
-        if stack:
-            stack[-1].child_seconds += elapsed
-        self_seconds = max(0.0, elapsed - frame.child_seconds)
-        for ctx in contexts:
-            ctx.ledger.add(name, self_seconds)
-
-
-def attribute(stage_name: str, seconds: float) -> None:
-    """Directly attribute measured seconds to every active context."""
-    for ctx in getattr(_state, "contexts", ()):
-        ctx.ledger.add(stage_name, seconds)
-
-
-def count(event: str, n: int = 1) -> None:
-    """Bump a countable event on every active context (no-op inactive)."""
-    for ctx in getattr(_state, "contexts", ()):
-        ctx.ledger.count(event, n)
-
-
-def mark(name: str, **args) -> None:
-    """Emit an instant trace event stamped with the active trace id(s)."""
-    contexts = getattr(_state, "contexts", ())
-    trace_id = contexts[0].trace_id if contexts else None
-    _trace.instant(f"rtrace.{name}", category="rtrace", trace_id=trace_id, **args)
 
 
 # ----------------------------------------------------------------------

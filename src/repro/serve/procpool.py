@@ -46,8 +46,9 @@ operand into it, the worker keeps it mapped across requests and writes
 its product beside the operand, and the parent copies the product out
 before :meth:`ProcessWorkerPool.execute` returns.  The largest pipe
 message is kept as ``snapshot()["zero_copy"]["max_message_bytes"]``;
-the two copies and the wake-ups are attributed to the ``ipc``
-request-trace stage (:mod:`repro.obs.rtrace`).
+the result's ``ipc_seconds`` times the two copies and the wake-ups,
+which the service charges to each request's ``ipc`` stage
+(:mod:`repro.obs.rtrace`).
 
 Wire-up: ``InferenceService(config=ServeConfig(isolation="process"))``
 builds and owns one of these pools; the process rows of
@@ -65,6 +66,7 @@ import time
 from multiprocessing import shared_memory
 from multiprocessing.reduction import ForkingPickler
 from collections import OrderedDict, deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -73,7 +75,6 @@ import numpy as np
 from repro import obs
 from repro.core.parallel import execute_row_blocks
 from repro.formats import CSRMatrix
-from repro.obs import rtrace
 from repro.resilience import faults
 from repro.serve.guard import WorkerSupervisor
 from repro.shm import (
@@ -492,8 +493,10 @@ class ProcessWorkerPool:
         self._jobs = 0
         self._started = False
         self._closed = False
-        # Published segments by graph value-fingerprint (LRU).
+        # Published segments by graph value-fingerprint (LRU), and the
+        # publishes in flight, which a concurrent first use waits on.
         self._segments: "OrderedDict[str, object]" = OrderedDict()
+        self._publishing: "dict[str, Future]" = {}
         self._seg_lock = threading.Lock()
         # Poison accounting: strikes per key, plus the bounded
         # quarantine set itself.
@@ -767,7 +770,9 @@ class ProcessWorkerPool:
 
         The cache keys on the *value* fingerprint (which folds in the
         epoch version), so ``apply_updates`` installing a new epoch
-        republished automatically on first use.
+        republished automatically on first use.  Each segment is
+        published once: a concurrent first use waits for the publish
+        already in flight (and raises its error).
         """
         fingerprint = matrix.fingerprint(include_values=True)
         with self._seg_lock:
@@ -775,22 +780,30 @@ class ProcessWorkerPool:
             if segment is not None:
                 self._segments.move_to_end(fingerprint)
                 return segment
+            publishing = self._publishing.get(fingerprint)
+            owner = publishing is None
+            if owner:
+                publishing = self._publishing[fingerprint] = Future()
+        if not owner:
+            return publishing.result()
         # Publish outside the lock (O(nnz) copy), then install.
-        fresh = publish_csr(matrix)
+        try:
+            fresh = publish_csr(matrix)
+        except BaseException as exc:
+            with self._seg_lock:
+                del self._publishing[fingerprint]
+            publishing.set_exception(exc)
+            raise
         evicted = []
         with self._seg_lock:
-            racer = self._segments.get(fingerprint)
-            if racer is not None:
-                evicted.append(fresh)
-                segment = racer
-            else:
-                self._segments[fingerprint] = fresh
-                segment = fresh
-                while len(self._segments) > self.config.segment_cache_capacity:
-                    evicted.append(self._segments.popitem(last=False)[1])
+            del self._publishing[fingerprint]
+            self._segments[fingerprint] = fresh
+            while len(self._segments) > self.config.segment_cache_capacity:
+                evicted.append(self._segments.popitem(last=False)[1])
+        publishing.set_result(fresh)
         for stale in evicted:
             stale.close()
-        return segment
+        return fresh
 
     def _republish_after_corruption(self, matrix: CSRMatrix, bad_name: str) -> None:
         """Replace a corrupted segment and flush every worker's caches.
@@ -1003,11 +1016,11 @@ class ProcessWorkerPool:
             PoolError: Transport/execution errors (terminal ``error``).
 
         The product is copied out of the slot's block into an array the
-        caller owns before the slot is released.  The call attributes
-        the worker-reported kernel time to the ``kernel`` request-trace
-        stage and the remaining wall time (staging the operand, copying
-        the product into and out of the block, pipe wake-ups) to ``ipc``
-        for every active request context.
+        caller owns before the slot is released.  The result carries the
+        worker-reported kernel time as ``kernel_seconds`` and the rest
+        of the call's wall time (staging the operand, copying the
+        product into and out of the block, pipe wake-ups) as
+        ``ipc_seconds``.
         """
         if self.quarantine_size() and any(map(self.is_quarantined, keys)):
             raise QuarantinedError(
@@ -1077,8 +1090,6 @@ class ProcessWorkerPool:
                 ipc_seconds = max(
                     0.0, time.monotonic() - started - kernel_seconds
                 )
-                rtrace.attribute("kernel", kernel_seconds)
-                rtrace.attribute("ipc", ipc_seconds)
                 obs.histogram("serve.procpool.ipc_seconds").observe(ipc_seconds)
                 return ProcResult(
                     output=output,

@@ -44,9 +44,13 @@ needs on top of the one-shot experiment harness:
 
 Every stage emits ``repro.obs`` counters and spans (``serve.service.*``).
 Each request's latency ledger (:mod:`repro.obs.rtrace`) is built from
-clock reads the thread tier already makes: the queue wait at batch
-start, the dispatcher's phase seconds, the copy-out of a batched reply,
-and the residual as ``other`` — no per-stage context managers.
+clock reads: the queue wait at batch start, the dispatcher's phase
+seconds (or the process pool's ``kernel`` and ``ipc`` seconds and the
+parent's ``verify``), the copy-out of a batched reply, and the residual
+as ``other``.  Every admitted request ends in one method,
+:meth:`InferenceService._end`, which settles the ledger, releases the
+epoch lease, feeds the SLO tracker, the flight recorder and the
+deadline-miss window, and resolves the future.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from repro.resilience import faults
 from repro.resilience.oracles import check_output
 from repro.resilience.runtime import ExperimentTimeoutError, call_with_timeout
 from repro.sample import EgoSubgraph, gather_features, sample_ego
-from repro.serve.dispatch import Dispatcher
+from repro.serve.dispatch import Dispatcher, DispatchResult
 from repro.serve.epoch import EpochLease, GraphEpochManager
 from repro.serve.guard import WorkerSupervisor
 from repro.serve.health import HealthPolicy, HealthReport, evaluate_health
@@ -80,6 +84,7 @@ from repro.serve.procpool import (
     PoolError,
     ProcessWorkerPool,
     ProcPoolConfig,
+    ProcResult,
     QuarantinedError,
     WorkerCrashError,
     poison_key,
@@ -121,12 +126,8 @@ class ServeConfig:
             and positive (``None`` disables; see
             :mod:`repro.resilience.runtime`).  Request deadlines tighten
             this further per batch.
-        restart_budget: Worker respawns the supervisor allows (per
-            ``restart_window_seconds`` when set, else over the service's
-            lifetime) before declaring the pool exhausted.
-        restart_window_seconds: Sliding window for the restart budget
-            (see :class:`~repro.serve.guard.WorkerSupervisor`); ``None``
-            keeps the budget a lifetime total.
+        restart_budget: Worker respawns the supervisor allows over the
+            service's lifetime before declaring the pool exhausted.
         verify: Cross-check every batch output against the independent
             reference before replying (failures degrade to the verified
             fallback inside the dispatcher; with process isolation the
@@ -146,7 +147,6 @@ class ServeConfig:
     n_workers: int = 2
     request_timeout: "float | None" = None
     restart_budget: int = 3
-    restart_window_seconds: "float | None" = None
     verify: bool = False
     isolation: str = "thread"
 
@@ -162,14 +162,6 @@ class ServeConfig:
             raise ValueError(
                 "request_timeout must be finite and positive or None, "
                 f"got {self.request_timeout}"
-            )
-        if (
-            self.restart_window_seconds is not None
-            and self.restart_window_seconds <= 0
-        ):
-            raise ValueError(
-                "restart_window_seconds must be positive or None, "
-                f"got {self.restart_window_seconds}"
             )
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
@@ -290,7 +282,7 @@ class _Pending:
     # Absolute monotonic deadline; None = no deadline.
     deadline: "float | None" = None
     # Epoch lease pinning the snapshot this request admitted under
-    # (epoch-managed services only); released in _finalize, the single
+    # (epoch-managed services only); released in _end, the single
     # choke point every terminal path passes through.
     lease: "EpochLease | None" = None
     epoch: "int | None" = None
@@ -391,7 +383,6 @@ class InferenceService:
             self._spawn_worker,
             self.config.n_workers,
             restart_budget=self.config.restart_budget,
-            restart_window=self.config.restart_window_seconds,
             on_exhausted=self._on_pool_exhausted,
         )
         self._supervisor.start()
@@ -637,7 +628,6 @@ class InferenceService:
             if self._proc_pool.quarantine_size():
                 pkey = poison_key(key[0], dense)
             memory_pressure = self._proc_pool.memory_pressure()
-        future: "Future[ServeResponse]" = Future()
         with self._cond:
             # Admission checks come before any id/metric allocation so
             # the submitted counter only ever counts requests that were
@@ -656,33 +646,11 @@ class InferenceService:
                 # Poison content never reaches another worker: terminal
                 # answer at admission, no execution.
                 obs.counter("serve.service.quarantined").inc()
-                error = (
+                return self._refuse(
+                    request_id, route, lease, QUARANTINED,
                     "request content quarantined after repeatedly "
-                    "killing workers"
+                    "killing workers",
                 )
-                if lease is not None:
-                    lease.release()
-                future.set_result(
-                    ServeResponse(
-                        request_id=request_id,
-                        status=QUARANTINED,
-                        error=error,
-                    )
-                )
-                self.slo.observe(route, 0.0, ok=False)
-                self.flight_recorder.record(
-                    {
-                        "trace_id": None,
-                        "request_id": request_id,
-                        "route": route,
-                        "status": QUARANTINED,
-                        "total_seconds": 0.0,
-                        "stages": {},
-                        "events": {},
-                        "error": error,
-                    }
-                )
-                return future
             exhausted = (
                 self._supervisor is not None and self._supervisor.exhausted
             ) or (
@@ -710,34 +678,9 @@ class InferenceService:
                         f"queue full ({len(self._queue)} pending, "
                         f"bound {self.config.max_queue})"
                     )
-                if lease is not None:
-                    # Never admitted: the lease must not pin its epoch.
-                    lease.release()
-                future.set_result(
-                    ServeResponse(
-                        request_id=request_id,
-                        status=REJECTED,
-                        error=error,
-                    )
-                )
-                # A shed request still burns the route's error budget
-                # and lands in the failure ring — overload must be
-                # visible post hoc, not just in counters.
-                self.slo.observe(route, 0.0, ok=False)
-                self.flight_recorder.record(
-                    {
-                        "trace_id": None,
-                        "request_id": request_id,
-                        "route": route,
-                        "status": REJECTED,
-                        "total_seconds": 0.0,
-                        "stages": {},
-                        "events": {},
-                        "error": error,
-                    }
-                )
-                return future
+                return self._refuse(request_id, route, lease, REJECTED, error)
             now = time.monotonic()
+            future: "Future[ServeResponse]" = Future()
             ctx = rtrace.RequestContext.new(
                 request_id=request_id, route=route
             )
@@ -776,6 +719,42 @@ class InferenceService:
             self._run_on_caller(pending)
         return future
 
+    def _refuse(
+        self,
+        request_id: int,
+        route: str,
+        lease: "EpochLease | None",
+        status: str,
+        error: str,
+    ) -> "Future[ServeResponse]":
+        """Answer a request refused at admission; it never gets a trace.
+
+        A refusal still burns the route's error budget and lands in the
+        failure ring, so overload shows post hoc, not only in counters.
+        It takes no deadline-miss window entry.
+        """
+        if lease is not None:
+            # Never admitted: the lease must not pin its epoch.
+            lease.release()
+        self.slo.observe(route, 0.0, ok=False)
+        self.flight_recorder.record(
+            {
+                "trace_id": None,
+                "request_id": request_id,
+                "route": route,
+                "status": status,
+                "total_seconds": 0.0,
+                "stages": {},
+                "events": {},
+                "error": error,
+            }
+        )
+        future: "Future[ServeResponse]" = Future()
+        future.set_result(
+            ServeResponse(request_id=request_id, status=status, error=error)
+        )
+        return future
+
     def _run_on_caller(self, pending: _Pending) -> None:
         """Execute one admitted request on the calling thread.
 
@@ -787,11 +766,9 @@ class InferenceService:
             self._execute_batch([pending])
         except Exception as exc:  # noqa: BLE001 - same boundary as _worker_main
             if not pending.future.done():
-                now = time.monotonic()
                 self._fail_batch(
                     [pending],
-                    [now - pending.enqueued_at],
-                    now,
+                    None,
                     f"execution failed: {type(exc).__name__}: {exc}",
                 )
 
@@ -901,12 +878,8 @@ class InferenceService:
         except Exception as exc:  # noqa: BLE001 - supervisor boundary
             batch = self._inflight.pop(worker_id, None)
             if batch:
-                now = time.monotonic()
                 self._fail_batch(
-                    batch,
-                    [now - p.enqueued_at for p in batch],
-                    now,
-                    f"worker crashed: {type(exc).__name__}: {exc}",
+                    batch, None, f"worker crashed: {type(exc).__name__}: {exc}"
                 )
             assert self._supervisor is not None
             self._supervisor.note_crash(worker_id, exc)
@@ -979,71 +952,109 @@ class InferenceService:
         """Resolve one expired request with ``DEADLINE_EXCEEDED``, unexecuted."""
         now = time.monotonic() if now is None else now
         obs.counter("serve.service.deadline_shed").inc()
-        self._record_miss(True)
         waited = now - pending.enqueued_at
-        pending.ctx.ledger.add("queue", waited)
-        self._finalize(pending, DEADLINE_EXCEEDED)
+        self._end(
+            pending,
+            DEADLINE_EXCEEDED,
+            now,
+            waited,
+            batch_size=0,
+            error=(
+                "deadline exceeded before execution "
+                f"(waited {waited * 1e3:.1f} ms)"
+            ),
+        )
+
+    def _end(
+        self,
+        pending: _Pending,
+        status: str,
+        now: float,
+        wait: float,
+        *,
+        batch_size: int,
+        error: "str | None" = None,
+        output: "np.ndarray | None" = None,
+        result: "DispatchResult | ProcResult | None" = None,
+    ) -> None:
+        """End one admitted request; every terminal path passes here.
+
+        In order: the deadline-miss window takes the outcome (a miss is
+        a :data:`DEADLINE_EXCEEDED` answer); the ledger is settled
+        against the end-to-end latency ``now - enqueued_at``; the epoch
+        lease drains, so a superseded epoch with no other readers can
+        retire; the SLO tracker and the flight recorder take the
+        request; and the future resolves with its response.
+
+        Settling charges a request that never reached batch start (shed,
+        abandoned, or lost with a crashed worker thread) its whole wait
+        as ``queue``, and whatever no
+        stage claimed as ``other``, so the stage sum equals
+        ``pre_seconds`` (the ego ``sample`` stage) plus
+        ``queue_seconds + service_seconds``.
+
+        Args:
+            wait: The response's ``queue_seconds``.
+            batch_size: Requests that shared the execution (0 if none ran).
+            error: Failure description of a non-``ok`` status.
+            output: This request's own product (``ok`` only).
+            result: The batch's dispatch or pool result (``ok`` only):
+                its ``backend`` and ``fallback_used``.
+        """
+        missed = status == DEADLINE_EXCEEDED
+        with self._miss_lock:
+            self._recent_misses.append(missed)
+            self._deadline_misses += missed
+        ledger = pending.ctx.ledger
+        total = max(0.0, now - pending.enqueued_at)
+        if "queue" not in ledger.stages():
+            ledger.add("queue", total)
+        ledger.add(
+            "other", max(0.0, total + pending.pre_seconds - ledger.total())
+        )
+        if pending.lease is not None:
+            pending.lease.release()
+        self.slo.observe(pending.ctx.route, ledger.total(), ok=status == OK)
+        if result is None:
+            backend, fallback_used = None, False
+            detail = {"error": error}
+        else:
+            backend, fallback_used = result.backend, result.fallback_used
+            detail = {
+                "backend": backend,
+                "fallback_used": fallback_used,
+                "batch_size": batch_size,
+            }
+        self.flight_recorder.record(
+            pending.ctx.summary(status=status, **detail)
+        )
         pending.future.set_result(
             ServeResponse(
                 request_id=pending.request_id,
-                status=DEADLINE_EXCEEDED,
-                queue_seconds=waited,
-                error=(
-                    "deadline exceeded before execution "
-                    f"(waited {waited * 1e3:.1f} ms)"
-                ),
+                status=status,
+                output=output,
+                backend=backend,
+                fallback_used=fallback_used,
+                batch_size=batch_size,
+                queue_seconds=wait,
+                service_seconds=max(0.0, total - wait),
+                error=error,
                 trace_id=pending.ctx.trace_id,
-                attribution=pending.ctx.ledger.to_dict(),
+                attribution=ledger.to_dict(),
                 epoch=pending.epoch,
             )
         )
 
-    def _settle_ledger(
-        self, pending: _Pending, now: float
-    ) -> "tuple[float, dict]":
-        """Reconcile a request's ledger with its end-to-end latency.
+    @staticmethod
+    def _charge(batch: "list[_Pending]", stages: "dict[str, float]") -> None:
+        """Add a shared phase's seconds to every member's ledger in full.
 
-        Requests that never reached execution (abandoned queue, worker
-        crash before attribution) get their wait charged to ``queue``;
-        everything unattributed lands in ``other`` so the stage sum
-        always equals the end-to-end total.  Returns
-        ``(total_seconds, ledger_dict)``.
+        Every member waited on the whole phase, so each is charged all
+        of it: the per-request view of shared wall time.
         """
-        total = max(0.0, now - pending.enqueued_at)
-        ledger = pending.ctx.ledger
-        if "queue" not in ledger.stages():
-            ledger.add("queue", total)
-        # pre_seconds (the pre-admission "sample" stage) rides on top of
-        # the admission-to-reply total, so the stage sum reconciles with
-        # the request's full end-to-end time.
-        ledger.add(
-            "other", max(0.0, total + pending.pre_seconds - ledger.total())
-        )
-        return total, ledger.to_dict()
-
-    def _finalize(
-        self, pending: _Pending, status: str, **extra
-    ) -> None:
-        """Feed a finished request into the SLO tracker + flight recorder.
-
-        Every terminal path passes through here, so this is also where
-        the request's epoch lease drains — after this, a superseded
-        epoch with no other readers retires and its cache keys drop.
-        """
-        if pending.lease is not None:
-            pending.lease.release()
-        self.slo.observe(
-            pending.ctx.route, pending.ctx.ledger.total(), ok=(status == OK)
-        )
-        self.flight_recorder.record(
-            pending.ctx.summary(status=status, **extra)
-        )
-
-    def _record_miss(self, missed: bool) -> None:
-        with self._miss_lock:
-            self._recent_misses.append(missed)
-            if missed:
-                self._deadline_misses += 1
+        for pending in batch:
+            for stage, seconds in stages.items():
+                pending.ctx.ledger.add(stage, seconds)
 
     def _batch_timeout(
         self, batch: "list[_Pending]", started: float
@@ -1073,10 +1084,8 @@ class InferenceService:
         batch = live
         matrix = batch[0].matrix
         queue_waits = [started - p.enqueued_at for p in batch]
-        contexts = []
         for pending, wait in zip(batch, queue_waits):
             pending.ctx.ledger.add("queue", max(0.0, wait))
-            contexts.append(pending.ctx)
         # The batching key includes the feature width, so every member
         # shares one width and the stacked result splits evenly.
         width = batch[0].dense.shape[1]
@@ -1089,7 +1098,7 @@ class InferenceService:
         obs.histogram("serve.service.batch_size").observe(float(len(batch)))
         if self._proc_pool is not None:
             self._execute_batch_proc(
-                batch, queue_waits, started, contexts, matrix, stacked, width
+                batch, queue_waits, started, matrix, stacked, width
             )
             return
         try:
@@ -1098,7 +1107,7 @@ class InferenceService:
                 batch_size=len(batch),
                 nnz=matrix.nnz,
                 dim=int(stacked.shape[1]),
-                trace_ids=",".join(c.trace_id for c in contexts),
+                trace_ids=",".join(p.ctx.trace_id for p in batch),
             ):
                 result = call_with_timeout(
                     lambda: self.dispatcher.execute(
@@ -1107,18 +1116,18 @@ class InferenceService:
                     self._batch_timeout(batch, started),
                 )
         except ExperimentTimeoutError as exc:
-            self._fail_timed_out_batch(batch, queue_waits, started, exc)
+            self._fail_past_deadline(
+                batch, queue_waits, exc, ERROR, f"timeout: {exc}",
+                "serve.service.errors",
+            )
             return
         except Exception as exc:  # dispatcher already absorbed backend faults
             self._fail_batch(
-                batch, queue_waits, started, f"{type(exc).__name__}: {exc}"
+                batch, queue_waits, f"{type(exc).__name__}: {exc}"
             )
             return
-        # The dispatcher timed its phases; every member waited on all of
-        # them, so each ledger gets the full seconds.
-        for ctx in contexts:
-            for stage, seconds in result.stages.items():
-                ctx.ledger.add(stage, seconds)
+        # The dispatcher timed its phases.
+        self._charge(batch, result.stages)
         self._complete_batch(batch, queue_waits, started, result, width)
 
     def _execute_batch_proc(
@@ -1126,7 +1135,6 @@ class InferenceService:
         batch: "list[_Pending]",
         queue_waits: "list[float]",
         started: float,
-        contexts: list,
         matrix: CSRMatrix,
         stacked: np.ndarray,
         width: int,
@@ -1141,22 +1149,12 @@ class InferenceService:
         :data:`QUARANTINED`, transport errors -> :data:`ERROR`.  With
         ``config.verify`` the oracle cross-check runs here in the
         parent, outside the worker's failure domain.
+
+        The ledgers take the ``kernel`` and ``ipc`` seconds the pool
+        returns and the check's clock-read ``verify`` seconds; a failed
+        check keeps the seconds it ran.
         """
         keys = PoisonKeys(batch[0].key[0], [p.dense for p in batch])
-
-        def run_on_pool():
-            with rtrace.activate(*contexts):
-                result = self._proc_pool.execute(
-                    matrix,
-                    stacked,
-                    keys=keys,
-                    timeout=self._batch_timeout(batch, started),
-                )
-                if self.config.verify:
-                    with rtrace.stage("verify"):
-                        check_output(matrix, stacked, result.output)
-                return result
-
         try:
             with obs.span(
                 "serve.service.batch",
@@ -1164,83 +1162,63 @@ class InferenceService:
                 nnz=matrix.nnz,
                 dim=int(stacked.shape[1]),
                 isolation="process",
-                trace_ids=",".join(c.trace_id for c in contexts),
+                trace_ids=",".join(p.ctx.trace_id for p in batch),
             ):
-                result = run_on_pool()
+                # Activation only lets a tracer link the pool's work on
+                # this thread to the batch's requests.
+                with rtrace.activate(*(p.ctx for p in batch)):
+                    result = self._proc_pool.execute(
+                        matrix,
+                        stacked,
+                        keys=keys,
+                        timeout=self._batch_timeout(batch, started),
+                    )
+                self._charge(
+                    batch,
+                    {"kernel": result.kernel_seconds, "ipc": result.ipc_seconds},
+                )
+                if self.config.verify:
+                    mark = time.perf_counter()
+                    try:
+                        check_output(matrix, stacked, result.output)
+                    finally:
+                        self._charge(
+                            batch, {"verify": time.perf_counter() - mark}
+                        )
         except QuarantinedError as exc:
             obs.counter("serve.service.quarantined").inc(len(batch))
             self._fail_batch(
-                batch, queue_waits, started, str(exc), status=QUARANTINED
+                batch, queue_waits, str(exc), status=QUARANTINED
             )
             return
         except WorkerCrashError as exc:
-            self._fail_crashed_batch(batch, queue_waits, started, exc)
+            self._fail_past_deadline(
+                batch, queue_waits, exc, WORKER_CRASHED, str(exc),
+                "serve.service.worker_crashed",
+            )
             return
         except PoolError as exc:
-            self._fail_batch(batch, queue_waits, started, str(exc))
+            self._fail_batch(batch, queue_waits, str(exc))
             return
         except Exception as exc:  # noqa: BLE001 - e.g. oracle failure
             self._fail_batch(
-                batch, queue_waits, started, f"{type(exc).__name__}: {exc}"
+                batch, queue_waits, f"{type(exc).__name__}: {exc}"
             )
             return
         self._complete_batch(batch, queue_waits, started, result, width)
-
-    def _fail_crashed_batch(
-        self,
-        batch: "list[_Pending]",
-        queue_waits: "list[float]",
-        started: float,
-        exc: WorkerCrashError,
-    ) -> None:
-        """Terminal per-member classification after a worker death.
-
-        Members already past their deadline answer
-        :data:`DEADLINE_EXCEEDED` (a hung worker reaped at the batch
-        budget *is* their deadline firing); everyone else answers the
-        terminal :data:`WORKER_CRASHED`.
-        """
-        now = time.monotonic()
-        for pending, wait in zip(batch, queue_waits):
-            if pending.deadline is not None and now >= pending.deadline:
-                status = DEADLINE_EXCEEDED
-                error = f"deadline exceeded during execution: {exc}"
-                obs.counter("serve.service.deadline_cutoff").inc()
-                self._record_miss(True)
-            else:
-                status = WORKER_CRASHED
-                error = str(exc)
-                obs.counter("serve.service.worker_crashed").inc()
-                self._record_miss(False)
-            total, attribution = self._settle_ledger(pending, now)
-            self._finalize(pending, status, error=error)
-            pending.future.set_result(
-                ServeResponse(
-                    request_id=pending.request_id,
-                    status=status,
-                    batch_size=len(batch),
-                    queue_seconds=wait,
-                    service_seconds=max(0.0, total - wait),
-                    error=error,
-                    trace_id=pending.ctx.trace_id,
-                    attribution=attribution,
-                    epoch=pending.epoch,
-                )
-            )
 
     def _complete_batch(
         self,
         batch: "list[_Pending]",
         queue_waits: "list[float]",
         started: float,
-        result,
+        result: "DispatchResult | ProcResult",
         width: int,
     ) -> None:
         obs.histogram("serve.service.latency_seconds").observe(
             time.monotonic() - started
         )
         for i, (pending, wait) in enumerate(zip(batch, queue_waits)):
-            ledger = pending.ctx.ledger
             if len(batch) == 1:
                 # The whole result belongs to this request — no copy.
                 output = result.output
@@ -1250,102 +1228,69 @@ class InferenceService:
                 # and pin the full batch array for every response.
                 copy_started = time.perf_counter()
                 output = result.output[:, i * width : (i + 1) * width].copy()
-                ledger.add("scatter", time.perf_counter() - copy_started)
-            obs.counter("serve.service.completed").inc()
-            self._record_miss(False)
-            # Stamp the residual (timeout-pool hand-off, loop overhead)
-            # so the ledger's stage sum reconciles exactly with the
-            # request's end-to-end latency.
-            total = time.monotonic() - pending.enqueued_at
-            ledger.add(
-                "other",
-                max(0.0, total + pending.pre_seconds - ledger.total()),
-            )
-            self._finalize(
-                pending, OK,
-                backend=result.backend,
-                fallback_used=result.fallback_used,
-                batch_size=len(batch),
-            )
-            pending.future.set_result(
-                ServeResponse(
-                    request_id=pending.request_id,
-                    status=OK,
-                    output=output,
-                    backend=result.backend,
-                    fallback_used=result.fallback_used,
-                    batch_size=len(batch),
-                    queue_seconds=wait,
-                    service_seconds=max(0.0, total - wait),
-                    trace_id=pending.ctx.trace_id,
-                    attribution=ledger.to_dict(),
-                    epoch=pending.epoch,
+                pending.ctx.ledger.add(
+                    "scatter", time.perf_counter() - copy_started
                 )
+            obs.counter("serve.service.completed").inc()
+            self._end(
+                pending, OK, time.monotonic(), wait,
+                batch_size=len(batch), output=output, result=result,
             )
 
-    def _fail_timed_out_batch(
+    def _fail_past_deadline(
         self,
         batch: "list[_Pending]",
         queue_waits: "list[float]",
-        started: float,
-        exc: ExperimentTimeoutError,
+        exc: Exception,
+        status: str,
+        error: str,
+        counter: str,
     ) -> None:
-        """Classify a timed-out batch: deadline members vs. budget members."""
+        """Fail a batch cut off mid-execution, member by member.
+
+        Members already past their deadline answer
+        :data:`DEADLINE_EXCEEDED`: the cut-off at the batch budget (a
+        thread-tier timeout, a hung worker reaped) *is* their deadline
+        firing.  Everyone else answers ``status`` with ``error`` and
+        bumps ``counter``.
+        """
         now = time.monotonic()
         for pending, wait in zip(batch, queue_waits):
             if pending.deadline is not None and now >= pending.deadline:
-                status = DEADLINE_EXCEEDED
-                error = f"deadline exceeded during execution: {exc}"
                 obs.counter("serve.service.deadline_cutoff").inc()
-                self._record_miss(True)
-            else:
-                status = ERROR
-                error = f"timeout: {exc}"
-                obs.counter("serve.service.errors").inc()
-                self._record_miss(False)
-            total, attribution = self._settle_ledger(pending, now)
-            self._finalize(pending, status, error=error)
-            pending.future.set_result(
-                ServeResponse(
-                    request_id=pending.request_id,
-                    status=status,
+                self._end(
+                    pending, DEADLINE_EXCEEDED, now, wait,
                     batch_size=len(batch),
-                    queue_seconds=wait,
-                    service_seconds=max(0.0, total - wait),
-                    error=error,
-                    trace_id=pending.ctx.trace_id,
-                    attribution=attribution,
-                    epoch=pending.epoch,
+                    error=f"deadline exceeded during execution: {exc}",
                 )
-            )
+            else:
+                obs.counter(counter).inc()
+                self._end(
+                    pending, status, now, wait,
+                    batch_size=len(batch), error=error,
+                )
 
     def _fail_batch(
         self,
         batch: "list[_Pending]",
-        queue_waits: "list[float]",
-        started: float,
+        queue_waits: "list[float] | None",
         error: str,
         status: str = ERROR,
     ) -> None:
+        """Answer every member ``status`` with ``error``.
+
+        ``queue_waits=None`` reports each member's whole wait as its
+        ``queue_seconds`` (work that failed outside a batch's timing).
+        """
         now = time.monotonic()
+        if queue_waits is None:
+            queue_waits = [now - p.enqueued_at for p in batch]
         if status == ERROR:
             obs.counter("serve.service.errors").inc(len(batch))
         for pending, wait in zip(batch, queue_waits):
-            self._record_miss(False)
-            total, attribution = self._settle_ledger(pending, now)
-            self._finalize(pending, status, error=error)
-            pending.future.set_result(
-                ServeResponse(
-                    request_id=pending.request_id,
-                    status=status,
-                    batch_size=len(batch),
-                    queue_seconds=wait,
-                    service_seconds=max(0.0, total - wait),
-                    error=error,
-                    trace_id=pending.ctx.trace_id,
-                    attribution=attribution,
-                    epoch=pending.epoch,
-                )
+            self._end(
+                pending, status, now, wait,
+                batch_size=len(batch), error=error,
             )
 
     def _on_pool_exhausted(self) -> None:
@@ -1358,9 +1303,5 @@ class InferenceService:
         with self._cond:
             abandoned = list(self._queue)
             self._queue.clear()
-        if not abandoned:
-            return
-        now = time.monotonic()
-        self._fail_batch(
-            abandoned, [now - p.enqueued_at for p in abandoned], now, error
-        )
+        if abandoned:
+            self._fail_batch(abandoned, None, error)

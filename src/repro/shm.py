@@ -82,7 +82,8 @@ def _quiet_close(shm: shared_memory.SharedMemory) -> None:
 
 
 def _digest(view: "np.ndarray | memoryview") -> str:
-    return hashlib.blake2b(bytes(view), digest_size=16).hexdigest()
+    """BLAKE2b of a contiguous array's bytes, read in place (no copy)."""
+    return hashlib.blake2b(view, digest_size=16).hexdigest()
 
 
 def _aligned(offset: int) -> int:

@@ -22,9 +22,10 @@ from repro.core import (
 )
 from repro.core import parallel
 from repro.formats import CSRMatrix
+from repro.formats import csr as csr_module
 from repro.gnn.inference import InferenceEngine
 from repro.gnn.models import GCN
-from repro.graphs import Graph
+from repro.graphs import Graph, power_law_graph
 
 
 def fresh_product(matrix: CSRMatrix, dense: np.ndarray) -> np.ndarray:
@@ -131,6 +132,29 @@ class TestRowBlockSplit:
     def test_blocks_memoised_per_count(self, small_power_law):
         assert row_blocks(small_power_law, 3) is row_blocks(small_power_law, 3)
         assert row_blocks(small_power_law, 2) is not row_blocks(small_power_law, 3)
+
+    @pytest.mark.parametrize("n_blocks", [2, 3])
+    def test_blocked_pass_builds_no_scipy_matrix(self, monkeypatch, n_blocks):
+        # The blocks read the matrix's own int64 arrays: no scipy view is
+        # built, so no index array is narrowed on a new matrix.
+        matrix = power_law_graph(n_nodes=2_000, nnz=20_000, max_degree=50, seed=3)
+        dense = np.random.default_rng(4).normal(size=(matrix.n_cols, 5))
+        built = []
+        original = csr_module.sp.csr_matrix
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(csr_module.sp, "csr_matrix", counting)
+        out = execute_row_blocks(matrix, dense, n_blocks)
+        plan = row_blocks(matrix, n_blocks)
+        assert built == []
+        monkeypatch.undo()
+        assert len(plan.split_rows) == 0
+        for block in plan.blocks:
+            assert block.row_pointers.dtype == matrix.column_indices.dtype
+        np.testing.assert_array_equal(out, matrix.to_scipy() @ dense)
 
 
 def _one_block_cases():

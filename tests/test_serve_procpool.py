@@ -5,6 +5,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 from repro.formats import CSRMatrix
 from repro.graphs.generators import power_law_graph
 from repro.resilience import faults
+from repro.serve import procpool
 from repro.serve.procpool import (
     QUARANTINED,
     WORKER_CRASHED,
@@ -240,6 +242,67 @@ class TestProcessWorkerPool:
 
         with pytest.raises(PoolError):
             pool.execute(matrix, np.ones((matrix.n_cols, 1)))
+
+
+class TestSegments:
+    def test_racing_first_uses_publish_once(self, monkeypatch):
+        # Eight threads ask for a fresh matrix's segment at once: one
+        # publishes, the rest wait for it, and all get the same segment.
+        matrix = _matrix(7)
+        published = []
+        original = procpool.publish_csr
+
+        def slow_publish(m):
+            published.append(1)
+            time.sleep(0.05)
+            return original(m)
+
+        monkeypatch.setattr(procpool, "publish_csr", slow_publish)
+        pool = ProcessWorkerPool(_config(n_workers=1))
+        barrier = threading.Barrier(8)
+
+        def first_use():
+            barrier.wait(timeout=10.0)
+            return pool.segment_for(matrix)
+
+        try:
+            with ThreadPoolExecutor(max_workers=8) as threads:
+                futures = [threads.submit(first_use) for _ in range(8)]
+                segments = [future.result(timeout=30.0) for future in futures]
+            assert len(published) == 1
+            assert len({id(segment) for segment in segments}) == 1
+            assert pool.snapshot()["segments"]["active"] == 1
+        finally:
+            pool.close()
+
+    def test_failed_publish_raises_for_every_waiter(self, monkeypatch):
+        matrix = _matrix(8)
+        calls = []
+        release = threading.Event()
+
+        def failing_publish(m):
+            calls.append(1)
+            release.wait(5.0)
+            raise OSError("no space left for the segment")
+
+        monkeypatch.setattr(procpool, "publish_csr", failing_publish)
+        pool = ProcessWorkerPool(_config(n_workers=1))
+        try:
+            with ThreadPoolExecutor(max_workers=3) as threads:
+                futures = [
+                    threads.submit(pool.segment_for, matrix) for _ in range(3)
+                ]
+                assert _wait_for(lambda: calls)
+                time.sleep(0.05)
+                release.set()
+                for future in futures:
+                    with pytest.raises(OSError, match="no space"):
+                        future.result(timeout=10.0)
+            # A failed publish is forgotten: the next first use publishes.
+            monkeypatch.undo()
+            assert pool.segment_for(matrix).meta.nnz == matrix.nnz
+        finally:
+            pool.close()
 
 
 class TestSlotBlocks:

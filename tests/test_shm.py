@@ -8,6 +8,7 @@ checked here over arbitrary generated CSR structures, not one fixed
 example.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -135,6 +136,27 @@ class TestRoundTrip:
         segment.close()
         with pytest.raises(FileNotFoundError):
             attach_csr(segment.meta)
+
+
+    def test_digests_hash_the_arrays_bytes(self):
+        # The digests read each array in place; they equal BLAKE2b over
+        # a bytes copy of the array, as published before.
+        matrix = CSRMatrix(
+            n_rows=3,
+            n_cols=3,
+            row_pointers=np.array([0, 2, 2, 3], dtype=np.int64),
+            column_indices=np.array([0, 2, 1], dtype=np.int64),
+            values=np.array([1.5, -2.0, 0.25]),
+        )
+        with publish_csr(matrix) as segment:
+            assert segment.meta.checksums == tuple(
+                hashlib.blake2b(bytes(array), digest_size=16).hexdigest()
+                for array in (
+                    matrix.row_pointers, matrix.column_indices, matrix.values
+                )
+            )
+            with attach_csr(segment.meta, verify=True) as attached:
+                attached.verify()
 
 
 class TestChecksums:
